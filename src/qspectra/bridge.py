@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from . import vectors as vec
 from .errors import (
     EigenResidualError,
     NotNormalError,
@@ -37,7 +36,6 @@ from .quaternion import (
     CM_MEMBERSHIP_TOL,
     Quaternion,
     SliceFrame,
-    cm_to_complex,
     complex_to_cm,
 )
 
@@ -155,9 +153,10 @@ def _eig_commuting_pair(z: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, 
 
     H = (Z + Z*)/2 and K = (Z - Z*)/2i commute for normal Z, so eigh(H)
     followed by eigh of K compressed to each H-eigenvalue cluster yields a
-    machine-unitary eigenvector matrix regardless of degeneracies.
+    machine-unitary eigenvector matrix regardless of degeneracies. Clusters
+    are cut at cluster_tol * ||Z||_F, so the split is scale invariant.
     """
-    scale = max(1.0, float(np.linalg.norm(z)))
+    scale = max(float(np.linalg.norm(z)), _TINY)
     h = (z + np.conj(z.T)) / 2.0
     k = (z - np.conj(z.T)) / 2.0j
     hvals, q = np.linalg.eigh(h)
@@ -182,23 +181,14 @@ def _eig_commuting_pair(z: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, 
     return vals, q
 
 
-def eig_normal_complex(
-    n_mat: CMatrix,
-    normal_tol: float = 1e-10,
-    cluster_tol: float = CLUSTER_TOL,
-    residual_tol: float = EIG_RESIDUAL_TOL,
-) -> tuple[CMatrix, list[Quaternion]]:
-    """Diagonalize a normal slice matrix: N W = W diag(vals).
-
-    Eigenvalues are ordered lexicographically by (real part, imaginary
-    coefficient), descending, so repeated runs produce identical output.
-    Raises NotNormalError for non-normal input and EigenResidualError when
-    the residual contract residual <= residual_tol * ||N|| cannot be met.
-    """
-    rows, cols = n_mat.shape
+def _eig_normal(
+    z: np.ndarray, normal_tol: float, cluster_tol: float, residual_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unitary eigenvectors of a normal complex matrix, as
+    complex arrays; see eig_normal_complex for the order and the contracts."""
+    rows, cols = z.shape
     if rows != cols:
         raise ShapeError("eigendecomposition needs a square matrix")
-    z = n_mat.to_complex()
     scale = float(np.linalg.norm(z))
     defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z))
     if defect > normal_tol * max(scale**2, _TINY):
@@ -214,122 +204,89 @@ def eig_normal_complex(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{residual_tol:.1e} * {scale:.3e}"
         )
+    return vals, q
+
+
+def eig_normal_complex(
+    n_mat: CMatrix,
+    normal_tol: float = 1e-10,
+    cluster_tol: float = CLUSTER_TOL,
+    residual_tol: float = EIG_RESIDUAL_TOL,
+) -> tuple[CMatrix, list[Quaternion]]:
+    """Diagonalize a normal slice matrix: N W = W diag(vals).
+
+    Eigenvalues are ordered lexicographically by (real part, imaginary
+    coefficient), descending, so repeated runs produce identical output.
+    Raises NotNormalError for non-normal input and EigenResidualError when
+    the residual contract residual <= residual_tol * ||N|| cannot be met.
+    """
+    vals, q = _eig_normal(n_mat.to_complex(), normal_tol, cluster_tol, residual_tol)
     frame = n_mat.frame
     return CMatrix.from_complex(q, frame), [complex_to_cm(v, frame) for v in vals]
 
 
-def _cluster_complex(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Greedy union of values within tol of each other (transitive)."""
-    order = np.lexsort((vals.imag, vals.real))
-    parent = list(range(len(vals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    idx = np.arange(len(vals))
-    for a_pos in range(len(vals)):
-        for b_pos in range(a_pos + 1, len(vals)):
-            a_i, b_i = order[a_pos], order[b_pos]
-            if vals[b_i].real - vals[a_i].real > tol:
-                break
-            if abs(vals[a_i] - vals[b_i]) <= tol:
-                ra, rb = find(a_i), find(b_i)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in idx:
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(sorted(g)) for g in groups.values()]
-
-
-def _orthonormalize_drop(candidates: list[np.ndarray], keep_tol: float = 1e-6) -> list[np.ndarray]:
-    """Greedy right-coefficient Gram-Schmidt, silently dropping dependents."""
-    kept: list[np.ndarray] = []
-    for cand in candidates:
-        u = cand.copy()
+def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Indices and orthonormal deflated vectors x of the columns of w whose
+    pairs [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the J-invariant
+    span of w: one per quaternionic line. A column is kept when its residual
+    has norm >= 1/2; its pair is then projected out of the later columns
+    twice, for orthogonality at rounding level."""
+    w = w.copy()
+    half = w.shape[0] // 2
+    kept: list[int] = []
+    for t in range(w.shape[1]):
+        r = float(np.linalg.norm(w[:, t]))
+        if r < 0.5:
+            continue
+        x = w[:, t] / r
+        w[:, t] = x
+        jx = np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
+        pair = np.stack([x, jx], axis=1)
+        rest = w[:, t + 1 :]
         for _ in range(2):
-            for z in kept:
-                u = u - vec.scale_right(z, vec.inner(z, u))
-        r = vec.norm(u)
-        if r >= keep_tol:
-            kept.append(u / r)
-    return kept
+            rest -= pair @ (np.conj(pair.T) @ rest)
+        kept.append(t)
+    return kept, w[:, kept]
 
 
 def spectral_decompose(
     a: QMatrix,
     frame: SliceFrame,
     normal_tol: float = 1e-10,
-    cluster_tol: float = CLUSTER_TOL,
 ) -> SpectralDecomposition:
     """Diagonalize a normal quaternion matrix: A V_k = V_k d_k, d_k in C_m+.
 
-    Route: eigendecompose chi(A); keep the upper-half-plane eigenvalues
-    (the spectrum is closed under slice conjugation); lift each eigenvector
-    (u; v) to u + conj(v) * n; orthonormalize within eigenvalue clusters.
-    Real eigenvalues come in doubled pairs whose lifts span the same
-    quaternionic lines, so exactly half survive the per-cluster pass.
+    Route: eigendecompose chi(A), whose spectrum is closed under slice
+    conjugation. Eigenvectors (u; v) at eigenvalues above the real axis lift
+    to u + conj(v) * n as they are. Eigenvalues on the real axis (within
+    1e-9 * ||A||_F) come in doubled pairs whose eigenvectors span
+    J-invariant spaces; J-pair deflation keeps one vector per quaternionic
+    line, so exactly half of them survive.
     """
     a.check_normal(normal_tol)
     n = a.n
     scale = max(a.frobenius(), _TINY)
 
-    image = chi(a, frame)
-    w_cm, vals_q = eig_normal_complex(image.cm, normal_tol=normal_tol, cluster_tol=cluster_tol)
-    w = w_cm.to_complex()
-    vals = np.array([cm_to_complex(v, frame) for v in vals_q], dtype=np.complex128)
+    z = chi(a, frame).cm.to_complex()
+    vals, w = _eig_normal(z, normal_tol, CLUSTER_TOL, EIG_RESIDUAL_TOL)
 
-    pair_tol = 1e-9 * max(1.0, scale)
-    for v in vals[vals.imag > pair_tol]:
+    pair_tol = 1e-9 * scale
+    upper = np.flatnonzero(vals.imag > pair_tol)
+    for v in vals[upper]:
         if np.min(np.abs(vals - np.conj(v))) > pair_tol:
             raise PairingError(f"eigenvalue {v:.6e} lacks a conjugate partner")
+    real_axis = np.flatnonzero(np.abs(vals.imag) <= pair_tol)
+    kept, real_cols = _j_pairs(w[:, real_axis])
 
-    columns: list[np.ndarray] = []
-    values: list[Quaternion] = []
-    for group in _cluster_complex(vals, cluster_tol * max(1.0, scale)):
-        mean = complex(np.mean(vals[group]))
-        straddles = abs(mean.imag) <= pair_tol or (
-            np.min(vals[group].imag) <= 0.0 <= np.max(vals[group].imag)
-        )
-        if straddles:
-            if len(group) % 2:
-                raise PairingError(
-                    f"odd multiplicity {len(group)} at real eigenvalue {mean.real:.6e}"
-                )
-            lifts = [iota_inv(w[:, t], frame) for t in group]
-            kept = _orthonormalize_drop(lifts)
-            if len(kept) != len(group) // 2:
-                raise PairingError(
-                    f"expected {len(group) // 2} independent lifts at "
-                    f"{mean.real:.6e}, got {len(kept)}"
-                )
-            lam = Quaternion(mean.real)
-        elif mean.imag > 0.0:
-            lifts = [iota_inv(w[:, t], frame) for t in group]
-            kept = _orthonormalize_drop(lifts)
-            if len(kept) != len(group):
-                raise PairingError(
-                    f"lift of eigenvalue cluster at {mean:.6e} lost rank "
-                    f"({len(kept)} of {len(group)})"
-                )
-            lam = complex_to_cm(mean, frame)
-        else:
-            continue  # conjugate partners of an upper-half cluster
-        for u in kept:
-            columns.append(u)
-            values.append(lam)
+    cols = np.concatenate([w[:, upper], real_cols], axis=1)
+    lam = np.concatenate([vals[upper], vals[real_axis[kept]].real + 0j])
+    if len(lam) != n:
+        raise PairingError(f"selected {len(lam)} eigenvectors for dimension {n}")
 
-    if len(columns) != n:
-        raise PairingError(f"selected {len(columns)} eigenvectors for dimension {n}")
+    order = np.lexsort((-lam.imag, -lam.real))
+    v_mat = QMatrix(iota_inv(cols[:, order], frame))
+    values = [complex_to_cm(v, frame) for v in lam[order]]
 
-    order = sorted(range(n), key=lambda t: (-values[t].re, -values[t].im_norm()))
-    columns = [columns[t] for t in order]
-    values = [values[t] for t in order]
-
-    v_mat = QMatrix.from_columns(columns)
     residual = ((a @ v_mat) - (v_mat @ QMatrix.diag(values))).frobenius()
     unitarity = ((v_mat.H @ v_mat) - QMatrix.identity(n)).frobenius()
     if residual > DECOMP_RESIDUAL_TOL * scale or unitarity > 1e-10 * max(1.0, np.sqrt(n)):

@@ -6,6 +6,7 @@ the timing field, which is explicitly outside the determinism contract.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -40,9 +41,19 @@ SCHEMA_SPEC = {
 }
 
 
+@functools.cache
+def _validator():
+    """The report schema's validator, checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(SCHEMA_SPEC)
+    cls.check_schema(SCHEMA_SPEC)
+    return cls(SCHEMA_SPEC)
+
+
 def validate_payload(payload: dict) -> None:
     """Raise jsonschema.ValidationError if the payload is not a report."""
-    jsonschema.validate(payload, SCHEMA_SPEC)
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(payload))
+    if error is not None:
+        raise error
 
 
 @dataclass

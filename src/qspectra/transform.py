@@ -2,9 +2,11 @@
 construction routed through it, and the unbounded multiplication form
 emulated on truncated atomic spaces.
 
-Matrix square roots are taken spectrally (through the slice embedding of the
-self-adjoint operand), never by Newton iteration, so every path reuses the
-verified eigensolver and stays deterministic.
+Matrix square roots of the Gram operands I + A*A and I - Z*Z are taken
+spectrally, from one Hermitian eigendecomposition of the Gram matrix's
+complex adjoint, never by Newton iteration, so every path stays
+deterministic. Results are assembled as complex adjoint matrices and read
+back as quaternion matrices from their top block row.
 
 The scalar radial maps
 
@@ -26,7 +28,12 @@ import numpy as np
 
 from . import qarray as qa
 from .bridge import CMatrix, spectral_decompose
-from .errors import DuplicateSymbolError, ShapeError, TransformDomainError
+from .errors import (
+    DuplicateSymbolError,
+    PreconditionError,
+    ShapeError,
+    TransformDomainError,
+)
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol
 from .operators import QMatrix
 from .quaternion import STANDARD_FRAME, Quaternion, SliceFrame
@@ -59,17 +66,35 @@ class UnboundedSim:
         return cls(psi.space, psi, psi.space.n_atoms)
 
 
-def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> BoundedTransform:
-    """Contractive image of a matrix; normal input gives normal output."""
-    n = a.n
-    gram = (a.H @ a) + QMatrix.identity(n)
-    dec = spectral_decompose(gram, frame)
-    # gram >= I exactly; the clamp only absorbs rounding of its spectrum.
-    roots = [max(d.re, 1.0) ** 0.5 for d in dec.d]
-    inv_half = dec.V @ QMatrix.diag([Quaternion(1.0 / r) for r in roots]) @ dec.V.H
-    half = dec.V @ QMatrix.diag([Quaternion(r) for r in roots]) @ dec.V.H
+def _gram_eig(a: QMatrix, sign: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors q of G = I + sign * A*A (complex adjoint), A q, and the
+    eigenvalues of G as 1 + sign * ||A q_k||^2. The eigenvalues that eigh
+    returns carry an absolute error of about eps * ||A||^2, which at
+    ||A|| ~ 1e8 pushes ||Z|| past 1."""
+    if not np.all(np.isfinite(a.a)):
+        raise PreconditionError("transform input has non-finite entries")
+    ac = a.to_complex_adjoint()
+    _, q = np.linalg.eigh(np.eye(2 * a.n) + sign * (np.conj(ac.T) @ ac))
+    aq = ac @ q
+    return q, aq, 1.0 + sign * np.sum(np.abs(aq) ** 2, axis=0)
 
-    z = a @ inv_half
+
+def _from_adjoint(f: np.ndarray) -> QMatrix:
+    """The quaternion matrix whose complex adjoint is f: from_pair(F11, -F12)."""
+    n = f.shape[1] // 2
+    return QMatrix(qa.from_pair(f[:n, :n], -f[:n, n:]))
+
+
+def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> BoundedTransform:
+    """Contractive image of a matrix; normal input gives normal output.
+
+    With G = I + A*A = q diag(g) q*, Z = (A q) diag(g^(-1/2)) q*. The result
+    does not depend on frame.
+    """
+    q, aq, g = _gram_eig(a, 1.0)
+    z = _from_adjoint((aq / np.sqrt(g)) @ np.conj(q.T))
+    half = _from_adjoint((q * np.sqrt(g)) @ np.conj(q.T))
+
     norm_z = z.op_norm()
     if norm_z > 1.0 + 1e-12:
         raise TransformDomainError(f"transform norm {norm_z} exceeds 1")
@@ -81,17 +106,16 @@ def inverse_transform(z: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> QMatrix
     """Recover T from Z = Z_T via T = Z (I - Z*Z)^(-1/2).
 
     Rejected when ||Z|| >= 1 - 1e-8: the reconstruction conditioning
-    (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable.
+    (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable;
+    it also keeps I - Z*Z >= 1e-8. The result does not depend on frame.
     """
     norm_z = z.op_norm()
     if norm_z >= 1.0 - INVERSE_GUARD:
         raise TransformDomainError(
             f"||Z|| = {norm_z:.12f} is within {INVERSE_GUARD:.0e} of 1"
         )
-    gram = QMatrix.identity(z.n) - (z.H @ z)
-    dec = spectral_decompose(gram, frame)
-    inv_roots = [Quaternion(1.0 / max(d.re, 1e-300) ** 0.5) for d in dec.d]
-    return z @ (dec.V @ QMatrix.diag(inv_roots) @ dec.V.H)
+    q, zq, g = _gram_eig(z, -1.0)
+    return _from_adjoint((zq / np.sqrt(g)) @ np.conj(q.T))
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:
@@ -110,17 +134,9 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
     return structure
 
 
-def _complex_bounded_transform(t: np.ndarray) -> np.ndarray:
-    """Z = T (I + T^H T)^(-1/2) for a complex matrix, via eigh."""
-    gram = np.eye(t.shape[0]) + np.conj(t.T) @ t
-    vals, q = np.linalg.eigh((gram + np.conj(gram.T)) / 2.0)
-    inv_half = (q / np.sqrt(np.maximum(vals, 1.0))) @ np.conj(q.T)
-    return t @ inv_half
-
-
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:
     """Residual between the two orders of transform and extension."""
-    z_plus = CMatrix.from_complex(_complex_bounded_transform(t_plus.to_complex()), s.frame)
+    z_plus = CMatrix(bounded_transform(t_plus.as_qmatrix(), s.frame).Z.a, s.frame)
     transform_of_extension = bounded_transform(extend(t_plus, s), s.frame).Z
     extension_of_transform = extend(z_plus, s)
     return (transform_of_extension - extension_of_transform).frobenius()

@@ -225,3 +225,21 @@ class TestSpectralDecompose:
         vals = np.linalg.eigvals(chi(a, frame).cm.to_complex())
         for lam in vals[vals.imag > 1e-9]:
             assert np.min(np.abs(vals - np.conj(lam))) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8])
+    def test_tiny_scale(self, frame, rng, scale):
+        a = scale * gen.random_normal(rng, 8, frame)
+        dec = spectral_decompose(a, frame)
+        rec = dec.V @ QMatrix.diag(dec.d) @ dec.V.H
+        assert (a - rec).frobenius() <= 1e-9 * a.frobenius()
+        assert ((dec.V.H @ dec.V) - QMatrix.identity(8)).frobenius() <= 1e-10 * np.sqrt(8)
+
+    def test_repeated_real_eigenvalue_unitary(self, frame, rng):
+        d = [Quaternion(0.3)] * 4 + [Quaternion(-1.2)] * 3 + [Quaternion(2.0)]
+        v = gen.random_unitary(rng, 8)
+        a = v @ QMatrix.diag(d) @ v.H
+        dec = spectral_decompose(a, frame)
+        assert ((dec.V.H @ dec.V) - QMatrix.identity(8)).frobenius() <= 1e-10 * np.sqrt(8)
+        assert sorted(q.re for q in dec.d) == pytest.approx([-1.2] * 3 + [0.3] * 4 + [2.0])
+        for q in dec.d:
+            assert q.im_norm() == 0.0

@@ -7,6 +7,7 @@ from qspectra.bridge import spectral_decompose
 from qspectra.errors import NotNormalError, SymbolZeroError
 from qspectra.measure import ess_sup
 from qspectra.operators import delta, sigma_min
+from qspectra.quaternion import cm_to_complex
 from qspectra.slices import build_J
 from qspectra.spectral import (
     classify,
@@ -18,6 +19,7 @@ from qspectra.spectral import (
     oracle_scale,
     slice_spectrum_check,
     sphere_spectrum,
+    _multiset_deviation,
 )
 
 from conftest import assert_qclose
@@ -206,3 +208,26 @@ class TestSliceSpectrumIdentity:
             assert report.passed
             assert report.plus_deviation <= 1e-8 * max(a.op_norm(), 1.0)
             assert report.conj_deviation <= 1e-8 * max(a.op_norm(), 1.0)
+
+    def test_anti_self_adjoint(self, frame, rng):
+        # real parts of the restricted spectra are rounding noise here
+        a = gen.random_normal(rng, 8, frame, kind="antiSelfAdjoint")
+        s = build_J(spectral_decompose(a, frame))
+        report = slice_spectrum_check(a, s)
+        assert report.passed
+        assert report.conj_deviation <= 1e-8 * max(a.op_norm(), 1.0)
+
+    def test_altered_minus_multiset_fails(self, rng):
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, kind="antiSelfAdjoint")
+        report = slice_spectrum_check(a, build_J(spectral_decompose(a, STANDARD_FRAME)))
+        plus = np.array([cm_to_complex(v, STANDARD_FRAME) for v in report.plus_vals])
+        conj_minus = np.conj([cm_to_complex(v, STANDARD_FRAME) for v in report.minus_vals])
+        tol = 1e-8 * max(a.op_norm(), 1.0)
+        assert _multiset_deviation(plus, rng.permutation(conj_minus)) <= tol
+        # same set of values, different multiplicities
+        altered = conj_minus.copy()
+        altered[0] = altered[1]
+        assert _multiset_deviation(plus, altered) > tol
+        altered = conj_minus.copy()
+        altered[3] += 1e-3
+        assert _multiset_deviation(plus, altered) > tol

@@ -6,7 +6,12 @@ import pytest
 from qspectra import I, J, ONE, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.bridge import CMatrix, spectral_decompose
-from qspectra.errors import DuplicateSymbolError, ShapeError, TransformDomainError
+from qspectra.errors import (
+    DuplicateSymbolError,
+    PreconditionError,
+    ShapeError,
+    TransformDomainError,
+)
 from qspectra.measure import AtomicMeasureSpace, L2Element, Symbol, m_phi
 from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form
@@ -52,6 +57,21 @@ class TestBoundedTransform:
         z = bounded_transform(a, frame).Z
         assert z.is_normal(1e-12)
 
+    def test_contraction_at_large_scale(self, frame, rng):
+        # the Gram matrix's smallest eigenvalues are swamped by eps * ||A||^2
+        for scale in (1e7, 1e8, 1e9, 1e10, 1e11):
+            for kind in gen.MATRIX_CLASSES:
+                a = gen.random_normal(rng, 16, frame, kind=kind, scale=scale)
+                bt = bounded_transform(a, frame)
+                assert bt.Z.op_norm() <= 1.0 + 1e-12
+                assert bt.residual <= 1e-10 * a.frobenius()
+
+    def test_non_finite_rejected(self):
+        arr = np.zeros((2, 2, 4))
+        arr[0, 0, 0] = np.nan
+        with pytest.raises(PreconditionError):
+            bounded_transform(QMatrix(arr))
+
     def test_defining_residual(self, frame, rng):
         a = gen.random_normal(rng, 5, frame, scale=2.0)
         bt = bounded_transform(a, frame)
@@ -83,6 +103,14 @@ class TestInverseTransform:
             z = bounded_transform(a, frame).Z
             back = inverse_transform(z, frame)
             assert (back - a).frobenius() <= 1e-8 * (1.0 + a.op_norm() ** 2)
+
+
+    def test_unitary_round_trip(self, frame, rng):
+        # the Gram matrix I + A*A is 2I: one eigenvalue of multiplicity 2n
+        a = gen.random_normal(rng, 32, frame, kind="unitary")
+        z = bounded_transform(a, frame).Z
+        back = inverse_transform(z, frame)
+        assert (back - a).frobenius() <= 1e-8 * (1.0 + a.op_norm() ** 2)
 
 
 class TestCommutingJ:
