@@ -12,19 +12,14 @@ from .quaternion import (
     SimilarityOrbit,
     SliceFrame,
     STANDARD_FRAME,
-    cm_plus_rep,
     cm_to_complex,
     complex_to_cm,
-    conj_mod,
-    frame_complete,
     in_slice,
-    mul,
-    orbit_contains,
     orbit_of,
     slice_join,
     slice_split,
 )
-from .operators import QMatrix, adjoint, delta, is_normal, op_norm, sigma_min
+from .operators import QMatrix, delta
 from .vectors import expand, gram_schmidt, inner, norm, reconstruct, scale_right
 from .bridge import CMatrix, SpectralDecomposition, chi, eig_normal_complex, spectral_decompose
 from .slices import SliceStructure, build_J, extend, quaternionify, restrict_plus
@@ -61,14 +56,11 @@ __all__ = [
     "STANDARD_FRAME",
     "Symbol",
     "ZERO",
-    "adjoint",
     "bounded_transform",
     "build_J",
     "chi",
-    "cm_plus_rep",
     "cm_to_complex",
     "complex_to_cm",
-    "conj_mod",
     "delta",
     "delta_oracle",
     "eig_normal_complex",
@@ -76,24 +68,18 @@ __all__ = [
     "ess_sup",
     "expand",
     "extend",
-    "frame_complete",
     "gram_schmidt",
     "in_slice",
     "inner",
     "inverse_transform",
-    "is_normal",
     "m_phi",
-    "mul",
     "multiplication_form",
     "norm",
-    "op_norm",
-    "orbit_contains",
     "orbit_of",
     "quaternionify",
     "reconstruct",
     "restrict_plus",
     "scale_right",
-    "sigma_min",
     "slice_join",
     "slice_split",
     "spectral_decompose",

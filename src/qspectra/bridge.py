@@ -29,16 +29,11 @@ from .errors import (
     NotNormalError,
     PairingError,
     ShapeError,
-    SliceMembershipError,
 )
 from .operators import QMatrix
-from .quaternion import (
-    CM_MEMBERSHIP_TOL,
-    Quaternion,
-    SliceFrame,
-    complex_to_cm,
-)
+from .quaternion import Quaternion, SliceFrame, complex_to_cm
 
+NORMAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-10
 DECOMP_RESIDUAL_TOL = 1e-9
@@ -47,54 +42,50 @@ _TINY = 1e-300
 
 
 class CMatrix:
-    """Matrix with entries in the slice C_m of a frame.
+    """Matrix with entries in the slice C_m of a frame, held as the complex
+    array of their coordinates against {1, m}.
 
-    Entries are stored as full quaternions with an asserted membership
-    invariant (components along n and mn stay below tolerance) rather than
-    as a separate complex format; conversion happens only at the LAPACK
-    boundary.
+    Quaternion entries are built on demand (data) and checked for slice
+    membership on the way in (CMatrix(data, frame), project).
     """
 
-    __slots__ = ("frame", "data")
+    __slots__ = ("frame", "z")
 
     def __init__(self, data, frame: SliceFrame):
         data = qa.qarr(data)
         if data.ndim != 3:
             raise ShapeError(f"expected an (p, q, 4) array, got {data.shape}")
-        c0, c1, c2, c3 = qa.frame_coords(data, frame)
-        off = max(np.max(np.abs(c2), initial=0.0), np.max(np.abs(c3), initial=0.0))
-        scale = 1.0 + max(np.max(np.abs(c0), initial=0.0), np.max(np.abs(c1), initial=0.0))
-        if off > CM_MEMBERSHIP_TOL * scale:
-            raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds tolerance")
         self.frame = frame
-        self.data = data
+        self.z = qa.slice_coords(data, frame)
 
     @classmethod
     def from_complex(cls, z: np.ndarray, frame: SliceFrame) -> "CMatrix":
         z = np.asarray(z, dtype=np.complex128)
-        zero = np.zeros_like(z.real)
-        data = qa.from_frame_coords(z.real, z.imag, zero, zero, frame)
-        return cls(data, frame)
+        if z.ndim != 2:
+            raise ShapeError(f"expected a (p, q) complex array, got {z.shape}")
+        out = cls.__new__(cls)
+        out.frame = frame
+        out.z = z
+        return out
 
     @classmethod
     def project(cls, data, frame: SliceFrame, max_off: float) -> "CMatrix":
-        """Project quaternion entries onto the slice, rejecting off-slice
-        mass beyond max_off (absorbs eigenvector rounding, nothing more)."""
-        c0, c1, c2, c3 = qa.frame_coords(qa.qarr(data), frame)
-        off = max(np.max(np.abs(c2), initial=0.0), np.max(np.abs(c3), initial=0.0))
-        if off > max_off:
-            raise SliceMembershipError(
-                f"off-slice mass {off:.3e} exceeds the allowance {max_off:.3e}"
-            )
-        return cls.from_complex(c0 + 1j * c1, frame)
+        """Project quaternion entries onto the slice; components off it up to
+        max_off are dropped (eigenvector rounding), larger ones rejected."""
+        return cls.from_complex(qa.slice_coords(data, frame, max_off), frame)
 
     def to_complex(self) -> np.ndarray:
-        c0, c1, _, _ = qa.frame_coords(self.data, self.frame)
-        return c0 + 1j * c1
+        return self.z
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries as an (p, q, 4) quaternion array."""
+        zero = np.zeros_like(self.z.real)
+        return qa.from_frame_coords(self.z.real, self.z.imag, zero, zero, self.frame)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape[0], self.data.shape[1]
+        return self.z.shape
 
     def as_qmatrix(self) -> QMatrix:
         return QMatrix(self.data)
@@ -102,14 +93,6 @@ class CMatrix:
     def __repr__(self):
         rows, cols = self.shape
         return f"CMatrix({rows}x{cols})"
-
-
-@dataclass
-class ChiImage:
-    """The doubled complex image of a quaternion matrix under a frame."""
-
-    frame: SliceFrame
-    cm: CMatrix
 
 
 @dataclass
@@ -122,14 +105,12 @@ class SpectralDecomposition:
     residual: float
 
 
-def chi(a: QMatrix, frame: SliceFrame) -> ChiImage:
+def chi(a: QMatrix, frame: SliceFrame) -> np.ndarray:
     """Embed a quaternion matrix as a complex matrix of doubled size."""
     c0, c1, c2, c3 = qa.frame_coords(a.a, frame)
     a1 = c0 + 1j * c1
     a2 = c2 + 1j * c3
-    top = np.concatenate([a1, -a2], axis=1)
-    bottom = np.concatenate([np.conj(a2), np.conj(a1)], axis=1)
-    return ChiImage(frame, CMatrix.from_complex(np.concatenate([top, bottom], axis=0), frame))
+    return np.block([[a1, -a2], [np.conj(a2), np.conj(a1)]])
 
 
 def iota(x: np.ndarray, frame: SliceFrame) -> np.ndarray:
@@ -148,20 +129,20 @@ def iota_inv(w: np.ndarray, frame: SliceFrame) -> np.ndarray:
     return qa.from_frame_coords(u.real, u.imag, v.real, -v.imag, frame)
 
 
-def _eig_commuting_pair(z: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eig_commuting_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal complex matrix via its Hermitian parts.
 
     H = (Z + Z*)/2 and K = (Z - Z*)/2i commute for normal Z, so eigh(H)
     followed by eigh of K compressed to each H-eigenvalue cluster yields a
     machine-unitary eigenvector matrix regardless of degeneracies. Clusters
-    are cut at cluster_tol * ||Z||_F, so the split is scale invariant.
+    are cut at CLUSTER_TOL * ||Z||_F, so the split is scale invariant.
     """
     scale = max(float(np.linalg.norm(z)), _TINY)
     h = (z + np.conj(z.T)) / 2.0
     k = (z - np.conj(z.T)) / 2.0j
     hvals, q = np.linalg.eigh(h)
 
-    tol = cluster_tol * scale
+    tol = CLUSTER_TOL * scale
     boundaries = [0]
     for t in range(1, len(hvals)):
         if hvals[t] - hvals[t - 1] > tol:
@@ -181,9 +162,7 @@ def _eig_commuting_pair(z: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, 
     return vals, q
 
 
-def _eig_normal(
-    z: np.ndarray, normal_tol: float, cluster_tol: float, residual_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unitary eigenvectors of a normal complex matrix, as
     complex arrays; see eig_normal_complex for the order and the contracts."""
     rows, cols = z.shape
@@ -191,36 +170,31 @@ def _eig_normal(
         raise ShapeError("eigendecomposition needs a square matrix")
     scale = float(np.linalg.norm(z))
     defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z))
-    if defect > normal_tol * max(scale**2, _TINY):
-        raise NotNormalError(defect, normal_tol * scale**2)
+    if defect > NORMAL_TOL * max(scale**2, _TINY):
+        raise NotNormalError(defect, NORMAL_TOL * scale**2)
 
-    vals, q = _eig_commuting_pair(z, cluster_tol)
+    vals, q = _eig_commuting_pair(z)
     order = np.lexsort((-vals.imag, -vals.real))
     vals, q = vals[order], q[:, order]
 
     residual = float(np.linalg.norm(z @ q - q * vals))
-    if residual > residual_tol * max(scale, _TINY):
+    if residual > EIG_RESIDUAL_TOL * max(scale, _TINY):
         raise EigenResidualError(
             f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e} * {scale:.3e}"
+            f"{EIG_RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
     return vals, q
 
 
-def eig_normal_complex(
-    n_mat: CMatrix,
-    normal_tol: float = 1e-10,
-    cluster_tol: float = CLUSTER_TOL,
-    residual_tol: float = EIG_RESIDUAL_TOL,
-) -> tuple[CMatrix, list[Quaternion]]:
+def eig_normal_complex(n_mat: CMatrix) -> tuple[CMatrix, list[Quaternion]]:
     """Diagonalize a normal slice matrix: N W = W diag(vals).
 
     Eigenvalues are ordered lexicographically by (real part, imaginary
     coefficient), descending, so repeated runs produce identical output.
     Raises NotNormalError for non-normal input and EigenResidualError when
-    the residual contract residual <= residual_tol * ||N|| cannot be met.
+    the residual contract residual <= EIG_RESIDUAL_TOL * ||N|| cannot be met.
     """
-    vals, q = _eig_normal(n_mat.to_complex(), normal_tol, cluster_tol, residual_tol)
+    vals, q = _eig_normal(n_mat.to_complex())
     frame = n_mat.frame
     return CMatrix.from_complex(q, frame), [complex_to_cm(v, frame) for v in vals]
 
@@ -249,11 +223,7 @@ def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
     return kept, w[:, kept]
 
 
-def spectral_decompose(
-    a: QMatrix,
-    frame: SliceFrame,
-    normal_tol: float = 1e-10,
-) -> SpectralDecomposition:
+def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     """Diagonalize a normal quaternion matrix: A V_k = V_k d_k, d_k in C_m+.
 
     Route: eigendecompose chi(A), whose spectrum is closed under slice
@@ -263,12 +233,11 @@ def spectral_decompose(
     J-invariant spaces; J-pair deflation keeps one vector per quaternionic
     line, so exactly half of them survive.
     """
-    a.check_normal(normal_tol)
+    a.check_normal(NORMAL_TOL)
     n = a.n
     scale = max(a.frobenius(), _TINY)
 
-    z = chi(a, frame).cm.to_complex()
-    vals, w = _eig_normal(z, normal_tol, CLUSTER_TOL, EIG_RESIDUAL_TOL)
+    vals, w = _eig_normal(chi(a, frame))
 
     pair_tol = 1e-9 * scale
     upper = np.flatnonzero(vals.imag > pair_tol)

@@ -35,7 +35,7 @@ from .serialize import (
 )
 from .slices import build_J
 from .spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
-from .transform import bounded_transform, inverse_transform
+from .transform import CONTRACTION_BOUND, bounded_transform, inverse_transform
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -204,7 +204,7 @@ def _cmd_transform(args) -> int:
         z = bt.Z
         norm_z = z.op_norm()
         checks = [
-            flag_check("transform.contraction", norm_z <= 1.0),
+            flag_check("transform.contraction", norm_z <= CONTRACTION_BOUND),
             check_from(
                 "transform.defining_residual",
                 bt.residual,

@@ -44,7 +44,7 @@ class SliceCommutationError(PreconditionError):
 
 
 class SliceMembershipError(PreconditionError):
-    """Value has off-slice mass beyond the C_m membership tolerance."""
+    """Value lies off the slice C_m beyond the membership tolerance."""
 
 
 class TransformDomainError(PreconditionError):

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import qarray as qa
-from .errors import ShapeError, SliceMembershipError
-from .quaternion import CM_MEMBERSHIP_TOL, Quaternion, SliceFrame
+from .errors import ShapeError
+from .quaternion import Quaternion, SliceFrame
 
 MERGE_TOL = 1e-12
 
@@ -125,11 +125,7 @@ class Symbol:
         self.values = qa.qarr(self.values)
         if self.values.shape != (self.space.n_atoms, 4):
             raise ShapeError("symbol values must give one slice value per atom")
-        c0, c1, c2, c3 = qa.frame_coords(self.values, self.frame)
-        off = max(np.max(np.abs(c2), initial=0.0), np.max(np.abs(c3), initial=0.0))
-        scale = 1.0 + max(np.max(np.abs(c0), initial=0.0), np.max(np.abs(c1), initial=0.0))
-        if off > CM_MEMBERSHIP_TOL * scale:
-            raise SliceMembershipError(f"symbol has off-slice mass {off:.3e}")
+        qa.slice_coords(self.values, self.frame)  # raises when off the slice
 
     @classmethod
     def from_values(cls, space, values, frame) -> "Symbol":

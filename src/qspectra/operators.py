@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import qarray as qa
-from .errors import NotNormalError, ShapeError
+from .errors import NotNormalError, PreconditionError, ShapeError
 from .quaternion import DEFAULT_TOL, Quaternion
 
 _EPS_FLOOR = 1e-300
@@ -86,7 +86,7 @@ class QMatrix:
         x = qa.qarr(x)
         if x.ndim != 2 or x.shape[0] != self.a.shape[1]:
             raise ShapeError(f"vector shape {x.shape} does not match matrix {self.shape}")
-        return qa.qmatvec(self.a, x)
+        return qa.qmatmul(self.a, x)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.a.shape[1] != other.a.shape[0]:
@@ -138,6 +138,10 @@ class QMatrix:
         return self.commutator_defect() <= tol * max(scale, _EPS_FLOOR)
 
     def check_normal(self, tol: float = DEFAULT_TOL) -> None:
+        bad = np.argwhere(~np.all(np.isfinite(self.a), axis=-1))
+        if len(bad):
+            i, j = bad[0]
+            raise PreconditionError(f"matrix entry ({i}, {j}) is not finite")
         if not self.is_normal(tol):
             raise NotNormalError(self.commutator_defect(), tol * self.frobenius() ** 2)
 
@@ -147,22 +151,6 @@ class QMatrix:
     def __repr__(self):
         rows, cols = self.shape
         return f"QMatrix({rows}x{cols})"
-
-
-def op_norm(a: QMatrix) -> float:
-    return a.op_norm()
-
-
-def sigma_min(a: QMatrix) -> float:
-    return a.sigma_min()
-
-
-def adjoint(a: QMatrix) -> QMatrix:
-    return a.H
-
-
-def is_normal(a: QMatrix, tol: float = DEFAULT_TOL) -> bool:
-    return a.is_normal(tol)
 
 
 def delta(a: QMatrix, q: Quaternion) -> QMatrix:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .quaternion import Quaternion
+from .errors import ShapeError, SliceMembershipError
+from .quaternion import CM_MEMBERSHIP_TOL, Quaternion
 
 
 def qarr(a) -> np.ndarray:
@@ -87,10 +87,6 @@ def qmatmul(a, b) -> np.ndarray:
     return from_pair(c1, c2)
 
 
-def qmatvec(a, x) -> np.ndarray:
-    return qmatmul(a, x)
-
-
 def qscale_right(x, q: Quaternion) -> np.ndarray:
     """Entrywise x_i * q (right module action)."""
     return qmul(x, q.to_array())
@@ -145,6 +141,24 @@ def frame_coords(a, frame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     basis = np.stack([q.to_array() for q in frame.basis()], axis=0)
     coords = np.einsum("...c,bc->...b", a, basis)
     return coords[..., 0], coords[..., 1], coords[..., 2], coords[..., 3]
+
+
+def slice_coords(a, frame, max_off: float | None = None) -> np.ndarray:
+    """Complex coordinates c0 + c1 * i of a quaternion array in the slice C_m
+    of a frame.
+
+    Raises SliceMembershipError when the off-slice mass (the largest
+    coordinate along n or mn) exceeds max_off, by default
+    CM_MEMBERSHIP_TOL * (1 + largest in-slice coordinate).
+    """
+    c0, c1, c2, c3 = frame_coords(a, frame)
+    off = max(np.max(np.abs(c2), initial=0.0), np.max(np.abs(c3), initial=0.0))
+    if max_off is None:
+        inside = max(np.max(np.abs(c0), initial=0.0), np.max(np.abs(c1), initial=0.0))
+        max_off = CM_MEMBERSHIP_TOL * (1.0 + inside)
+    if off > max_off:
+        raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds {max_off:.3e}")
+    return c0 + 1j * c1
 
 
 def from_frame_coords(c0, c1, c2, c3, frame) -> np.ndarray:

@@ -140,16 +140,6 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product; |a*b| = |a|*|b|."""
-    return a * b
-
-
-def conj_mod(q: Quaternion) -> tuple[Quaternion, float]:
-    """Return (conjugate, modulus); conj(q)*q is real and equals |q|**2."""
-    return q.conjugate(), abs(q)
-
-
 def real_dot(a: Quaternion, b: Quaternion) -> float:
     """Euclidean pairing re(conj(a)*b) under which {1, i, j, k} is orthonormal."""
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
@@ -213,11 +203,6 @@ class SliceFrame:
 
 
 STANDARD_FRAME = SliceFrame(I, J, K)
-
-
-def frame_complete(m: Quaternion) -> SliceFrame:
-    """Deterministic frame completion; alias for SliceFrame.from_m."""
-    return SliceFrame.from_m(m)
 
 
 def slice_split(q: Quaternion, frame: SliceFrame) -> tuple[Quaternion, Quaternion]:
@@ -293,11 +278,3 @@ class SimilarityOrbit:
 
 def orbit_of(q: Quaternion) -> SimilarityOrbit:
     return SimilarityOrbit(q.re, q.im_norm())
-
-
-def orbit_contains(orbit: SimilarityOrbit, p: Quaternion, tol: float) -> bool:
-    return orbit.contains(p, tol)
-
-
-def cm_plus_rep(orbit: SimilarityOrbit, frame: SliceFrame) -> Quaternion:
-    return orbit.representative(frame)

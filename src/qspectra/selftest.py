@@ -38,6 +38,7 @@ from .spectral import (
     sphere_spectrum,
 )
 from .transform import (
+    CONTRACTION_BOUND,
     UnboundedSim,
     bounded_transform,
     inverse_transform,
@@ -156,12 +157,9 @@ def _group_bridge(rng, n, tol) -> list[Check]:
             max(abs(w[0] - g[0]) + abs(w[1] - g[1]) for w, g in zip(want, got)),
         )
         b = QMatrix(gen.random_qvector(rng, n * n).reshape(n, n, 4))
-        za, zb = chi(a, f).cm.to_complex(), chi(b, f).cm.to_complex()
-        zab = chi(a @ b, f).cm.to_complex()
-        worst_mult = max(worst_mult, float(np.linalg.norm(zab - za @ zb)))
-        worst_star = max(
-            worst_star, float(np.linalg.norm(chi(a.H, f).cm.to_complex() - np.conj(za.T)))
-        )
+        za, zb = chi(a, f), chi(b, f)
+        worst_mult = max(worst_mult, float(np.linalg.norm(chi(a @ b, f) - za @ zb)))
+        worst_star = max(worst_star, float(np.linalg.norm(chi(a.H, f) - np.conj(za.T))))
         vals = np.linalg.eigvals(za)
         for lam in vals[vals.imag > 1e-9]:
             worst_pair = max(worst_pair, float(np.min(np.abs(vals - np.conj(lam)))))
@@ -343,7 +341,7 @@ def _group_transform(rng, n, tol) -> list[Check]:
     for scale in (1.0, 40.0, 1000.0):
         a = gen.random_normal(rng, n, f, scale=scale)
         bt = bounded_transform(a, f)
-        norm_bound_ok = norm_bound_ok and bt.Z.op_norm() <= 1.0
+        norm_bound_ok = norm_bound_ok and bt.Z.op_norm() <= CONTRACTION_BOUND
         back = inverse_transform(bt.Z, f)
         worst_round = max(worst_round, (back - a).frobenius() / (1.0 + a.op_norm() ** 2))
         worst_star = max(worst_star, (bounded_transform(a.H, f).Z - bt.Z.H).frobenius())

@@ -53,11 +53,29 @@ def vector_to_json(x: np.ndarray) -> list[list[float]]:
     return [[float(c) for c in row] for row in np.asarray(x, dtype=np.float64)]
 
 
+def _finite_array(data, shape: tuple[int, ...]) -> np.ndarray | None:
+    """data as a finite float64 array of the given shape, or None when it is
+    not one; callers then walk the entries to name the first bad one."""
+    try:
+        out = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if out.shape != shape or not np.all(np.isfinite(out)):
+        return None
+    return out
+
+
+def _quaternion_rows(rows) -> list[list[float]]:
+    return [quaternion_to_list(quaternion_from_list(e)) for e in rows]
+
+
 def vector_from_json(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise InputFormatError("vector must be a non-empty JSON array")
-    rows = [quaternion_to_list(quaternion_from_list(row)) for row in data]
-    return np.asarray(rows, dtype=np.float64)
+    out = _finite_array(data, (len(data), 4))
+    if out is None:
+        out = np.asarray(_quaternion_rows(data), dtype=np.float64)
+    return out
 
 
 def matrix_to_json(a: QMatrix) -> dict:
@@ -79,12 +97,15 @@ def matrix_from_json(data) -> QMatrix:
         raise InputFormatError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n:
         raise InputFormatError(f"expected {n} rows of entries")
-    grid = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != n:
-            raise InputFormatError(f"expected {n} entries per row")
-        grid.append([quaternion_to_list(quaternion_from_list(e)) for e in row])
-    return QMatrix(np.asarray(grid, dtype=np.float64))
+    out = _finite_array(entries, (n, n, 4))
+    if out is None:
+        grid = []
+        for row in entries:
+            if not isinstance(row, list) or len(row) != n:
+                raise InputFormatError(f"expected {n} entries per row")
+            grid.append(_quaternion_rows(row))
+        out = np.asarray(grid, dtype=np.float64)
+    return QMatrix(out)
 
 
 def space_to_json(space: AtomicMeasureSpace) -> dict:
@@ -136,7 +157,7 @@ def unbounded_sim_from_json(data, frame: SliceFrame) -> UnboundedSim:
         psi = Symbol(space, values, frame)
     except Exception as exc:
         raise InputFormatError(str(exc)) from exc
-    return UnboundedSim(space, psi, space.n_atoms)
+    return UnboundedSim(space, psi)
 
 
 def load_json(path) -> dict:

@@ -86,8 +86,9 @@ def check_commutes(a: QMatrix, s: SliceStructure, tol: float = COMMUTE_TOL) -> f
 def restrict_plus(a: QMatrix, s: SliceStructure, tol: float = COMMUTE_TOL) -> CMatrix:
     """Matrix of A on the plus basis: (T+)_kl = <z_k | A z_l>, entries in C_m.
 
-    Off-slice mass up to tol * ||A|| is eigenvector rounding and is projected
-    away; anything larger means A does not truly preserve the slice.
+    Components off the slice up to tol * ||A|| are eigenvector rounding and
+    are projected away; anything larger means A does not truly preserve the
+    slice.
     """
     check_commutes(a, s, tol)
     t_plus = s.plus_basis.H @ a @ s.plus_basis
@@ -112,7 +113,7 @@ def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
     rows, cols = t_plus.shape
     if rows != cols or rows != s.n:
         raise ShapeError(f"operator shape {t_plus.shape} does not fit space of dim {s.n}")
-    return s.plus_basis @ QMatrix(t_plus.data) @ s.plus_basis.H
+    return s.plus_basis @ t_plus.as_qmatrix() @ s.plus_basis.H
 
 
 def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatrix:
@@ -122,11 +123,11 @@ def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatri
         raise ShapeError(
             f"operator shape {u.shape} does not map dim {s1.n} into dim {s2.n}"
         )
-    lifted = s2.plus_basis @ QMatrix(u.data) @ s1.plus_basis.H
+    lifted = s2.plus_basis @ u.as_qmatrix() @ s1.plus_basis.H
     defect = ((s2.J @ lifted) - (lifted @ s1.J)).frobenius()
     if defect > COMMUTE_TOL * max(lifted.frobenius(), 1.0):
         raise SliceCommutationError(f"extension fails J2 U = U J1 by {defect:.3e}")
-    norm_gap = abs(lifted.op_norm() - QMatrix(u.data).op_norm())
+    norm_gap = abs(lifted.op_norm() - u.as_qmatrix().op_norm())
     if norm_gap > COMMUTE_TOL * max(lifted.op_norm(), 1.0):
         raise SliceCommutationError(f"extension norm deviates by {norm_gap:.3e}")
     return lifted

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import eig_normal_complex, spectral_decompose
+from .bridge import _eig_normal, spectral_decompose
 from .errors import CrossCheckError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
-from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, cm_to_complex, orbit_of
+from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, complex_to_cm, orbit_of
 from .slices import SliceStructure, restrict_minus, restrict_plus
 
 FORM_RESIDUAL_TOL = 1e-9
@@ -58,9 +58,7 @@ class SphereSpectrum:
         return min(o.distance(q) for o in self.orbits)
 
 
-def multiplication_form(
-    a: QMatrix, frame: SliceFrame, normal_tol: float = 1e-10
-) -> MultiplicationForm:
+def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
     """Unitary reduction of a normal matrix to a multiplication operator.
 
     The emitted measure space is counting measure on eigenvalue indices so
@@ -68,7 +66,7 @@ def multiplication_form(
     invariants are asserted: reconstruction to 1e-9 * ||A||_F and
     | ||A|| - ess sup |phi| | <= 1e-9 * ||A||.
     """
-    dec = spectral_decompose(a, frame, normal_tol=normal_tol)
+    dec = spectral_decompose(a, frame)
     n = a.n
     space = AtomicMeasureSpace.counting(n)
     phi = Symbol.from_values(space, dec.d, frame)
@@ -266,16 +264,13 @@ def slice_spectrum_check(
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
     minus restriction's eigenvalues are their conjugates."""
     frame = s.frame
-    _, plus_vals = eig_normal_complex(restrict_plus(a, s))
-    _, minus_vals = eig_normal_complex(restrict_minus(a, s))
+    plus_c, _ = _eig_normal(restrict_plus(a, s).to_complex())
+    minus_c, _ = _eig_normal(restrict_minus(a, s).to_complex())
 
     if form is None:
         form = multiplication_form(a, frame)
-    reps = [o.representative(frame) for o in sphere_spectrum(form).orbits]
-
-    plus_c = np.array([cm_to_complex(v, frame) for v in plus_vals])
-    minus_c = np.array([cm_to_complex(v, frame) for v in minus_vals])
-    reps_c = np.array([cm_to_complex(v, frame) for v in reps])
+    orbits = sphere_spectrum(form).orbits
+    reps_c = np.array([complex(o.re, o.im_norm) for o in orbits])
 
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     plus_dev = max(
@@ -285,4 +280,11 @@ def slice_spectrum_check(
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
     scale = max(a.op_norm(), 1.0)
     passed = plus_dev <= tol * scale and conj_dev <= tol * scale
-    return SliceSpectrumReport(plus_vals, minus_vals, reps, plus_dev, conj_dev, passed)
+    return SliceSpectrumReport(
+        [complex_to_cm(v, frame) for v in plus_c],
+        [complex_to_cm(v, frame) for v in minus_c],
+        [o.representative(frame) for o in orbits],
+        plus_dev,
+        conj_dev,
+        passed,
+    )

@@ -40,6 +40,10 @@ from .quaternion import STANDARD_FRAME, Quaternion, SliceFrame
 from .slices import SliceStructure, build_J, extend
 
 INVERSE_GUARD = 1e-8
+# ||Z|| of a computed transform: 1 plus the rounding of the spectral norm,
+# which cannot resolve the true margin 1 - ||Z|| ~ 1 / (2 ||A||^2) once
+# ||A|| passes about 1e8.
+CONTRACTION_BOUND = 1.0 + 1e-12
 
 _MP_DPS = 40
 
@@ -59,11 +63,10 @@ class UnboundedSim:
 
     space: AtomicMeasureSpace
     psi: Symbol
-    truncation: int
 
     @classmethod
     def from_symbol(cls, psi: Symbol) -> "UnboundedSim":
-        return cls(psi.space, psi, psi.space.n_atoms)
+        return cls(psi.space, psi)
 
 
 def _gram_eig(a: QMatrix, sign: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,8 +99,8 @@ def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Bounded
     half = _from_adjoint((q * np.sqrt(g)) @ np.conj(q.T))
 
     norm_z = z.op_norm()
-    if norm_z > 1.0 + 1e-12:
-        raise TransformDomainError(f"transform norm {norm_z} exceeds 1")
+    if norm_z > CONTRACTION_BOUND:
+        raise TransformDomainError(f"transform norm {norm_z} exceeds {CONTRACTION_BOUND}")
     residual = ((z @ half) - a).frobenius()
     return BoundedTransform(z, a, residual)
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qspectra import J, QMatrix
+from qspectra import J, QMatrix, STANDARD_FRAME
+from qspectra import generate as gen
 from qspectra.cli import main
 from qspectra.serialize import matrix_to_json, save_json
 
@@ -168,3 +169,14 @@ class TestTransform:
         assert main(["transform", str(j_matrix_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "qspectra-report-v1"
+
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_large_scale_normal_input_passes(self, scale, tmp_path):
+        # ||Z|| sits within rounding of 1 here: 1 - ||Z|| ~ 1 / (2 ||A||^2)
+        rng = np.random.default_rng(31)
+        for i, kind in enumerate(gen.MATRIX_CLASSES * 2):
+            a = gen.random_normal(rng, 16, STANDARD_FRAME, kind=kind, scale=scale)
+            path, out = tmp_path / f"a{i}.json", tmp_path / f"rep{i}.json"
+            save_json(matrix_to_json(a), path)
+            assert main(["transform", str(path), "--out", str(out)]) == 0
+            assert read_report(out)["status"] == "pass"

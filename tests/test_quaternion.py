@@ -11,13 +11,9 @@ from qspectra import (
     SimilarityOrbit,
     SliceFrame,
     STANDARD_FRAME,
-    cm_plus_rep,
     cm_to_complex,
     complex_to_cm,
-    conj_mod,
     in_slice,
-    mul,
-    orbit_contains,
     orbit_of,
     slice_join,
     slice_split,
@@ -44,7 +40,7 @@ class TestHamiltonProduct:
         ],
     )
     def test_unit_table(self, a, b, want):
-        assert_qclose(mul(a, b), want, 0.0)
+        assert_qclose(a * b, want, 0.0)
 
     def test_ijk_is_minus_one(self):
         assert_qclose(I * J * K, -ONE, 0.0)
@@ -71,17 +67,20 @@ class TestHamiltonProduct:
 
 class TestConjugateModulus:
     def test_all_units(self):
-        conj, mod = conj_mod(Quaternion(1, 1, 1, 1))
+        q = Quaternion(1, 1, 1, 1)
+        conj, mod = q.conjugate(), abs(q)
         assert conj == Quaternion(1, -1, -1, -1)
         assert mod == 2.0
 
     def test_imaginary(self):
-        conj, mod = conj_mod(I)
+        q = I
+        conj, mod = q.conjugate(), abs(q)
         assert conj == -I
         assert mod == 1.0
 
     def test_zero(self):
-        conj, mod = conj_mod(Quaternion())
+        q = Quaternion()
+        conj, mod = q.conjugate(), abs(q)
         assert conj == Quaternion()
         assert mod == 0.0
 
@@ -171,16 +170,16 @@ class TestOrbits:
     def test_unit_imaginary_orbit_is_sphere(self):
         orbit = orbit_of(I)
         assert orbit == SimilarityOrbit(0.0, 1.0)
-        assert orbit_contains(orbit, (I + J) / abs(I + J), 1e-12)
+        assert orbit.contains((I + J) / abs(I + J), 1e-12)
 
     def test_real_point_orbit(self):
         orbit = orbit_of(Quaternion(5))
         assert orbit == SimilarityOrbit(5.0, 0.0)
-        assert orbit_contains(orbit, Quaternion(5), 0.0)
+        assert orbit.contains(Quaternion(5), 0.0)
         assert orbit.is_point()
 
     def test_wrong_radius_excluded(self):
-        assert not orbit_contains(SimilarityOrbit(0.0, 1.0), 2 * I, 1e-12)
+        assert not SimilarityOrbit(0.0, 1.0).contains(2 * I, 1e-12)
 
     def test_conjugation_invariance(self, rng):
         from qspectra import generate as gen
@@ -195,26 +194,26 @@ class TestOrbits:
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
-            orbit_contains(SimilarityOrbit(0.0, 1.0), I, -1.0)
+            SimilarityOrbit(0.0, 1.0).contains(I, -1.0)
 
 
 class TestUpperHalfRepresentative:
     def test_unit_sphere(self):
-        assert_qclose(cm_plus_rep(SimilarityOrbit(0, 1), STANDARD_FRAME), I, 0.0)
+        assert_qclose(SimilarityOrbit(0, 1).representative(STANDARD_FRAME), I, 0.0)
 
     def test_generic(self):
         assert_qclose(
-            cm_plus_rep(SimilarityOrbit(2, 3), STANDARD_FRAME), Quaternion(2, 3, 0, 0), 0.0
+            SimilarityOrbit(2, 3).representative(STANDARD_FRAME), Quaternion(2, 3, 0, 0), 0.0
         )
 
     def test_of_j_in_standard_slice(self):
         # [j] is the whole unit imaginary sphere; its C_i+ representative is i
-        assert_qclose(cm_plus_rep(orbit_of(J), STANDARD_FRAME), I, 0.0)
+        assert_qclose(orbit_of(J).representative(STANDARD_FRAME), I, 0.0)
 
     def test_beta_nonnegative(self, frame, rng):
         from qspectra import generate as gen
 
         for _ in range(20):
-            rep = cm_plus_rep(orbit_of(gen.random_quaternion(rng)), frame)
+            rep = orbit_of(gen.random_quaternion(rng)).representative(frame)
             assert in_slice(rep, frame, 1e-12)
             assert cm_to_complex(rep, frame).imag >= -1e-15

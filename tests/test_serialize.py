@@ -75,11 +75,27 @@ class TestVectorAndMatrix:
             {"n": 2, "entries": [[[1, 0, 0, 0]]]},
             {"n": 1, "entries": [[[1, 0, 0]]]},
             {"n": "2", "entries": []},
+            {"n": 1, "entries": [[[1, None, 0, 0]]]},
+            {"n": 1, "entries": [[[1, "x", 0, 0]]]},
+            {"n": 1, "entries": [[[1, float("nan"), 0, 0]]]},
+            {"n": 2, "entries": [[[1, 0, 0, 0]] * 2, [[1, 0, 0, 0], [0, 0, float("inf"), 0]]]},
+            {"n": 1, "entries": [[[1, [1.0], 0, 0]]]},
         ],
     )
     def test_matrix_schema_errors(self, payload):
         with pytest.raises(InputFormatError):
             matrix_from_json(payload)
+
+    @pytest.mark.parametrize("bad", [None, "x", float("nan"), float("inf"), [1.0]])
+    def test_vector_bad_component(self, bad):
+        with pytest.raises(InputFormatError, match="quaternion component"):
+            vector_from_json([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, bad, 0.0]])
+
+    def test_numeric_strings_and_bools_parse(self):
+        a = matrix_from_json({"n": 1, "entries": [[["1.5", 0, True, "-2"]]]})
+        np.testing.assert_array_equal(a.a, [[[1.5, 0.0, 1.0, -2.0]]])
+        x = vector_from_json([["1.5", 0, True, "-2"]])
+        np.testing.assert_array_equal(x, [[1.5, 0.0, 1.0, -2.0]])
 
 
 class TestMeasureSpace:
@@ -102,7 +118,7 @@ class TestMeasureSpace:
             "psi": [[0, 1, 0, 0], [0, 2, 0, 0]],
         }
         sim = unbounded_sim_from_json(data, STANDARD_FRAME)
-        assert sim.truncation == 2
+        assert sim.space.n_atoms == 2
 
     def test_symbol_requires_values(self):
         data = {"atoms": [[0, 0, 0, 0]], "weights": [1.0]}

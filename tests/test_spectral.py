@@ -4,9 +4,9 @@ import pytest
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.bridge import spectral_decompose
-from qspectra.errors import NotNormalError, SymbolZeroError
+from qspectra.errors import NotNormalError, PreconditionError, SymbolZeroError
 from qspectra.measure import ess_sup
-from qspectra.operators import delta, sigma_min
+from qspectra.operators import delta
 from qspectra.quaternion import cm_to_complex
 from qspectra.slices import build_J
 from qspectra.spectral import (
@@ -61,6 +61,15 @@ class TestMultiplicationForm:
         with pytest.raises(NotNormalError):
             multiplication_form(QMatrix(arr), STANDARD_FRAME)
 
+    @pytest.mark.parametrize("route", [multiplication_form, spectral_decompose])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, route, bad, rng):
+        a = gen.random_normal(rng, 3, STANDARD_FRAME).a.copy()
+        a[1, 2, 3] = bad
+        with pytest.raises(PreconditionError, match=r"entry \(1, 2\) is not finite") as err:
+            route(QMatrix(a), STANDARD_FRAME)
+        assert not isinstance(err.value, NotNormalError)
+
 
 class TestSphereSpectrum:
     def test_left_j_is_unit_sphere(self):
@@ -96,7 +105,7 @@ class TestDeltaOracle:
         a = gen.random_normal(rng, 4, STANDARD_FRAME)
         probes = [gen.random_quaternion(rng) for _ in range(5)]
         threshold = 1e-7 * oracle_scale(a)
-        direct = [sigma_min(delta(a, q)) <= threshold for q in probes]
+        direct = [delta(a, q).sigma_min() <= threshold for q in probes]
         assert delta_oracle(a, probes, 1e-7) == direct
 
     def test_probe_layout(self, frame, rng):
