@@ -15,6 +15,10 @@ Eigenvectors (u; v) of chi(A) lift back to quaternionic eigenvectors
 which is forced by the iota contract: iota(x) = (x1; conj(x2)) means the
 lifted vector must have slice parts x1 = u and x2 = conj(v), and then
 iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
+
+The eigenvectors of chi(A) are its complex Schur vectors, recovered by QR
+from LAPACK's eig. The Schur form of a normal matrix is diagonal whatever
+the eigenvalue gaps, so no cluster tolerance is involved.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, complex_to_cm
 
 NORMAL_TOL = 1e-10
-CLUSTER_TOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-10
 DECOMP_RESIDUAL_TOL = 1e-9
 
@@ -129,42 +132,19 @@ def iota_inv(w: np.ndarray, frame: SliceFrame) -> np.ndarray:
     return qa.from_frame_coords(u.real, u.imag, v.real, -v.imag, frame)
 
 
-def _eig_commuting_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a normal complex matrix via its Hermitian parts.
+def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a normal complex matrix: z q = q diag(vals), q unitary.
 
-    H = (Z + Z*)/2 and K = (Z - Z*)/2i commute for normal Z, so eigh(H)
-    followed by eigh of K compressed to each H-eigenvalue cluster yields a
-    machine-unitary eigenvector matrix regardless of degeneracies. Clusters
-    are cut at CLUSTER_TOL * ||Z||_F, so the split is scale invariant.
+    q holds the Schur vectors of z. LAPACK's eig returns eigenvectors
+    V = Q X in Schur order, with Q the Schur vectors and X upper triangular,
+    so the QR factor of V gives back Q; for normal z, Q* z Q is diagonal to
+    rounding whatever the eigenvalue gaps, exact repeats included.
+
+    Eigenvalues are ordered lexicographically by (real part, imaginary part),
+    descending, so repeated runs produce identical output. Raises
+    NotNormalError for non-normal input and EigenResidualError when the
+    residual contract residual <= EIG_RESIDUAL_TOL * ||z||_F is not met.
     """
-    scale = max(float(np.linalg.norm(z)), _TINY)
-    h = (z + np.conj(z.T)) / 2.0
-    k = (z - np.conj(z.T)) / 2.0j
-    hvals, q = np.linalg.eigh(h)
-
-    tol = CLUSTER_TOL * scale
-    boundaries = [0]
-    for t in range(1, len(hvals)):
-        if hvals[t] - hvals[t - 1] > tol:
-            boundaries.append(t)
-    boundaries.append(len(hvals))
-
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi - lo < 2:
-            continue
-        block = q[:, lo:hi]
-        compressed = np.conj(block.T) @ k @ block
-        compressed = (compressed + np.conj(compressed.T)) / 2.0
-        _, rot = np.linalg.eigh(compressed)
-        q[:, lo:hi] = block @ rot
-
-    vals = np.sum(np.conj(q) * (z @ q), axis=0)
-    return vals, q
-
-
-def _eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unitary eigenvectors of a normal complex matrix, as
-    complex arrays; see eig_normal_complex for the order and the contracts."""
     rows, cols = z.shape
     if rows != cols:
         raise ShapeError("eigendecomposition needs a square matrix")
@@ -173,11 +153,18 @@ def _eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if defect > NORMAL_TOL * max(scale**2, _TINY):
         raise NotNormalError(defect, NORMAL_TOL * scale**2)
 
-    vals, q = _eig_commuting_pair(z)
+    # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
+    # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
+    # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
+    # and changes no eigenvector.
+    shifted = z + (2.0 * scale) * np.eye(rows)
+    q, _ = np.linalg.qr(np.linalg.eig(shifted)[1])
+    zq = z @ q
+    vals = np.sum(np.conj(q) * zq, axis=0)
     order = np.lexsort((-vals.imag, -vals.real))
-    vals, q = vals[order], q[:, order]
+    vals, q, zq = vals[order], q[:, order], zq[:, order]
 
-    residual = float(np.linalg.norm(z @ q - q * vals))
+    residual = float(np.linalg.norm(zq - q * vals))
     if residual > EIG_RESIDUAL_TOL * max(scale, _TINY):
         raise EigenResidualError(
             f"eigendecomposition residual {residual:.3e} exceeds "
@@ -186,41 +173,28 @@ def _eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, q
 
 
-def eig_normal_complex(n_mat: CMatrix) -> tuple[CMatrix, list[Quaternion]]:
-    """Diagonalize a normal slice matrix: N W = W diag(vals).
-
-    Eigenvalues are ordered lexicographically by (real part, imaginary
-    coefficient), descending, so repeated runs produce identical output.
-    Raises NotNormalError for non-normal input and EigenResidualError when
-    the residual contract residual <= EIG_RESIDUAL_TOL * ||N|| cannot be met.
-    """
-    vals, q = _eig_normal(n_mat.to_complex())
-    frame = n_mat.frame
-    return CMatrix.from_complex(q, frame), [complex_to_cm(v, frame) for v in vals]
-
-
 def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Indices and orthonormal deflated vectors x of the columns of w whose
-    pairs [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the J-invariant
-    span of w: one per quaternionic line. A column is kept when its residual
-    has norm >= 1/2; its pair is then projected out of the later columns
-    twice, for orthogonality at rounding level."""
+    """Indices and orthonormal deflated vectors x of half the columns of w
+    whose pairs [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the
+    J-invariant span of w: one per quaternionic line. Each step keeps the
+    column with the largest residual, so no line is lost however the basis
+    of w mixes a repeated eigenvalue; its pair is then projected out of all
+    columns twice, for orthogonality at rounding level."""
     w = w.copy()
     half = w.shape[0] // 2
     kept: list[int] = []
-    for t in range(w.shape[1]):
-        r = float(np.linalg.norm(w[:, t]))
-        if r < 0.5:
-            continue
-        x = w[:, t] / r
-        w[:, t] = x
+    out = np.empty((w.shape[0], w.shape[1] // 2), dtype=np.complex128)
+    for k in range(out.shape[1]):
+        norms = np.linalg.norm(w, axis=0)
+        t = int(np.argmax(norms))
+        x = w[:, t] / norms[t]
         jx = np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
         pair = np.stack([x, jx], axis=1)
-        rest = w[:, t + 1 :]
         for _ in range(2):
-            rest -= pair @ (np.conj(pair.T) @ rest)
+            w -= pair @ (np.conj(pair.T) @ w)
         kept.append(t)
-    return kept, w[:, kept]
+        out[:, k] = x
+    return kept, out
 
 
 def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
@@ -237,7 +211,7 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     n = a.n
     scale = max(a.frobenius(), _TINY)
 
-    vals, w = _eig_normal(chi(a, frame))
+    vals, w = eig_normal(chi(a, frame))
 
     pair_tol = 1e-9 * scale
     upper = np.flatnonzero(vals.imag > pair_tol)

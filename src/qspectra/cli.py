@@ -132,7 +132,7 @@ def _cmd_decompose(args) -> int:
 
     dec = SpectralDecomposition(form.U.H, list(form.phi_values()), frame, form.residual)
     structure = build_J(dec)
-    slice_report = slice_spectrum_check(a, structure, form=form)
+    slice_report = slice_spectrum_check(a, structure, spectrum=spectrum)
 
     scale = max(a.frobenius(), 1e-300)
     op_norm_val = a.op_norm()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import _eig_normal, spectral_decompose
+from .bridge import eig_normal, spectral_decompose
 from .errors import CrossCheckError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
@@ -77,8 +77,9 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
     rec_err = (a - form.reconstruct()).frobenius()
     if rec_err > FORM_RESIDUAL_TOL * scale:
         raise CrossCheckError(f"multiplication form reconstruction off by {rec_err:.3e}")
-    norm_gap = abs(a.op_norm() - ess_sup(phi))
-    if norm_gap > FORM_RESIDUAL_TOL * max(a.op_norm(), 1.0):
+    op_norm = a.op_norm()
+    norm_gap = abs(op_norm - ess_sup(phi))
+    if norm_gap > FORM_RESIDUAL_TOL * max(op_norm, 1.0):
         raise CrossCheckError(f"norm identity off by {norm_gap:.3e}")
     form.residual = max(dec.residual, rec_err)
     return form
@@ -259,17 +260,18 @@ def slice_spectrum_check(
     a: QMatrix,
     s: SliceStructure,
     tol: float = 1e-8,
-    form: MultiplicationForm | None = None,
+    spectrum: SphereSpectrum | None = None,
 ) -> SliceSpectrumReport:
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
-    minus restriction's eigenvalues are their conjugates."""
+    minus restriction's eigenvalues are their conjugates. The orbits are
+    those of multiplication_form(a) unless spectrum is given."""
     frame = s.frame
-    plus_c, _ = _eig_normal(restrict_plus(a, s).to_complex())
-    minus_c, _ = _eig_normal(restrict_minus(a, s).to_complex())
+    plus_c, _ = eig_normal(restrict_plus(a, s).to_complex())
+    minus_c, _ = eig_normal(restrict_minus(a, s).to_complex())
 
-    if form is None:
-        form = multiplication_form(a, frame)
-    orbits = sphere_spectrum(form).orbits
+    if spectrum is None:
+        spectrum = sphere_spectrum(multiplication_form(a, frame))
+    orbits = spectrum.orbits
     reps_c = np.array([complex(o.re, o.im_norm) for o in orbits])
 
     # Hausdorff distance between the eigenvalue set and the orbit reps.

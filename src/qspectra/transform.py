@@ -2,11 +2,11 @@
 construction routed through it, and the unbounded multiplication form
 emulated on truncated atomic spaces.
 
-Matrix square roots of the Gram operands I + A*A and I - Z*Z are taken
-spectrally, from one Hermitian eigendecomposition of the Gram matrix's
-complex adjoint, never by Newton iteration, so every path stays
-deterministic. Results are assembled as complex adjoint matrices and read
-back as quaternion matrices from their top block row.
+Both maps and the square root (I + A*A)^(1/2) are functions of the singular
+values on the singular vectors of one SVD of the input's complex adjoint,
+never Newton iterations, so every path stays deterministic and ||Z|| <= 1
+holds up to rounding at any scale. Results are assembled as complex adjoint
+matrices and read back as quaternion matrices from their top block row.
 
 The scalar radial maps
 
@@ -69,17 +69,13 @@ class UnboundedSim:
         return cls(psi.space, psi)
 
 
-def _gram_eig(a: QMatrix, sign: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvectors q of G = I + sign * A*A (complex adjoint), A q, and the
-    eigenvalues of G as 1 + sign * ||A q_k||^2. The eigenvalues that eigh
-    returns carry an absolute error of about eps * ||A||^2, which at
-    ||A|| ~ 1e8 pushes ||Z|| past 1."""
+def _svd(a: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the complex adjoint, u diag(s) vh; every transform below is a
+    function of s on the same singular vectors, so ||Z|| <= 1 up to
+    rounding by construction."""
     if not np.all(np.isfinite(a.a)):
         raise PreconditionError("transform input has non-finite entries")
-    ac = a.to_complex_adjoint()
-    _, q = np.linalg.eigh(np.eye(2 * a.n) + sign * (np.conj(ac.T) @ ac))
-    aq = ac @ q
-    return q, aq, 1.0 + sign * np.sum(np.abs(aq) ** 2, axis=0)
+    return np.linalg.svd(a.to_complex_adjoint())
 
 
 def _from_adjoint(f: np.ndarray) -> QMatrix:
@@ -91,12 +87,14 @@ def _from_adjoint(f: np.ndarray) -> QMatrix:
 def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> BoundedTransform:
     """Contractive image of a matrix; normal input gives normal output.
 
-    With G = I + A*A = q diag(g) q*, Z = (A q) diag(g^(-1/2)) q*. The result
-    does not depend on frame.
+    With A = u diag(s) vh, Z = u diag(s / sqrt(1 + s^2)) vh and
+    (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh. The result does not
+    depend on frame.
     """
-    q, aq, g = _gram_eig(a, 1.0)
-    z = _from_adjoint((aq / np.sqrt(g)) @ np.conj(q.T))
-    half = _from_adjoint((q * np.sqrt(g)) @ np.conj(q.T))
+    u, s, vh = _svd(a)
+    root = np.hypot(1.0, s)
+    z = _from_adjoint((u * (s / root)) @ vh)
+    half = _from_adjoint((np.conj(vh.T) * root) @ vh)
 
     norm_z = z.op_norm()
     if norm_z > CONTRACTION_BOUND:
@@ -108,17 +106,17 @@ def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Bounded
 def inverse_transform(z: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> QMatrix:
     """Recover T from Z = Z_T via T = Z (I - Z*Z)^(-1/2).
 
-    Rejected when ||Z|| >= 1 - 1e-8: the reconstruction conditioning
+    With Z = u diag(s) vh, T = u diag(s / sqrt(1 - s^2)) vh. Rejected when
+    ||Z|| >= 1 - 1e-8: the reconstruction conditioning
     (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable;
     it also keeps I - Z*Z >= 1e-8. The result does not depend on frame.
     """
-    norm_z = z.op_norm()
-    if norm_z >= 1.0 - INVERSE_GUARD:
+    u, s, vh = _svd(z)
+    if s[0] >= 1.0 - INVERSE_GUARD:
         raise TransformDomainError(
-            f"||Z|| = {norm_z:.12f} is within {INVERSE_GUARD:.0e} of 1"
+            f"||Z|| = {s[0]:.12f} is within {INVERSE_GUARD:.0e} of 1"
         )
-    q, zq, g = _gram_eig(z, -1.0)
-    return _from_adjoint((zq / np.sqrt(g)) @ np.conj(q.T))
+    return _from_adjoint((u * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ vh)
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:

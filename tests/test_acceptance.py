@@ -137,7 +137,7 @@ def test_criterion_4_slice_spectrum(corpus):
     for a, frame, form in matrices:
         dec = spectral_decompose(a, frame)
         structure = build_J(dec)
-        report = slice_spectrum_check(a, structure, form=form)
+        report = slice_spectrum_check(a, structure, spectrum=sphere_spectrum(form))
         scale = max(a.op_norm(), 1.0)
         worst_plus = max(worst_plus, report.plus_deviation / scale)
         worst_conj = max(worst_conj, report.conj_deviation / scale)

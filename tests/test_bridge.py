@@ -4,9 +4,10 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, STANDARD_FRAME, inner, norm
 from qspectra import generate as gen
 from qspectra.bridge import (
+    DECOMP_RESIDUAL_TOL,
     CMatrix,
     chi,
-    eig_normal_complex,
+    eig_normal,
     iota,
     iota_inv,
     spectral_decompose,
@@ -88,63 +89,54 @@ class TestCMatrix:
 
 class TestEigNormalComplex:
     def test_diagonal_imaginary_pair(self):
-        n = CMatrix.from_complex(np.diag([1j, -1j]), STANDARD_FRAME)
-        w, vals = eig_normal_complex(n)
-        assert_qclose(vals[0], I, 1e-14)
-        assert_qclose(vals[1], -I, 1e-14)
+        vals, _ = eig_normal(np.diag([1j, -1j]))
+        assert abs(vals[0] - 1j) <= 1e-14
+        assert abs(vals[1] + 1j) <= 1e-14
 
     def test_rotation_block(self):
-        n = CMatrix.from_complex(np.array([[0, -1], [1, 0]], dtype=complex), STANDARD_FRAME)
-        _, vals = eig_normal_complex(n)
-        got = sorted((cm_to_complex(v, STANDARD_FRAME) for v in vals), key=lambda z: z.imag)
+        vals, _ = eig_normal(np.array([[0, -1], [1, 0]], dtype=complex))
+        got = sorted(vals, key=lambda z: z.imag)
         assert got == pytest.approx([-1j, 1j])
 
     def test_textbook_hermitian(self):
-        n = CMatrix.from_complex(np.array([[2, 1], [1, 2]], dtype=complex), STANDARD_FRAME)
-        w, vals = eig_normal_complex(n)
-        assert_qclose(vals[0], Quaternion(3), 1e-12)
-        assert_qclose(vals[1], Quaternion(1), 1e-12)
-        wc = w.to_complex()
+        vals, q = eig_normal(np.array([[2, 1], [1, 2]], dtype=complex))
+        assert abs(vals[0] - 3) <= 1e-12
+        assert abs(vals[1] - 1) <= 1e-12
         sym = np.array([1, 1]) / np.sqrt(2)
         anti = np.array([1, -1]) / np.sqrt(2)
-        assert abs(np.vdot(wc[:, 0], sym)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(wc[:, 1], anti)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(q[:, 0], sym)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(q[:, 1], anti)) == pytest.approx(1.0, abs=1e-12)
 
     def test_descending_lexicographic_order(self, rng):
         vals_in = rng.permutation([3.0, 1.0, 1.0, -2.0]) + 0j
-        n = CMatrix.from_complex(np.diag(vals_in), STANDARD_FRAME)
-        _, vals = eig_normal_complex(n)
-        res = [v.re for v in vals]
+        vals, _ = eig_normal(np.diag(vals_in))
+        res = list(vals.real)
         assert res == sorted(res, reverse=True)
 
     def test_non_normal_rejected(self):
         z = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotNormalError):
-            eig_normal_complex(CMatrix.from_complex(z, STANDARD_FRAME))
+            eig_normal(z)
 
     def test_requires_square(self):
         with pytest.raises(ShapeError):
-            eig_normal_complex(CMatrix.from_complex(np.zeros((2, 3)), STANDARD_FRAME))
+            eig_normal(np.zeros((2, 3), dtype=complex))
 
     def test_residual_contract_on_random_normal(self, frame, rng):
         for n in (3, 8, 16):
-            z = gen.random_complex_normal(rng, n)
-            w, vals = eig_normal_complex(CMatrix.from_complex(z, frame))
-            wc = w.to_complex()
-            vc = np.array([cm_to_complex(v, frame) for v in vals])
-            resid = np.linalg.norm(z @ wc - wc * vc)
-            assert resid <= 1e-10 * np.linalg.norm(z)
-            assert np.linalg.norm(np.conj(wc.T) @ wc - np.eye(n)) <= 1e-12 * n
+            for z in (gen.random_complex_normal(rng, n), chi(gen.random_normal(rng, n, frame), frame)):
+                vals, q = eig_normal(z)
+                resid = np.linalg.norm(z @ q - q * vals)
+                assert resid <= 1e-10 * np.linalg.norm(z)
+                assert np.linalg.norm(np.conj(q.T) @ q - np.eye(len(z))) <= 1e-12 * n
 
     def test_degenerate_clusters(self, rng):
         vals_in = np.array([2.0, 2.0, 2.0, -1j, -1j, 1j, 1j, 0.5 + 0.5j])
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         q, _ = np.linalg.qr(g)
         z = (q * vals_in) @ np.conj(q.T)
-        w, vals = eig_normal_complex(CMatrix.from_complex(z, STANDARD_FRAME))
-        wc = w.to_complex()
-        vc = np.array([cm_to_complex(v, STANDARD_FRAME) for v in vals])
-        assert np.linalg.norm(z @ wc - wc * vc) <= 1e-10 * np.linalg.norm(z)
+        vals, w = eig_normal(z)
+        assert np.linalg.norm(z @ w - w * vals) <= 1e-10 * np.linalg.norm(z)
 
 
 class TestSpectralDecompose:
@@ -243,3 +235,22 @@ class TestSpectralDecompose:
         assert sorted(q.re for q in dec.d) == pytest.approx([-1.2] * 3 + [0.3] * 4 + [2.0])
         for q in dec.d:
             assert q.im_norm() == 0.0
+
+    @pytest.mark.parametrize(
+        "values", [(0.0, 1.0), (0.5j, 2.0 + 1j)], ids=["real-pair", "upper-pair"]
+    )
+    def test_exactly_degenerate_at_n64(self, values):
+        # each value 32 times: chi(A) has 64-dimensional eigenspaces, and for
+        # the real pair J-pair deflation must find 32 lines in each
+        rng = np.random.default_rng(63)
+        f = gen.random_frame(rng)
+        d = [Quaternion(z.real) + f.m * z.imag for z in np.repeat(values, 32)]
+        v = gen.random_unitary(rng, 64)
+        a = v @ QMatrix.diag(d) @ v.H
+        dec = spectral_decompose(a, f)
+        residual = ((a @ dec.V) - (dec.V @ QMatrix.diag(dec.d))).frobenius()
+        assert residual <= DECOMP_RESIDUAL_TOL * a.frobenius()
+        assert ((dec.V.H @ dec.V) - QMatrix.identity(64)).frobenius() <= 1e-10 * np.sqrt(64)
+        got = np.sort_complex(np.array([complex(q.re, q.im_norm()) for q in dec.d]))
+        want = np.sort_complex(np.repeat(np.array(values, dtype=complex), 32))
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qspectra
 from qspectra import J, QMatrix, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.cli import main
@@ -180,3 +185,13 @@ class TestTransform:
             save_json(matrix_to_json(a), path)
             assert main(["transform", str(path), "--out", str(out)]) == 0
             assert read_report(out)["status"] == "pass"
+
+
+def test_cli_import_leaves_scipy_out():
+    # the solver is numpy-only; importing scipy.linalg would add about 0.4 s
+    # to every fresh qspectra process
+    src = Path(qspectra.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import qspectra.cli, sys; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

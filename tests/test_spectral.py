@@ -71,6 +71,26 @@ class TestMultiplicationForm:
         assert not isinstance(err.value, NotNormalError)
 
 
+    @pytest.mark.parametrize(
+        "kind, gap, scale",
+        [(kind, gap, 1.0) for gap in (1e-9, 1e-8, 1e-7) for kind in gen.MATRIX_CLASSES]
+        + [(kind, 1e-8, scale) for scale in (1e-12, 1e12) for kind in gen.MATRIX_CLASSES],
+    )
+    def test_near_degenerate_spectrum(self, kind, gap, scale):
+        # eigenvalue gaps just above rounding, where splitting by a cluster tolerance fails
+        rng = np.random.default_rng(16)
+        frame = gen.random_frame(rng)
+        d = gen.random_standard_values(rng, 16, frame, kind)
+        d[1] = d[0] + gap
+        d = [scale * q for q in d]
+        v = gen.random_unitary(rng, 16)
+        a = v @ QMatrix.diag(d) @ v.H
+        form = multiplication_form(a, frame)
+        want = np.array([q.to_array() for q in d])
+        dist = np.linalg.norm(form.phi.values[:, None, :] - want[None, :, :], axis=2)
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8 * a.op_norm()
+
+
 class TestSphereSpectrum:
     def test_left_j_is_unit_sphere(self):
         form = multiplication_form(QMatrix.from_rows([[J]]), STANDARD_FRAME)

@@ -59,18 +59,27 @@ class TestBoundedTransform:
 
     def test_contraction_at_large_scale(self, frame, rng):
         # the Gram matrix's smallest eigenvalues are swamped by eps * ||A||^2
-        for scale in (1e7, 1e8, 1e9, 1e10, 1e11):
+        for scale in (1e7, 1e8, 1e9, 1e10, 1e11, 1e12):
             for kind in gen.MATRIX_CLASSES:
                 a = gen.random_normal(rng, 16, frame, kind=kind, scale=scale)
                 bt = bounded_transform(a, frame)
                 assert bt.Z.op_norm() <= 1.0 + 1e-12
                 assert bt.residual <= 1e-10 * a.frobenius()
+        # a seeded input whose ||Z|| came out 1 + 1.5e-12 from eigh(I + A*A)
+        seeded = np.random.default_rng(0)
+        seeded_frame = gen.random_frame(seeded)
+        a = gen.random_normal(seeded, 16, seeded_frame, kind="antiSelfAdjoint", scale=1e12)
+        bt = bounded_transform(a, seeded_frame)
+        assert bt.Z.op_norm() <= 1.0 + 1e-12
+        assert bt.residual <= 1e-10 * a.frobenius()
 
     def test_non_finite_rejected(self):
         arr = np.zeros((2, 2, 4))
         arr[0, 0, 0] = np.nan
         with pytest.raises(PreconditionError):
             bounded_transform(QMatrix(arr))
+        with pytest.raises(PreconditionError):
+            inverse_transform(QMatrix(arr))
 
     def test_defining_residual(self, frame, rng):
         a = gen.random_normal(rng, 5, frame, scale=2.0)
