@@ -159,12 +159,23 @@ def ess_sup(phi: Symbol) -> float:
 
 
 def ess_ran(phi: Symbol, dedup_tol: float = MERGE_TOL) -> list[Quaternion]:
-    """Distinct symbol values on positive-weight atoms, first-seen order."""
-    out: list[np.ndarray] = []
-    for row in phi.values[phi.space.positive()]:
-        if not any(np.linalg.norm(row - seen) <= dedup_tol for seen in out):
-            out.append(row)
-    return [Quaternion.from_array(row) for row in out]
+    """Distinct symbol values on positive-weight atoms, first-seen order.
+
+    A row is dropped when it lies within dedup_tol of a row already kept.
+    The vectorised distances round differently from the norm of one
+    difference by an ulp, so they only pick the candidates; the per-row norm
+    decides, and a NaN row is never a duplicate.
+    """
+    rows = phi.values[phi.space.positive()]
+    kept = np.empty_like(rows)
+    count = 0
+    for row in rows:
+        dist = np.linalg.norm(kept[:count] - row, axis=1)
+        close = kept[:count][dist <= 2.0 * dedup_tol]
+        if not any(np.linalg.norm(row - seen) <= dedup_tol for seen in close):
+            kept[count] = row
+            count += 1
+    return [Quaternion.from_array(row) for row in kept[:count]]
 
 
 def m_phi_norm(phi: Symbol) -> float:

@@ -137,11 +137,14 @@ class QMatrix:
         scale = self.frobenius() ** 2
         return self.commutator_defect() <= tol * max(scale, _EPS_FLOOR)
 
-    def check_normal(self, tol: float = DEFAULT_TOL) -> None:
+    def check_finite(self) -> None:
         bad = np.argwhere(~np.all(np.isfinite(self.a), axis=-1))
         if len(bad):
             i, j = bad[0]
             raise PreconditionError(f"matrix entry ({i}, {j}) is not finite")
+
+    def check_normal(self, tol: float = DEFAULT_TOL) -> None:
+        self.check_finite()
         if not self.is_normal(tol):
             raise NotNormalError(self.commutator_defect(), tol * self.frobenius() ** 2)
 

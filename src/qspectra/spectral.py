@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qarray as qa
 from .bridge import eig_normal, spectral_decompose
-from .errors import CrossCheckError, SymbolZeroError
+from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
 from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, complex_to_cm, orbit_of
@@ -99,26 +99,97 @@ def sphere_spectrum(form: MultiplicationForm, dedup_tol: float = ORBIT_DEDUP_TOL
 
 def oracle_scale(a: QMatrix) -> float:
     """Threshold scale for the Delta-kernel oracle: (1 + ||A||)^2."""
-    return (1.0 + a.op_norm()) ** 2
+    return _oracle_scale(a.to_complex_adjoint())
+
+
+def _oracle_scale(z: np.ndarray) -> float:
+    return (1.0 + float(np.linalg.svd(z, compute_uv=False)[0])) ** 2
+
+
+# The screens of delta_oracle test sigma_min(Z - lam)^2 > _OUT_MARGIN * t and
+# ||Delta x|| <= _IN_MARGIN * t * ||x||. They decide a probe only when
+# _ROUNDING_FACTOR * (N + 2) * eps * F^2 < t, with F = ||Z||_F + sqrt(N) |lam|
+# >= ||Z - lam||_F: that covers the rounding of forming (Z - lam)*(Z - lam),
+# of its Cholesky factorization, of the two matvecs, and of the exact route
+# whose verdict the screens must reproduce.
+_OUT_MARGIN = 2.0
+_IN_MARGIN = 0.5
+_ROUNDING_FACTOR = 8.0
 
 
 def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
     """Mark each probe q whose Delta_q(A) has a numerical kernel.
 
-    In-spectrum iff sigma_min(delta(a, q)) <= tol * (1 + ||A||)^2. This route
-    never touches the eigendecomposition, so it is an independent check of
-    the spectrum read off the multiplication form.
+    In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2. This
+    route never touches the eigendecomposition, so it is an independent check
+    of the spectrum read off the multiplication form.
+
+    With Z the complex adjoint of A and lam = re q + i |im q|,
+    Delta_q = (Z - lam)(Z - conj lam), and Z - conj lam = J conj(Z - lam) J^-1
+    for any complex adjoint, so for every x, normal A or not,
+
+        sigma_min(Z - lam)^2 <= sigma_min(Delta_q) <= ||Delta_q x|| / ||x||.
+
+    Each probe is decided by the first of these that applies:
+    out  -- a Cholesky factorization of (Z - lam)*(Z - lam) - 2t I succeeds,
+            so sigma_min(Delta_q) > 2t less rounding > t;
+    in   -- one inverse-iteration step x = (Z - lam)^-1 e gives
+            ||Delta_q x|| <= t/2 ||x||, so sigma_min(Delta_q) <= t;
+    exact -- the smallest singular value of Delta_q, compared with t.
+    The two screens are skipped, leaving the exact route, wherever their
+    rounding error is not well below t (tiny tol, huge probes), so every
+    verdict equals that of the exact route.
     """
+    a.check_finite()
+    for k, q in enumerate(probes):
+        if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+            raise PreconditionError(f"probe {k} is not finite")
     z = qa.to_complex_adjoint(a.a)
-    z2 = z @ z
-    ident = np.eye(z.shape[0])
-    threshold = tol * oracle_scale(a)
+    size = z.shape[0]
+    threshold = tol * _oracle_scale(z)
+    zh = z.conj().T
+    gram, z2 = zh @ z, z @ z
+    fro = float(np.linalg.norm(z))
+    rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
+    ident = np.eye(size)
+    # right-hand side of the inverse-iteration step: unit entries whose
+    # phases (1 rad apart) follow no pattern a kernel vector could cancel
+    e = np.exp(1j * np.arange(size))
     out = []
     for q in probes:
-        dz = z2 - (2.0 * q.re) * z + q.norm_sq() * ident
-        smin = float(np.linalg.svd(dz, compute_uv=False)[-1])
-        out.append(smin <= threshold)
+        lam = complex(q.re, q.im_norm())
+        verdict = None
+        if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
+            verdict = _screen(z, zh, gram, lam, threshold, e)
+        if verdict is None:
+            dz = z2 - (2.0 * q.re) * z + q.norm_sq() * ident
+            verdict = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
+        out.append(verdict)
     return out
+
+
+def _screen(z, zh, gram, lam, t, e) -> bool | None:
+    """The out and in screens of delta_oracle; None when neither decides."""
+    step = z.shape[0] + 1  # stride of the diagonal in .flat
+    g = gram - lam * zh - lam.conjugate() * z
+    g.flat[::step] += abs(lam) ** 2 - _OUT_MARGIN * t
+    try:
+        np.linalg.cholesky(g)
+        return False
+    except np.linalg.LinAlgError:
+        pass
+    shifted = z.copy()
+    shifted.flat[::step] -= lam
+    try:
+        x = np.linalg.solve(shifted, e)
+    except np.linalg.LinAlgError:
+        return None
+    r = shifted @ x
+    dx = shifted @ r + (lam - lam.conjugate()) * r
+    nx, ndx = float(np.linalg.norm(x)), float(np.linalg.norm(dx))
+    if math.isfinite(nx) and ndx <= _IN_MARGIN * t * nx:
+        return True
+    return None
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

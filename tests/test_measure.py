@@ -7,6 +7,7 @@ from qspectra import I, J, K, ONE, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.errors import ShapeError, SliceMembershipError
 from qspectra.measure import (
+    MERGE_TOL,
     AtomicMeasureSpace,
     L2Element,
     Symbol,
@@ -130,6 +131,39 @@ class TestEssentialQuantities:
             sp, [direction * (math.sqrt(3.0) * t) for t in grid], frame
         )
         assert ess_sup(phi) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+
+
+    def test_ess_ran_matches_pairwise_loop(self):
+        # pairs at exactly MERGE_TOL and one ulp either side, in an oblique
+        # slice where a vectorised norm and the norm of one difference can
+        # round to opposite sides of the tolerance; then repeated values and
+        # NaN rows in one symbol
+        rng = np.random.default_rng(11)
+        frame = SliceFrame.from_m((I + 2 * J - K) / abs(I + 2 * J - K))
+        one, m = np.array([1.0, 0.0, 0.0, 0.0]), frame.m.to_array()
+        base = [np.zeros(4)] + [c0 * one + c1 * m for c0, c1 in 1e-12 * rng.standard_normal((4, 2))]
+        symbols = []
+        for b in base:
+            for angle in rng.uniform(0.0, 2.0 * math.pi, 12):
+                step = MERGE_TOL * (math.cos(angle) * one + math.sin(angle) * m)
+                for factor in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
+                    symbols.append([b, b + factor * step])
+        rows = [base[k % 5] for k in range(15)] + [np.full(4, np.nan), np.array([np.nan, 0, 0, 0])]
+        symbols.append(np.array(rows)[rng.permutation(len(rows))])
+        for values in symbols:
+            phi = Symbol(AtomicMeasureSpace.counting(len(values)), np.array(values), frame)
+            got = np.array([q.to_array() for q in ess_ran(phi)])
+            want = np.array([q.to_array() for q in _ess_ran_pairwise(phi)])
+            assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def _ess_ran_pairwise(phi):
+    """The first-seen loop over every pair that ess_ran vectorises."""
+    out = []
+    for row in phi.values[phi.space.positive()]:
+        if not any(np.linalg.norm(row - seen) <= MERGE_TOL for seen in out):
+            out.append(row)
+    return [Quaternion.from_array(row) for row in out]
 
 
 class TestOperatorNormIdentity:

@@ -13,6 +13,7 @@ from qspectra.spectral import (
     classify,
     conjugate_equivalence,
     delta_oracle,
+    fibonacci_sphere,
     multiplication_form,
     off_sphere_probes,
     on_sphere_probes,
@@ -147,6 +148,134 @@ class TestDeltaOracle:
                 probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
                 member = [spectrum.contains(q, 1e-9) for q in probes]
                 assert delta_oracle(a, probes, 1e-7) == member
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad, rng, monkeypatch):
+        a = gen.random_normal(rng, 3, STANDARD_FRAME).a.copy()
+        a[1, 2, 0] = bad
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"entry \(1, 2\) is not finite"):
+            delta_oracle(QMatrix(a), [I, J], 1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_named(self, bad, rng, monkeypatch):
+        a = gen.random_normal(rng, 3, STANDARD_FRAME)
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"probe 2 is not finite"):
+            delta_oracle(a, [I, J, Quaternion(0.0, 1.0, bad, 0.0)], 1e-7)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_non_normal_matches_exact_route(self, scale, tol):
+        # the screens bound sigma_min(Delta_q) without assuming normality
+        rng = np.random.default_rng(7)
+        base = QMatrix(rng.standard_normal((6, 6, 4)))
+        assert not base.is_normal()
+        a = base * scale
+        probes = [scale * gen.random_quaternion(rng) for _ in range(6)]
+        if tol > 1e-16:
+            # At tol 1e-16 sigma_min at an eigenvalue of this matrix is
+            # rounding noise of order N eps ||A||^2 on every route, so such
+            # a probe has no verdict to compare.
+            lams = np.linalg.eigvals(base.to_complex_adjoint())[:6] * scale
+            dirs = fibonacci_sphere(6)
+            probes += [Quaternion(lam.real, *(abs(lam.imag) * d)) for lam, d in zip(lams, dirs)]
+        assert delta_oracle(a, probes, tol) == _exact_verdicts(a, probes, tol)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_below_rounding_floor_keeps_exact_verdicts(self, seed):
+        # At ||A|| = 1e6 and tol 1e-16 the threshold lies below the rounding
+        # of both screens, so every probe must take the exact route unchanged.
+        rng = np.random.default_rng(seed)
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, "real") * 1e6
+        z = a.to_complex_adjoint()
+        t = 1e-16 * oracle_scale(a)
+        probes = []
+        for k, lam in enumerate(np.linalg.eigvals(z)):
+            for ratio in (1.0, 3.0):
+                p = lam + np.sqrt(ratio * t) * np.exp(2j * np.pi * 0.618 * (2 * k + ratio))
+                probes.append(Quaternion(p.real, abs(p.imag)))
+        z2, ident = z @ z, np.eye(z.shape[0])
+        want = [
+            np.linalg.svd(z2 - (2.0 * q.re) * z + q.norm_sq() * ident, compute_uv=False)[-1] <= t
+            for q in probes
+        ]
+        assert delta_oracle(a, probes, 1e-16) == want
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_bisected_probes_match_exact_route(self, scale, tol, monkeypatch):
+        # probes placed at sigma_min(Delta_q) = ratio * t, on both sides of the
+        # screens' 2t and t/2 margins and of the threshold itself
+        values = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
+        a = QMatrix.diag([scale * v for v in values])
+        t = tol * oracle_scale(a)
+        steps = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
+        probes = [
+            _bisect_probe(a, scale * v, scale * w, ratio * t)
+            for v, w in zip(values, steps)
+            for ratio in (0.2, 0.45, 0.55, 0.9, 1.1, 1.9, 2.1, 5.0)
+        ]
+        want = _exact_verdicts(a, probes, tol)
+        calls = _count_svd(monkeypatch)
+        assert delta_oracle(a, probes, tol) == want
+        if tol == 1e-7:
+            assert calls[0] < len(probes)  # the screens decided some probes
+
+    def test_probe_at_eigenvalue_falls_back(self, monkeypatch):
+        # Z - lam is exactly singular, so solve fails and the exact SVD decides
+        calls = _count_svd(monkeypatch)
+        assert delta_oracle(QMatrix.diag([I]), [I], 1e-7) == [True]
+        assert calls[0] == 2  # ||A|| and the fallback
+
+    def test_clear_probes_need_one_svd(self, rng, monkeypatch):
+        a = gen.random_normal(rng, 16, STANDARD_FRAME)
+        spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        orbit = spectrum.orbits[0]
+        probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+        calls = _count_svd(monkeypatch)
+        assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
+        assert calls[0] == 1
+
+
+def _exact_verdicts(a, probes, tol):
+    threshold = tol * oracle_scale(a)
+    return [delta(a, q).sigma_min() <= threshold for q in probes]
+
+
+def _bisect_probe(a, v, w, target):
+    """Probe v + s w with sigma_min(delta(a, .)) = target, by bisection on s."""
+    def above(s):
+        return delta(a, v + w * s).sigma_min() >= target
+
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return v + w * hi
+
+
+def _count_svd(monkeypatch):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _forbid_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("LAPACK reached before the input check")
+
+    for name in ("svd", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, fail)
 
 
 class TestClassify:
