@@ -132,6 +132,26 @@ def iota_inv(w: np.ndarray, frame: SliceFrame) -> np.ndarray:
     return qa.from_frame_coords(u.real, u.imag, v.real, -v.imag, frame)
 
 
+def _normal_scale(z: np.ndarray) -> float:
+    """||z||_F; NotNormalError if ||z z* - z* z||_F > NORMAL_TOL ||z||_F^2."""
+    rows, cols = z.shape
+    if rows != cols:
+        raise ShapeError("eigendecomposition needs a square matrix")
+    scale = float(np.linalg.norm(z))
+    defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z))
+    if defect > NORMAL_TOL * max(scale**2, _TINY):
+        raise NotNormalError(defect, NORMAL_TOL * scale**2)
+    return scale
+
+
+def eigvals_normal(z: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a normal complex matrix, in eig_normal's order; its
+    eigenvectors are unitary, so Bauer-Fike bounds their error by eig's."""
+    _normal_scale(z)
+    vals = np.linalg.eigvals(z)
+    return vals[np.lexsort((-vals.imag, -vals.real))]
+
+
 def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a normal complex matrix: z q = q diag(vals), q unitary.
 
@@ -145,19 +165,13 @@ def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NotNormalError for non-normal input and EigenResidualError when the
     residual contract residual <= EIG_RESIDUAL_TOL * ||z||_F is not met.
     """
-    rows, cols = z.shape
-    if rows != cols:
-        raise ShapeError("eigendecomposition needs a square matrix")
-    scale = float(np.linalg.norm(z))
-    defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z))
-    if defect > NORMAL_TOL * max(scale**2, _TINY):
-        raise NotNormalError(defect, NORMAL_TOL * scale**2)
+    scale = _normal_scale(z)
 
     # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
     # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
     # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
     # and changes no eigenvector.
-    shifted = z + (2.0 * scale) * np.eye(rows)
+    shifted = z + (2.0 * scale) * np.eye(len(z))
     q, _ = np.linalg.qr(np.linalg.eig(shifted)[1])
     zq = z @ q
     vals = np.sum(np.conj(q) * zq, axis=0)

@@ -77,3 +77,7 @@ class CrossCheckError(ComputationError):
 
 class InputFormatError(QSpectraError):
     """A file or payload does not match the documented schema."""
+
+
+class ReportSchemaError(QSpectraError):
+    """A report payload does not match the report schema; a program fault."""

@@ -17,20 +17,8 @@ from .quaternion import I, Quaternion, SliceFrame
 MATRIX_CLASSES = ("normal", "antiSelfAdjoint", "unitary", "real")
 
 
-def rng_for(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
     return Quaternion.from_array(rng.normal(0.0, scale, size=4))
-
-
-def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
-    while True:
-        q = random_quaternion(rng)
-        r = abs(q)
-        if r > 1e-3:
-            return q / r
 
 
 def random_unit_imaginary(rng: np.random.Generator) -> Quaternion:
@@ -120,11 +108,10 @@ class Scenario:
     n: int
     matrix_class: str = "normal"
     m: Quaternion = field(default_factory=lambda: I)
-    tolerances: dict = field(default_factory=dict)
 
     def frame(self) -> SliceFrame:
         return SliceFrame.from_m(self.m)
 
     def build(self) -> QMatrix:
-        rng = rng_for(self.seed)
+        rng = np.random.default_rng(self.seed)
         return random_normal(rng, self.n, self.frame(), self.matrix_class)

@@ -29,7 +29,7 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(qa.identity_entries(n))
+        return cls.diag(np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
@@ -65,9 +65,6 @@ class QMatrix:
             raise ShapeError(f"matrix is not square: {self.shape}")
         return rows
 
-    def is_square(self) -> bool:
-        return self.a.shape[0] == self.a.shape[1]
-
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_array(self.a[i, j])
 
@@ -80,7 +77,7 @@ class QMatrix:
     @property
     def H(self) -> "QMatrix":
         """Adjoint: (A*)_ij = conj(A_ji), so <x|Ay> = <A*x|y>."""
-        return QMatrix(qa.adjoint_entries(self.a))
+        return QMatrix(qa.qconj(np.swapaxes(self.a, 0, 1)))
 
     def apply(self, x) -> np.ndarray:
         x = qa.qarr(x)

@@ -20,10 +20,6 @@ def qarr(a) -> np.ndarray:
     return out
 
 
-def from_quaternion(q: Quaternion) -> np.ndarray:
-    return q.to_array()
-
-
 def to_quaternion(a) -> Quaternion:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (4,):
@@ -90,24 +86,6 @@ def qmatmul(a, b) -> np.ndarray:
 def qscale_right(x, q: Quaternion) -> np.ndarray:
     """Entrywise x_i * q (right module action)."""
     return qmul(x, q.to_array())
-
-
-def qscale_left(q: Quaternion, x) -> np.ndarray:
-    return qmul(q.to_array(), x)
-
-
-def adjoint_entries(a) -> np.ndarray:
-    """Conjugate transpose of a quaternion matrix array."""
-    a = qarr(a)
-    if a.ndim != 3:
-        raise ShapeError("adjoint expects an (m, n, 4) array")
-    return qconj(np.swapaxes(a, 0, 1))
-
-
-def identity_entries(n: int) -> np.ndarray:
-    out = np.zeros((n, n, 4), dtype=np.float64)
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
 
 
 def left_diag_entries(values) -> np.ndarray:

@@ -118,9 +118,6 @@ class Quaternion:
     def __hash__(self):
         return hash((self.w, self.x, self.y, self.z))
 
-    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self - _coerce(other)) <= tol
-
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 

@@ -6,54 +6,59 @@ the timing field, which is explicitly outside the determinism contract.
 
 from __future__ import annotations
 
-import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
-import jsonschema
+from .errors import ReportSchemaError
 
 SCHEMA = "qspectra-report-v1"
 
-SCHEMA_SPEC = {
-    "type": "object",
-    "required": ["schema", "scenario", "status", "checks", "seed", "timing"],
-    "properties": {
-        "schema": {"const": SCHEMA},
-        "scenario": {"type": "string"},
-        "status": {"enum": ["pass", "fail"]},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "residual", "tol", "pass"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "residual": {"type": "number"},
-                    "tol": {"type": "number"},
-                    "pass": {"type": "boolean"},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "seed": {"type": ["integer", "null"]},
-        "timing": {"type": "number"},
-    },
+
+def _number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+# Field -> test; a report may carry extra fields (phi, zNorm, ...), a check not.
+_REPORT_FIELDS = {
+    "schema": lambda x: isinstance(x, str) and x == SCHEMA,
+    "scenario": lambda x: isinstance(x, str),
+    "status": lambda x: isinstance(x, str) and x in ("pass", "fail"),
+    "checks": lambda x: isinstance(x, list),
+    "seed": lambda x: x is None or (_number(x) and isinstance(x, int))
+    or (isinstance(x, float) and x.is_integer()),
+    "timing": _number,
+}
+_CHECK_FIELDS = {
+    "name": lambda x: isinstance(x, str),
+    "residual": _number,
+    "tol": _number,
+    "pass": lambda x: isinstance(x, bool),
 }
 
 
-@functools.cache
-def _validator():
-    """The report schema's validator, checked against its metaschema once."""
-    cls = jsonschema.validators.validator_for(SCHEMA_SPEC)
-    cls.check_schema(SCHEMA_SPEC)
-    return cls(SCHEMA_SPEC)
+def _validate(obj, fields: dict, path: str, closed: bool) -> None:
+    if not isinstance(obj, dict):
+        raise ReportSchemaError(f"{path or 'report'}: expected an object, got {obj!r}")
+    for key, test in fields.items():
+        where = f"{path}.{key}" if path else key
+        if key not in obj:
+            raise ReportSchemaError(f"{where}: missing")
+        if not test(obj[key]):
+            raise ReportSchemaError(f"{where}: invalid value {obj[key]!r}")
+    extra = obj.keys() - fields.keys() if closed else set()
+    if extra:
+        raise ReportSchemaError(f"{path}: unexpected fields {sorted(map(str, extra))}")
 
 
 def validate_payload(payload: dict) -> None:
-    """Raise jsonschema.ValidationError if the payload is not a report."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(payload))
-    if error is not None:
-        raise error
+    """Raise ReportSchemaError, naming the offending key path, unless the
+    payload is a report. Types are JSON Schema's as jsonschema reads Python
+    values: bool is no integer or number, an integral float is an integer,
+    and any other numbers.Number (np.float64, np.int64) is a number."""
+    _validate(payload, _REPORT_FIELDS, "", closed=False)
+    for i, check in enumerate(payload["checks"]):
+        _validate(check, _CHECK_FIELDS, f"checks[{i}]", closed=True)
 
 
 @dataclass

@@ -340,11 +340,11 @@ def _group_transform(rng, n, tol) -> list[Check]:
         worst_xi = max(worst_xi, err / (1.0 + abs(xi_inv(p))))
     for scale in (1.0, 40.0, 1000.0):
         a = gen.random_normal(rng, n, f, scale=scale)
-        bt = bounded_transform(a, f)
+        bt = bounded_transform(a)
         norm_bound_ok = norm_bound_ok and bt.Z.op_norm() <= CONTRACTION_BOUND
-        back = inverse_transform(bt.Z, f)
+        back = inverse_transform(bt.Z)
         worst_round = max(worst_round, (back - a).frobenius() / (1.0 + a.op_norm() ** 2))
-        worst_star = max(worst_star, (bounded_transform(a.H, f).Z - bt.Z.H).frobenius())
+        worst_star = max(worst_star, (bounded_transform(a.H).Z - bt.Z.H).frobenius())
     return [
         check_from("transform.xi_round_trip_relative", worst_xi, tol or 1e-12),
         flag_check("transform.contraction_norm_bounded", norm_bound_ok),

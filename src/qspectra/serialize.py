@@ -137,27 +137,23 @@ def symbol_to_json(sym: Symbol) -> dict:
     return out
 
 
-def symbol_from_json(data, frame: SliceFrame) -> Symbol:
+def _symbol_from_json(data, key: str, frame: SliceFrame) -> Symbol:
     space = space_from_json(data)
-    if "values" not in data:
-        raise InputFormatError('symbol JSON needs parallel array "values"')
-    values = vector_from_json(data["values"])
+    if key not in data:
+        raise InputFormatError(f'symbol JSON needs array "{key}" parallel to "atoms"')
+    values = vector_from_json(data[key])
     try:
         return Symbol(space, values, frame)
     except Exception as exc:
         raise InputFormatError(str(exc)) from exc
 
 
+def symbol_from_json(data, frame: SliceFrame) -> Symbol:
+    return _symbol_from_json(data, "values", frame)
+
+
 def unbounded_sim_from_json(data, frame: SliceFrame) -> UnboundedSim:
-    space = space_from_json(data)
-    if "psi" not in data:
-        raise InputFormatError('unbounded-sim JSON needs array "psi"')
-    values = vector_from_json(data["psi"])
-    try:
-        psi = Symbol(space, values, frame)
-    except Exception as exc:
-        raise InputFormatError(str(exc)) from exc
-    return UnboundedSim(space, psi)
+    return UnboundedSim.from_symbol(_symbol_from_json(data, "psi", frame))
 
 
 def load_json(path) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import eig_normal, spectral_decompose
+from .bridge import eigvals_normal, spectral_decompose
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
@@ -337,8 +337,8 @@ def slice_spectrum_check(
     minus restriction's eigenvalues are their conjugates. The orbits are
     those of multiplication_form(a) unless spectrum is given."""
     frame = s.frame
-    plus_c, _ = eig_normal(restrict_plus(a, s).to_complex())
-    minus_c, _ = eig_normal(restrict_minus(a, s).to_complex())
+    plus_c = eigvals_normal(restrict_plus(a, s).to_complex())
+    minus_c = eigvals_normal(restrict_minus(a, s).to_complex())
 
     if spectrum is None:
         spectrum = sphere_spectrum(multiplication_form(a, frame))

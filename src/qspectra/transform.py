@@ -13,17 +13,17 @@ The scalar radial maps
     xi(p)     = p (1 - |p|^2)^(-1/2)        (unit ball -> everything)
     xi_inv(p) = p (1 + |p|^2)^(-1/2)        (everything -> unit ball)
 
-compute their radial factor in extended precision: near the unit sphere
-1 - |p|^2 falls below double significance, and the extra digits recover it
-exactly from the stored components, leaving input representation as the only
-error source.
+compute their radial factor in double-double arithmetic: near the unit
+sphere 1 - |p|^2 falls below double significance, so the squares are taken
+exactly (Dekker's TwoProd) and summed error-free (Ogita-Rump-Oishi TwoSum),
+and a Newton step gives the factor to within 1 ulp, leaving input
+representation as the only error source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import qarray as qa
@@ -45,7 +45,7 @@ INVERSE_GUARD = 1e-8
 # ||A|| passes about 1e8.
 CONTRACTION_BOUND = 1.0 + 1e-12
 
-_MP_DPS = 40
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 
 
 @dataclass
@@ -84,12 +84,11 @@ def _from_adjoint(f: np.ndarray) -> QMatrix:
     return QMatrix(qa.from_pair(f[:n, :n], -f[:n, n:]))
 
 
-def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> BoundedTransform:
+def bounded_transform(a: QMatrix) -> BoundedTransform:
     """Contractive image of a matrix; normal input gives normal output.
 
     With A = u diag(s) vh, Z = u diag(s / sqrt(1 + s^2)) vh and
-    (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh. The result does not
-    depend on frame.
+    (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh.
     """
     u, s, vh = _svd(a)
     root = np.hypot(1.0, s)
@@ -103,13 +102,13 @@ def bounded_transform(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Bounded
     return BoundedTransform(z, a, residual)
 
 
-def inverse_transform(z: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> QMatrix:
+def inverse_transform(z: QMatrix) -> QMatrix:
     """Recover T from Z = Z_T via T = Z (I - Z*Z)^(-1/2).
 
     With Z = u diag(s) vh, T = u diag(s / sqrt(1 - s^2)) vh. Rejected when
     ||Z|| >= 1 - 1e-8: the reconstruction conditioning
     (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable;
-    it also keeps I - Z*Z >= 1e-8. The result does not depend on frame.
+    it also keeps I - Z*Z >= 1e-8.
     """
     u, s, vh = _svd(z)
     if s[0] >= 1.0 - INVERSE_GUARD:
@@ -123,7 +122,7 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
     """Slice structure commuting with a normal matrix, built from its
     bounded transform's eigenbasis (the transform shares eigenvectors)."""
     a.check_normal()
-    z = bounded_transform(a, frame).Z
+    z = bounded_transform(a).Z
     dec = spectral_decompose(z, frame)
     structure = build_J(dec)
     defect = ((structure.J @ a) - (a @ structure.J)).frobenius()
@@ -137,38 +136,65 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
 
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:
     """Residual between the two orders of transform and extension."""
-    z_plus = CMatrix(bounded_transform(t_plus.as_qmatrix(), s.frame).Z.a, s.frame)
-    transform_of_extension = bounded_transform(extend(t_plus, s), s.frame).Z
+    z_plus = CMatrix(bounded_transform(t_plus.as_qmatrix()).Z.a, s.frame)
+    transform_of_extension = bounded_transform(extend(t_plus, s)).Z
     extension_of_transform = extend(z_plus, s)
     return (transform_of_extension - extension_of_transform).frobenius()
 
 
-def _radial_rescale(values: np.ndarray, factor_fn) -> np.ndarray:
-    """Rescale each quaternion by a function of its squared modulus,
-    evaluated in extended precision from the exact stored components."""
-    values = qa.qarr(values)
-    out = np.empty_like(values)
-    with mpmath.workdps(_MP_DPS):
-        for t in range(values.shape[0]):
-            r2 = mpmath.fsum(mpmath.mpf(float(c)) ** 2 for c in values[t])
-            out[t] = values[t] * float(factor_fn(r2))
-    return out
+def _two_sum(a, b):
+    """s + err = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """p + err = a b exactly (Dekker's TwoProd), barring overflow and underflow."""
+    p = a * b
+    ta, tb = _SPLIT * a, _SPLIT * b
+    a_hi, b_hi = ta - (ta - a), tb - (tb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _radial_factor(values: np.ndarray, sign: float) -> np.ndarray:
+    """(1 + sign |p|^2)^(-1/2) for every row p, within 1 ulp."""
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("radial map input has non-finite components")
+    # p = 2^e s with max |s_i| < 1, so no square overflows; below 2^-64 the
+    # squares cannot reach the rounding of 1.
+    e = np.maximum(np.frexp(np.max(np.abs(values), axis=1))[1], -64)
+    s = np.ldexp(values, -e[:, None])
+    # 2^(-2e) (1 + sign |p|^2) as nine exact terms, distilled twice (SumK, K = 3).
+    terms = [np.ldexp(1.0, -2 * e)]
+    for c in s.T:
+        terms += [sign * t for t in _two_prod(c, c)]
+    for _ in range(2):
+        for i in range(1, len(terms)):
+            terms[i], terms[i - 1] = _two_sum(terms[i], terms[i - 1])
+    hi, lo = _two_sum(terms[-1], sum(terms[:-1]))
+    if np.any(hi <= 0.0):
+        raise TransformDomainError("xi needs |p| < 1")
+    # Newton step from y = hi^(-1/2) with r = 1 - (hi + lo) y^2; the 3r^2/8
+    # term decides factors just past a rounding midpoint (|p| = 1 - 2^-51).
+    y = 1.0 / np.sqrt(hi)
+    y2, y2_err = _two_prod(y, y)
+    h, h_err = _two_prod(hi, y2)
+    r = (1.0 - h) - h_err - hi * y2_err - lo * y2
+    return np.ldexp(y + y * (0.5 * r + 0.375 * r * r), -e)
 
 
 def xi_values(values: np.ndarray) -> np.ndarray:
     """xi(p) = p (1 - |p|^2)^(-1/2) entrywise; requires |p| < 1."""
-
-    def factor(r2):
-        if r2 >= 1:
-            raise TransformDomainError("xi needs |p| < 1")
-        return 1 / mpmath.sqrt(1 - r2)
-
-    return _radial_rescale(values, factor)
+    values = qa.qarr(values)
+    return values * _radial_factor(values, -1.0)[:, None]
 
 
 def xi_inv_values(values: np.ndarray) -> np.ndarray:
     """xi_inv(p) = p (1 + |p|^2)^(-1/2) entrywise; lands in the open ball."""
-    return _radial_rescale(values, lambda r2: 1 / mpmath.sqrt(1 + r2))
+    values = qa.qarr(values)
+    return values * _radial_factor(values, 1.0)[:, None]
 
 
 def xi(p: Quaternion) -> Quaternion:

@@ -201,14 +201,14 @@ def test_criterion_6_bounded_transform():
         n = int(rng.integers(2, 9))
         scale = float(rng.choice([0.5, 1.0, 10.0, 1000.0]))
         a = gen.random_normal(rng, n, frame, scale=scale)
-        bt = bounded_transform(a, frame)
+        bt = bounded_transform(a)
         norm_ok = norm_ok and bt.Z.op_norm() <= 1.0
         worst_star = max(
-            worst_star, (bounded_transform(a.H, frame).Z - bt.Z.H).frobenius()
+            worst_star, (bounded_transform(a.H).Z - bt.Z.H).frobenius()
         )
         worst_round = max(
             worst_round,
-            (inverse_transform(bt.Z, frame) - a).frobenius() / (1.0 + a.op_norm() ** 2),
+            (inverse_transform(bt.Z) - a).frobenius() / (1.0 + a.op_norm() ** 2),
         )
         structure = commuting_J_unbounded(a, frame)
         worst_commute = max(

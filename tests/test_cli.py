@@ -187,11 +187,38 @@ class TestTransform:
             assert read_report(out)["status"] == "pass"
 
 
-def test_cli_import_leaves_scipy_out():
-    # the solver is numpy-only; importing scipy.linalg would add about 0.4 s
-    # to every fresh qspectra process
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = Path(qspectra.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import qspectra.cli, sys; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["scipy", "mpmath", "jsonschema"])
+def test_cli_import_leaves_module_out(module):
+    # the runtime is numpy alone; each of these would add tens to hundreds
+    # of milliseconds to every fresh qspectra process
+    proc = _run_python(f"import qspectra.cli, sys; sys.exit({module!r} in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_without_test_only_packages(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "a.json"
+    save_json(matrix_to_json(gen.random_normal(rng, 4, STANDARD_FRAME)), path)
+    runs = [
+        ["selftest", "--n", "4"],
+        ["example"],
+        ["decompose", str(path)],
+        ["transform", str(path)],
+    ]
+    code = f"""
+import sys
+sys.modules["mpmath"] = sys.modules["jsonschema"] = None
+from qspectra.cli import main
+for i, argv in enumerate({runs!r}):
+    code = main(argv + ["--out", {str(tmp_path)!r} + f"/rep{{i}}.json"])
+    if code != 0:
+        sys.exit(f"{{argv}} exited {{code}}")
+"""
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr

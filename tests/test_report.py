@@ -1,9 +1,12 @@
+import decimal
 import json
 
-import jsonschema
+import numpy as np
 import pytest
 
+from qspectra.errors import ReportSchemaError
 from qspectra.report import (
+    SCHEMA,
     Check,
     VerificationReport,
     check_from,
@@ -37,15 +40,133 @@ class TestReport:
         rep = VerificationReport("s", [check_from("a", 0.0, 1.0)])
         payload = rep.to_dict()
         payload.pop("checks")
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportSchemaError):
             validate_payload(payload)
 
     def test_schema_rejects_wrong_version(self):
         payload = VerificationReport("s", []).to_dict()
         payload["schema"] = "qspectra-report-v0"
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportSchemaError):
             validate_payload(payload)
 
     def test_json_roundtrip_stable(self):
         rep = VerificationReport("s", [Check("a", 1.0 / 3.0, 1e-10, False)], seed=1)
         assert json.loads(rep.to_json()) == rep.to_dict()
+
+    def test_error_names_key_path(self):
+        payload = VerificationReport("s", [check_from("a", 0.0, 1.0)]).to_dict()
+        payload["checks"][0]["residual"] = True
+        with pytest.raises(ReportSchemaError, match=r"checks\[0\]\.residual"):
+            validate_payload(payload)
+
+
+# The JSON Schema the structural validator replaces; kept as the reference
+# for the cross-check below.
+OLD_SCHEMA_SPEC = {
+    "type": "object",
+    "required": ["schema", "scenario", "status", "checks", "seed", "timing"],
+    "properties": {
+        "schema": {"const": SCHEMA},
+        "scenario": {"type": "string"},
+        "status": {"enum": ["pass", "fail"]},
+        "checks": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "residual", "tol", "pass"],
+                "properties": {
+                    "name": {"type": "string"},
+                    "residual": {"type": "number"},
+                    "tol": {"type": "number"},
+                    "pass": {"type": "boolean"},
+                },
+                "additionalProperties": False,
+            },
+        },
+        "seed": {"type": ["integer", "null"]},
+        "timing": {"type": "number"},
+    },
+}
+
+_NUMBERS = [
+    0.0, -1.5, 3, 3.0, True, False, None, "1", float("nan"), float("inf"),
+    np.float64(2.5), np.float32(2.5), np.int64(3), np.bool_(True), 1 + 2j,
+    decimal.Decimal("1.5"), [1.0],
+]
+_SEEDS = [
+    3, 3.0, 3.5, -2, 10**30, 1e300, True, False, None, "3", float("inf"),
+    float("nan"), np.int64(3), np.float64(3.0), np.float64(3.5), np.float32(3.0),
+]
+_STRINGS = [None, 1, "", "x", np.str_("x"), ["x"]]
+
+
+def _base_payload() -> dict:
+    payload = VerificationReport(
+        "decompose",
+        [check_from("a", 1e-12, 1e-9), flag_check("b", False)],
+        seed=7,
+        extra={"phi": [[1.0, 0.0, 0.0, 0.0]], "zNorm": 0.5, "normCheck": {"gap": 0.0}},
+    ).to_dict()
+    return json.loads(json.dumps(payload))
+
+
+def _mutated_payloads():
+    """(label, payload) pairs: the base report and one change each."""
+    def top(key, value):
+        p = _base_payload()
+        p[key] = value
+        return p
+
+    def check(key, value):
+        p = _base_payload()
+        p["checks"][0][key] = value
+        return p
+
+    def drop(key, in_check=False):
+        p = _base_payload()
+        (p["checks"][0] if in_check else p).pop(key)
+        return p
+
+    yield "base", _base_payload()
+    for key in ("schema", "scenario", "status", "checks", "seed", "timing"):
+        yield f"missing {key}", drop(key)
+    for key in ("name", "residual", "tol", "pass"):
+        yield f"missing checks.{key}", drop(key, in_check=True)
+    for value in ["qspectra-report-v0", np.str_(SCHEMA), 1, None]:
+        yield f"schema={value!r}", top("schema", value)
+    for value in _STRINGS:
+        yield f"scenario={value!r}", top("scenario", value)
+        yield f"checks.name={value!r}", check("name", value)
+    for value in ["pass", "fail", "PASS", "ok", np.str_("fail"), 1, True, None]:
+        yield f"status={value!r}", top("status", value)
+    for value in _NUMBERS:
+        yield f"timing={value!r}", top("timing", value)
+        yield f"checks.residual={value!r}", check("residual", value)
+        yield f"checks.tol={value!r}", check("tol", value)
+    for value in _SEEDS:
+        yield f"seed={value!r}", top("seed", value)
+    for value in [True, False, 1, 0, np.bool_(True), None, "true"]:
+        yield f"checks.pass={value!r}", check("pass", value)
+    for value in [[], (), {}, None, "checks", [1], [None], [[]], ["x"]]:
+        yield f"checks={value!r}", top("checks", value)
+    yield "checks extra key", check("margin", 0.5)
+    yield "checks non-string extra key", check(1, 0.5)
+    yield "top-level extras", top("orbits", [[1.0, 2.0]])
+    for value in [None, [], "report", 1]:
+        yield f"payload={value!r}", value
+
+
+def test_validator_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(OLD_SCHEMA_SPEC)
+    reference.check_schema(OLD_SCHEMA_SPEC)
+    accepted = {True: 0, False: 0}
+    for label, payload in _mutated_payloads():
+        try:
+            validate_payload(payload)
+            ours = True
+        except ReportSchemaError:
+            ours = False
+        assert ours == reference.is_valid(payload), label
+        accepted[ours] += 1
+    assert accepted[True] >= 20 and accepted[False] >= 60

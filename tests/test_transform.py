@@ -17,6 +17,7 @@ from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
     UnboundedSim,
+    _radial_factor,
     bounded_transform,
     commuting_J_unbounded,
     inverse_transform,
@@ -24,6 +25,7 @@ from qspectra.transform import (
     xi,
     xi_inv,
     xi_inv_values,
+    xi_values,
     z_extension_check,
 )
 
@@ -47,14 +49,14 @@ class TestBoundedTransform:
     def test_contraction_and_star(self, frame, rng):
         for scale in (0.5, 3.0, 50.0):
             a = gen.random_normal(rng, 5, frame, scale=scale)
-            bt = bounded_transform(a, frame)
+            bt = bounded_transform(a)
             assert bt.Z.op_norm() <= 1.0
-            star_gap = (bounded_transform(a.H, frame).Z - bt.Z.H).frobenius()
+            star_gap = (bounded_transform(a.H).Z - bt.Z.H).frobenius()
             assert star_gap <= 1e-10
 
     def test_normal_preserved(self, frame, rng):
         a = gen.random_normal(rng, 6, frame)
-        z = bounded_transform(a, frame).Z
+        z = bounded_transform(a).Z
         assert z.is_normal(1e-12)
 
     def test_contraction_at_large_scale(self, frame, rng):
@@ -62,14 +64,14 @@ class TestBoundedTransform:
         for scale in (1e7, 1e8, 1e9, 1e10, 1e11, 1e12):
             for kind in gen.MATRIX_CLASSES:
                 a = gen.random_normal(rng, 16, frame, kind=kind, scale=scale)
-                bt = bounded_transform(a, frame)
+                bt = bounded_transform(a)
                 assert bt.Z.op_norm() <= 1.0 + 1e-12
                 assert bt.residual <= 1e-10 * a.frobenius()
         # a seeded input whose ||Z|| came out 1 + 1.5e-12 from eigh(I + A*A)
         seeded = np.random.default_rng(0)
         seeded_frame = gen.random_frame(seeded)
         a = gen.random_normal(seeded, 16, seeded_frame, kind="antiSelfAdjoint", scale=1e12)
-        bt = bounded_transform(a, seeded_frame)
+        bt = bounded_transform(a)
         assert bt.Z.op_norm() <= 1.0 + 1e-12
         assert bt.residual <= 1e-10 * a.frobenius()
 
@@ -83,7 +85,7 @@ class TestBoundedTransform:
 
     def test_defining_residual(self, frame, rng):
         a = gen.random_normal(rng, 5, frame, scale=2.0)
-        bt = bounded_transform(a, frame)
+        bt = bounded_transform(a)
         assert bt.residual <= 1e-10 * max(1.0, a.frobenius())
 
 
@@ -109,16 +111,16 @@ class TestInverseTransform:
     def test_round_trip_across_scales(self, frame, rng):
         for scale in (1.0, 30.0, 1000.0):
             a = gen.random_normal(rng, 5, frame, scale=scale)
-            z = bounded_transform(a, frame).Z
-            back = inverse_transform(z, frame)
+            z = bounded_transform(a).Z
+            back = inverse_transform(z)
             assert (back - a).frobenius() <= 1e-8 * (1.0 + a.op_norm() ** 2)
 
 
     def test_unitary_round_trip(self, frame, rng):
         # the Gram matrix I + A*A is 2I: one eigenvalue of multiplicity 2n
         a = gen.random_normal(rng, 32, frame, kind="unitary")
-        z = bounded_transform(a, frame).Z
-        back = inverse_transform(z, frame)
+        z = bounded_transform(a).Z
+        back = inverse_transform(z)
         assert (back - a).frobenius() <= 1e-8 * (1.0 + a.op_norm() ** 2)
 
 
@@ -195,6 +197,73 @@ class TestRadialMaps:
         for _ in range(20):
             p = Quaternion.from_array(rng.normal(size=4)) * 5.0
             assert abs(xi(xi_inv(p)) - p) <= 1e-12 * (1.0 + abs(p))
+
+
+def _reference_sample(rng) -> np.ndarray:
+    """Rows at |p| = 1 +- a few ulp, across the unit ball, at |p| from
+    1e-300 to 1e300 (also with components of mixed magnitude), subnormal
+    and near-overflow components, and symbols up to 1e2."""
+    eps = np.finfo(np.float64).eps
+    d = rng.normal(size=(6000, 4))
+    d[:1000, 1:] = 0.0  # one component
+    d[1000:2500, 2:] = 0.0  # two components
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = 1.0 + rng.integers(-8, 9, 6000) * (eps / 2)
+    r[:600] = 1.0 - 10.0 ** -rng.uniform(1.0, 15.5, 600)
+    near = d * r[:, None]
+    ball = rng.normal(size=(2000, 4)) * rng.uniform(0.0, 0.5, (2000, 1))
+    wide = rng.normal(size=(2000, 4)) * 10.0 ** rng.uniform(-300, 300, (2000, 1))
+    mixed = rng.normal(size=(1000, 4)) * 10.0 ** rng.uniform(-200, 200, (1000, 4))
+    symbols = rng.normal(size=(2000, 4)) * 10.0 ** rng.uniform(-3, 2, (2000, 1))
+    extreme = np.array([
+        [5e-324, 0.0, 0.0, 0.0],
+        [1e-310, -3e-320, 0.0, 5e-324],
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [1.7e308, 0.0, 0.0, 0.0],
+        [1e308, -1e308, 1e308, 1e308],
+        [1.0, 1e-200, 0.0, 0.0],
+    ])
+    return np.concatenate([near, ball, wide, mixed, symbols, extreme])
+
+
+class TestRadialFactorReference:
+    """The double-double factor against a 40-digit mpmath one."""
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["xi", "xi_inv"])
+    def test_within_one_ulp_of_mpmath(self, sign):
+        mpmath = pytest.importorskip("mpmath")
+        values = _reference_sample(np.random.default_rng(20050101))
+        ref = np.full(len(values), np.nan)
+        with mpmath.workdps(40):
+            for t, row in enumerate(values):
+                c = 1 + sign * mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in row)
+                if c > 0:
+                    ref[t] = float(1 / mpmath.sqrt(c))
+        inside = ~np.isnan(ref)
+        assert np.count_nonzero(inside) >= 7000
+        got = _radial_factor(values[inside], sign)
+        assert np.all(np.abs(got - ref[inside]) <= np.spacing(ref[inside]))
+        assert np.mean(got == ref[inside]) >= 0.999
+        for row in values[~inside]:
+            with pytest.raises(TransformDomainError):
+                xi_values(row[None, :])
+
+    def test_maps_scale_rows_by_the_factor(self, rng):
+        values = rng.normal(size=(50, 4)) * 0.2
+        np.testing.assert_array_equal(xi_values(values), values * _radial_factor(values, -1.0)[:, None])
+        np.testing.assert_array_equal(xi_inv_values(values), values * _radial_factor(values, 1.0)[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        values = np.array([[0.1, 0.2, 0.0, 0.0], [0.3, bad, 0.0, 0.1]])
+        for radial_map in (xi_values, xi_inv_values):
+            with pytest.raises(PreconditionError, match="non-finite"):
+                radial_map(values)
+
+    def test_empty_input(self):
+        assert xi_values(np.zeros((0, 4))).shape == (0, 4)
+        assert xi_inv_values(np.zeros((0, 4))).shape == (0, 4)
 
 
 class TestUnboundedForm:
