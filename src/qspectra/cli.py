@@ -2,7 +2,13 @@
 
 Subcommands: selftest (seeded property suites), example (the golden
 multiplier scenario), decompose (multiplication form of a matrix file),
-transform (bounded transform checks of a matrix file).
+transform (bounded transform checks of a matrix file). Only decompose and
+transform take a slice axis, --m.
+
+Each check compares a residual with a fixed bound; no flag overrides one.
+decompose and transform report the residuals and norms that
+multiplication_form and bounded_transform measured, against bounds relative
+to the input's scale, named by the library's constant where it has one.
 
 Exit codes: 0 pass, 1 check failure, 2 precondition violation, 3 input
 error. Reports are emitted as versioned JSON; reruns with identical flags
@@ -15,7 +21,6 @@ import argparse
 import sys
 import time
 
-from .bridge import SpectralDecomposition
 from .errors import (
     ComputationError,
     InputFormatError,
@@ -34,8 +39,19 @@ from .serialize import (
     save_json,
 )
 from .slices import build_J
-from .spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
-from .transform import CONTRACTION_BOUND, bounded_transform, inverse_transform
+from .spectral import (
+    FORM_RESIDUAL_TOL,
+    SLICE_SPECTRUM_TOL,
+    multiplication_form,
+    slice_spectrum_check,
+    sphere_spectrum,
+)
+from .transform import (
+    CONTRACTION_BOUND,
+    INVERSE_GUARD,
+    bounded_transform,
+    inverse_transform,
+)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -56,9 +72,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", default="0,1,0,0", help="slice axis as 'w,x,y,z'")
-    common.add_argument("--tol", type=float, default=None, help="override check tolerances")
     common.add_argument("--out", default=None, help="report path (default stdout)")
+    matrix = argparse.ArgumentParser(add_help=False, parents=[common])
+    matrix.add_argument("matrix", help="path to a matrix JSON file")
+    matrix.add_argument("--m", default="0,1,0,0", help="slice axis as 'w,x,y,z'")
 
     p = sub.add_parser("selftest", parents=[common], help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
@@ -67,11 +84,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("example", parents=[common], help="verify the golden multiplier scenario")
     p.add_argument("--grid", type=int, default=64, help="number of grid atoms (>= 2)")
 
-    p = sub.add_parser("decompose", parents=[common], help="multiplication form of a matrix file")
-    p.add_argument("matrix", help="path to a matrix JSON file")
+    sub.add_parser("decompose", parents=[matrix], help="multiplication form of a matrix file")
 
-    p = sub.add_parser("transform", parents=[common], help="bounded-transform checks of a matrix file")
-    p.add_argument("matrix", help="path to a matrix JSON file")
+    p = sub.add_parser("transform", parents=[matrix], help="bounded-transform checks of a matrix file")
     p.add_argument(
         "--inverse",
         action="store_true",
@@ -88,92 +103,71 @@ def _parse_frame(text: str) -> SliceFrame:
         raise InputFormatError(f"--m must be a unit imaginary quaternion: {exc}") from exc
 
 
-def _emit(report: VerificationReport, out_path) -> None:
-    payload = report.to_json()
+def _emit(report: VerificationReport, start: float, out_path) -> int:
+    report.timing = time.perf_counter() - start
     if out_path:
         save_json(report.to_dict(), out_path)
     else:
-        print(payload)
+        print(report.to_json())
+    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
 
 
 def _cmd_selftest(args) -> int:
     if args.n < 1 or args.n > 64:
         raise InputFormatError(f"--n must be in 1..64, got {args.n}")
-    if args.tol is not None and args.tol <= 0.0:
-        raise InputFormatError("--tol must be positive")
     start = time.perf_counter()
-    report = run_selftest(args.seed, args.n, args.tol)
-    report.timing = time.perf_counter() - start
-    _emit(report, args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return _emit(run_selftest(args.seed, args.n), start, args.out)
 
 
 def _cmd_example(args) -> int:
     if args.grid < 2:
         raise InputFormatError(f"--grid must be >= 2, got {args.grid}")
     start = time.perf_counter()
-    report = run_example(args.grid)
-    report.timing = time.perf_counter() - start
-    _emit(report, args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return _emit(run_example(args.grid), start, args.out)
 
 
 def _cmd_decompose(args) -> int:
     frame = _parse_frame(args.m)
     a = matrix_from_json(load_json(args.matrix))
     start = time.perf_counter()
-    a.check_normal()
+    # multiplication_form checks normality first, then asserts the
+    # reconstruction and norm identity that the first two checks report
     form = multiplication_form(a, frame)
     spectrum = sphere_spectrum(form)
+    slice_report = slice_spectrum_check(a, build_J(form.decomposition), spectrum=spectrum)
 
-    dec = SpectralDecomposition(form.U.H, list(form.phi_values()), frame, form.residual)
-    structure = build_J(dec)
-    slice_report = slice_spectrum_check(a, structure, spectrum=spectrum)
-
-    scale = max(a.frobenius(), 1e-300)
-    op_norm_val = a.op_norm()
     sup = ess_sup(form.phi)
-    tol = args.tol
+    slice_tol = SLICE_SPECTRUM_TOL * max(form.op_norm, 1.0)
     checks = [
         check_from(
             "decompose.reconstruction",
-            (a - form.reconstruct()).frobenius(),
-            tol or 1e-9 * scale,
+            form.reconstruction,
+            FORM_RESIDUAL_TOL * max(a.frobenius(), 1e-300),
         ),
         check_from(
             "decompose.norm_identity",
-            abs(op_norm_val - sup),
-            tol or 1e-9 * max(op_norm_val, 1.0),
+            form.norm_gap,
+            FORM_RESIDUAL_TOL * max(form.op_norm, 1.0),
         ),
         check_from(
             "decompose.unitary",
             ((form.U.H @ form.U) - QMatrix.identity(a.n)).frobenius(),
-            tol or 1e-9 * a.n,
+            1e-9 * a.n,
         ),
-        check_from(
-            "decompose.slice_spectrum_plus",
-            slice_report.plus_deviation,
-            tol or 1e-8 * max(op_norm_val, 1.0),
-        ),
-        check_from(
-            "decompose.slice_spectrum_conjugate",
-            slice_report.conj_deviation,
-            tol or 1e-8 * max(op_norm_val, 1.0),
-        ),
+        check_from("decompose.slice_spectrum_plus", slice_report.plus_deviation, slice_tol),
+        check_from("decompose.slice_spectrum_conjugate", slice_report.conj_deviation, slice_tol),
     ]
     report = VerificationReport(
         "decompose",
         checks,
         extra={
-            "phi": [[v.w, v.x, v.y, v.z] for v in form.phi_values()],
+            "phi": form.phi.values.tolist(),
             "orbits": [[o.re, o.im_norm] for o in spectrum.orbits],
             "residual": form.residual,
-            "normCheck": {"opNorm": op_norm_val, "essSup": sup, "gap": abs(op_norm_val - sup)},
+            "normCheck": {"opNorm": form.op_norm, "essSup": sup, "gap": form.norm_gap},
         },
     )
-    report.timing = time.perf_counter() - start
-    _emit(report, args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+    return _emit(report, start, args.out)
 
 
 def _cmd_transform(args) -> int:
@@ -181,7 +175,6 @@ def _cmd_transform(args) -> int:
     a = matrix_from_json(load_json(args.matrix))
     start = time.perf_counter()
 
-    tol = args.tol
     if args.inverse:
         source = inverse_transform(a)
         back = bounded_transform(source)
@@ -189,7 +182,7 @@ def _cmd_transform(args) -> int:
             check_from(
                 "transform.inverse_round_trip",
                 (back.Z - a).frobenius(),
-                tol or 1e-8 * (1.0 + source.op_norm() ** 2),
+                1e-8 * (1.0 + source.op_norm() ** 2),
             ),
         ]
         report = VerificationReport(
@@ -198,26 +191,25 @@ def _cmd_transform(args) -> int:
     else:
         bt = bounded_transform(a)
         z = bt.Z
-        norm_z = z.op_norm()
         checks = [
-            flag_check("transform.contraction", norm_z <= CONTRACTION_BOUND),
+            flag_check("transform.contraction", bt.z_norm <= CONTRACTION_BOUND),
             check_from(
                 "transform.defining_residual",
                 bt.residual,
-                tol or 1e-9 * max(a.frobenius(), 1.0),
+                1e-9 * max(a.frobenius(), 1.0),
             ),
             check_from(
                 "transform.star_compatible",
                 (bounded_transform(a.H).Z - z.H).frobenius(),
-                tol or 1e-10 * max(1.0, a.frobenius()),
+                1e-10 * max(1.0, a.frobenius()),
             ),
         ]
-        if norm_z < 1.0 - 1e-8:
+        if bt.z_norm < 1.0 - INVERSE_GUARD:
             checks.append(
                 check_from(
                     "transform.round_trip",
                     (inverse_transform(z) - a).frobenius(),
-                    tol or 1e-8 * (1.0 + a.op_norm() ** 2),
+                    1e-8 * (1.0 + a.op_norm() ** 2),
                 )
             )
         if a.is_normal():
@@ -225,13 +217,11 @@ def _cmd_transform(args) -> int:
                 check_from(
                     "transform.normal_preserved",
                     z.commutator_defect(),
-                    tol or 1e-10 * max(z.frobenius() ** 2, 1.0),
+                    1e-10 * max(z.frobenius() ** 2, 1.0),
                 )
             )
-        report = VerificationReport("transform", checks, extra={"zNorm": norm_z})
-    report.timing = time.perf_counter() - start
-    _emit(report, args.out)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
+        report = VerificationReport("transform", checks, extra={"zNorm": bt.z_norm})
+    return _emit(report, start, args.out)
 
 
 def main(argv=None) -> int:

@@ -71,9 +71,6 @@ class QMatrix:
     def col(self, k: int) -> np.ndarray:
         return self.a[:, k].copy()
 
-    def columns(self) -> list[np.ndarray]:
-        return [self.a[:, k].copy() for k in range(self.a.shape[1])]
-
     @property
     def H(self) -> "QMatrix":
         """Adjoint: (A*)_ij = conj(A_ji), so <x|Ay> = <A*x|y>."""

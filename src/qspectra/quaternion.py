@@ -143,7 +143,7 @@ def real_dot(a: Quaternion, b: Quaternion) -> float:
 
 
 def check_unit_imaginary(q: Quaternion, tol: float = DEFAULT_TOL) -> None:
-    if abs(q.re) > tol or abs(abs(q) - 1.0) > tol:
+    if max(abs(q.re), abs(abs(q) - 1.0)) > tol:
         raise FrameError(f"{q!r} is not a unit imaginary quaternion")
 
 

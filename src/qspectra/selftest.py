@@ -49,7 +49,7 @@ from .transform import (
 )
 
 
-def _group_quaternion(rng, n, tol) -> list[Check]:
+def _group_quaternion(rng, n) -> list[Check]:
     worst_mul, worst_split, worst_orbit = 0.0, 0.0, 0.0
     frames = [gen.random_frame(rng) for _ in range(4)]
     for _ in range(200):
@@ -68,14 +68,14 @@ def _group_quaternion(rng, n, tol) -> list[Check]:
     f1, f2 = SliceFrame.from_m(m), SliceFrame.from_m(Quaternion(0.0, m.x, m.y, m.z))
     deterministic = f1 == f2
     return [
-        check_from("quaternion.modulus_multiplicative", worst_mul, tol or 1e-14),
-        check_from("quaternion.slice_split_recombine", worst_split, tol or 1e-14),
-        check_from("quaternion.orbit_conjugation_invariant", worst_orbit, tol or 1e-12),
+        check_from("quaternion.modulus_multiplicative", worst_mul, 1e-14),
+        check_from("quaternion.slice_split_recombine", worst_split, 1e-14),
+        check_from("quaternion.orbit_conjugation_invariant", worst_orbit, 1e-12),
         flag_check("quaternion.frame_deterministic", deterministic),
     ]
 
 
-def _group_vectors(rng, n, tol) -> list[Check]:
+def _group_vectors(rng, n) -> list[Check]:
     worst_real, worst_cs, worst_expand = 0.0, 0.0, 0.0
     for _ in range(50):
         x = gen.random_qvector(rng, n)
@@ -87,9 +87,9 @@ def _group_vectors(rng, n, tol) -> list[Check]:
         coeffs = vec.expand(x, basis)
         worst_expand = max(worst_expand, vec.norm(x - vec.reconstruct(basis, coeffs)))
     return [
-        check_from("vectors.inner_self_real", worst_real, tol or 1e-10),
-        check_from("vectors.cauchy_schwarz_margin", worst_cs, tol or 1e-12),
-        check_from("vectors.expand_reconstruct", worst_expand, tol or 1e-10),
+        check_from("vectors.inner_self_real", worst_real, 1e-10),
+        check_from("vectors.cauchy_schwarz_margin", worst_cs, 1e-12),
+        check_from("vectors.expand_reconstruct", worst_expand, 1e-10),
     ]
 
 
@@ -114,7 +114,7 @@ def _spread_spectrum_matrix(rng, n, frame) -> QMatrix:
     return v @ QMatrix.diag(d) @ v.H
 
 
-def _group_operators(rng, n, tol) -> list[Check]:
+def _group_operators(rng, n) -> list[Check]:
     worst_bound, worst_power, worst_delta, worst_adj = 0.0, 0.0, 0.0, 0.0
     for _ in range(10):
         a = QMatrix(gen.random_qvector(rng, n * n).reshape(n, n, 4))
@@ -135,14 +135,14 @@ def _group_operators(rng, n, tol) -> list[Check]:
         )
         worst_adj = max(worst_adj, ((a @ b).H - (b.H @ a.H)).frobenius())
     return [
-        check_from("operators.norm_bounds_action", worst_bound, tol or 1e-10),
-        check_from("operators.power_iteration_attains_norm", worst_power, tol or 1e-6),
-        check_from("operators.delta_orbit_function", worst_delta, tol or 1e-10),
-        check_from("operators.adjoint_antihomomorphism", worst_adj, tol or 1e-12),
+        check_from("operators.norm_bounds_action", worst_bound, 1e-10),
+        check_from("operators.power_iteration_attains_norm", worst_power, 1e-6),
+        check_from("operators.delta_orbit_function", worst_delta, 1e-10),
+        check_from("operators.adjoint_antihomomorphism", worst_adj, 1e-12),
     ]
 
 
-def _group_bridge(rng, n, tol) -> list[Check]:
+def _group_bridge(rng, n) -> list[Check]:
     worst_orbit, worst_mult, worst_star, worst_pair, worst_frame = 0.0, 0.0, 0.0, 0.0, 0.0
     for _ in range(5):
         f = gen.random_frame(rng)
@@ -171,15 +171,15 @@ def _group_bridge(rng, n, tol) -> list[Check]:
             max(abs(w[0] - g[0]) + abs(w[1] - g[1]) for w, g in zip(got, got2)),
         )
     return [
-        check_from("bridge.orbit_recovery", worst_orbit, tol or 1e-8),
-        check_from("bridge.chi_multiplicative", worst_mult, tol or 1e-12),
-        check_from("bridge.chi_star_homomorphism", worst_star, tol or 1e-12),
-        check_from("bridge.eigenvalue_conjugate_pairing", worst_pair, tol or 1e-9),
-        check_from("bridge.frame_covariant_orbits", worst_frame, tol or 1e-9),
+        check_from("bridge.orbit_recovery", worst_orbit, 1e-8),
+        check_from("bridge.chi_multiplicative", worst_mult, 1e-12),
+        check_from("bridge.chi_star_homomorphism", worst_star, 1e-12),
+        check_from("bridge.eigenvalue_conjugate_pairing", worst_pair, 1e-9),
+        check_from("bridge.frame_covariant_orbits", worst_frame, 1e-9),
     ]
 
 
-def _group_extension(rng, n, tol) -> list[Check]:
+def _group_extension(rng, n) -> list[Check]:
     worst_orth, worst_norm, worst_star, worst_mult, worst_delta = 0.0, 0.0, 0.0, 0.0, 0.0
     for _ in range(5):
         f = gen.random_frame(rng)
@@ -203,15 +203,15 @@ def _group_extension(rng, n, tol) -> list[Check]:
         d_plus = (tpq @ tpq) - (2.0 * q.re) * tpq + q.norm_sq() * QMatrix.identity(n)
         worst_delta = max(worst_delta, (d_ext - extend(CMatrix(d_plus.a, f), s)).frobenius())
     return [
-        check_from("extension.plus_minus_orthogonality", worst_orth, tol or 1e-10),
-        check_from("extension.norm_equality", worst_norm, tol or 1e-9),
-        check_from("extension.star", worst_star, tol or 1e-10),
-        check_from("extension.multiplicative", worst_mult, tol or 1e-10),
-        check_from("extension.delta_compatible", worst_delta, tol or 1e-10),
+        check_from("extension.plus_minus_orthogonality", worst_orth, 1e-10),
+        check_from("extension.norm_equality", worst_norm, 1e-9),
+        check_from("extension.star", worst_star, 1e-10),
+        check_from("extension.multiplicative", worst_mult, 1e-10),
+        check_from("extension.delta_compatible", worst_delta, 1e-10),
     ]
 
 
-def _group_pair(rng, n, tol) -> list[Check]:
+def _group_pair(rng, n) -> list[Check]:
     worst_assoc, lit_fail, worst_proj = 0.0, False, 0.0
     for _ in range(10):
         f = gen.random_frame(rng)
@@ -238,13 +238,13 @@ def _group_pair(rng, n, tol) -> list[Check]:
             worst_proj, float(np.linalg.norm(pp[0] - u[0]) + np.linalg.norm(pp[1]))
         )
     return [
-        check_from("pair.action_associative", worst_assoc, tol or 1e-12),
+        check_from("pair.action_associative", worst_assoc, 1e-12),
         flag_check("pair.action_unconjugated_fails", lit_fail),
-        check_from("pair.projection_recovers_first_slot", worst_proj, tol or 1e-10),
+        check_from("pair.projection_recovers_first_slot", worst_proj, 1e-10),
     ]
 
 
-def _group_measure(rng, n, tol) -> list[Check]:
+def _group_measure(rng, n) -> list[Check]:
     worst_norm, worst_normal, worst_pyth, worst_mass = 0.0, 0.0, 0.0, 0.0
     for _ in range(10):
         f = gen.random_frame(rng)
@@ -269,10 +269,10 @@ def _group_measure(rng, n, tol) -> list[Check]:
         image = pushforward(space, lambda q: Quaternion(round(q.re, 1)))
         worst_mass = max(worst_mass, abs(image.total_mass() - space.total_mass()))
     return [
-        check_from("measure.mphi_norm_equals_ess_sup", worst_norm, tol or 1e-12),
-        check_from("measure.mphi_normal", worst_normal, tol or 1e-12),
-        check_from("measure.slice_split_pythagoras", worst_pyth, tol or 1e-12),
-        check_from("measure.pushforward_mass", worst_mass, tol or 1e-12),
+        check_from("measure.mphi_norm_equals_ess_sup", worst_norm, 1e-12),
+        check_from("measure.mphi_normal", worst_normal, 1e-12),
+        check_from("measure.slice_split_pythagoras", worst_pyth, 1e-12),
+        check_from("measure.pushforward_mass", worst_mass, 1e-12),
     ]
 
 
@@ -283,7 +283,7 @@ def _spectral_corpus(rng, n):
         yield kind, f, a, multiplication_form(a, f)
 
 
-def _group_form(rng, n, tol) -> list[Check]:
+def _group_form(rng, n) -> list[Check]:
     worst_rec, worst_norm = 0.0, 0.0
     for kind, f, a, form in _spectral_corpus(rng, n):
         scale = max(a.frobenius(), 1e-30)
@@ -292,12 +292,12 @@ def _group_form(rng, n, tol) -> list[Check]:
             worst_norm, abs(a.op_norm() - ess_sup(form.phi)) / max(a.op_norm(), 1.0)
         )
     return [
-        check_from("form.reconstruction_relative", worst_rec, tol or 1e-9),
-        check_from("form.norm_identity_relative", worst_norm, tol or 1e-9),
+        check_from("form.reconstruction_relative", worst_rec, 1e-9),
+        check_from("form.norm_identity_relative", worst_norm, 1e-9),
     ]
 
 
-def _group_oracle(rng, n, tol) -> list[Check]:
+def _group_oracle(rng, n) -> list[Check]:
     oracle_ok = True
     for kind, f, a, form in _spectral_corpus(rng, n):
         spec = sphere_spectrum(form)
@@ -310,7 +310,7 @@ def _group_oracle(rng, n, tol) -> list[Check]:
     return [flag_check("oracle.delta_kernel_agrees_with_orbits", oracle_ok)]
 
 
-def _group_corollaries(rng, n, tol) -> list[Check]:
+def _group_corollaries(rng, n) -> list[Check]:
     classify_ok = True
     worst_conj = 0.0
     for kind, f, a, form in _spectral_corpus(rng, n):
@@ -326,11 +326,11 @@ def _group_corollaries(rng, n, tol) -> list[Check]:
         )
     return [
         flag_check("corollaries.classify_cross_check", classify_ok),
-        check_from("corollaries.conjugate_equivalence_relative", worst_conj, tol or 1e-9),
+        check_from("corollaries.conjugate_equivalence_relative", worst_conj, 1e-9),
     ]
 
 
-def _group_transform(rng, n, tol) -> list[Check]:
+def _group_transform(rng, n) -> list[Check]:
     worst_xi, worst_round, worst_star = 0.0, 0.0, 0.0
     norm_bound_ok = True
     f = gen.random_frame(rng)
@@ -341,19 +341,19 @@ def _group_transform(rng, n, tol) -> list[Check]:
     for scale in (1.0, 40.0, 1000.0):
         a = gen.random_normal(rng, n, f, scale=scale)
         bt = bounded_transform(a)
-        norm_bound_ok = norm_bound_ok and bt.Z.op_norm() <= CONTRACTION_BOUND
+        norm_bound_ok = norm_bound_ok and bt.z_norm <= CONTRACTION_BOUND
         back = inverse_transform(bt.Z)
         worst_round = max(worst_round, (back - a).frobenius() / (1.0 + a.op_norm() ** 2))
         worst_star = max(worst_star, (bounded_transform(a.H).Z - bt.Z.H).frobenius())
     return [
-        check_from("transform.xi_round_trip_relative", worst_xi, tol or 1e-12),
+        check_from("transform.xi_round_trip_relative", worst_xi, 1e-12),
         flag_check("transform.contraction_norm_bounded", norm_bound_ok),
-        check_from("transform.inverse_round_trip_scaled", worst_round, tol or 1e-8),
-        check_from("transform.star_compatible", worst_star, tol or 1e-10),
+        check_from("transform.inverse_round_trip_scaled", worst_round, 1e-8),
+        check_from("transform.star_compatible", worst_star, 1e-10),
     ]
 
 
-def _group_unbounded(rng, n, tol) -> list[Check]:
+def _group_unbounded(rng, n) -> list[Check]:
     f = gen.random_frame(rng)
     a = gen.random_normal(rng, n, f)
     s = build_J(spectral_decompose(a, f))
@@ -377,8 +377,8 @@ def _group_unbounded(rng, n, tol) -> list[Check]:
             float(np.max(qa.qabs(lhs - rhs))) / (1.0 + float(np.max(qa.qabs(lhs)))),
         )
     return [
-        check_from("unbounded.z_extension_commutes", worst_zext, tol or 1e-9),
-        check_from("unbounded.truncation_stable", worst_trunc, tol or 1e-10),
+        check_from("unbounded.z_extension_commutes", worst_zext, 1e-9),
+        check_from("unbounded.truncation_stable", worst_trunc, 1e-10),
     ]
 
 
@@ -398,9 +398,9 @@ GROUPS = [
 ]
 
 
-def run_selftest(seed: int, n: int, tol: float | None = None) -> VerificationReport:
+def run_selftest(seed: int, n: int) -> VerificationReport:
     checks: list[Check] = []
     for index, group in enumerate(GROUPS):
         rng = np.random.default_rng([seed, index])
-        checks.extend(group(rng, n, tol))
+        checks.extend(group(rng, n))
     return VerificationReport("selftest", checks, seed=seed)

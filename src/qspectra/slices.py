@@ -152,21 +152,12 @@ class QuaternionifiedSpace:
         self.dim = complex_dim
         self.frame = frame
 
-    def zero(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.zeros(self.dim, dtype=np.complex128),
-            np.zeros(self.dim, dtype=np.complex128),
-        )
-
     def element(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.complex128)
         y = np.asarray(y, dtype=np.complex128)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ShapeError(f"expected two vectors of length {self.dim}")
         return x, y
-
-    def add(self, u, v):
-        return u[0] + v[0], u[1] + v[1]
 
     def _split_scalar(self, q: Quaternion) -> tuple[complex, complex]:
         from .quaternion import slice_split

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import eigvals_normal, spectral_decompose
+from .bridge import SpectralDecomposition, eigvals_normal, spectral_decompose
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
@@ -24,19 +24,29 @@ from .slices import SliceStructure, restrict_minus, restrict_plus
 
 FORM_RESIDUAL_TOL = 1e-9
 ORBIT_DEDUP_TOL = 1e-9
+# Share of max(||A||, 1) by which a restriction's eigenvalues may miss the
+# orbits (plus) or the conjugates of the plus eigenvalues (minus).
+SLICE_SPECTRUM_TOL = 1e-8
 
 _TINY = 1e-300
 
 
 @dataclass
 class MultiplicationForm:
-    """A = U* M_phi U with unitary U onto an atomic L2 space."""
+    """A = U* M_phi U with unitary U onto an atomic L2 space, the
+    decomposition it was read from, and the two invariants it was checked
+    with: ||A - U* M_phi U||_F (reconstruction) and | ||A|| - ess sup |phi| |
+    (norm_gap)."""
 
     U: QMatrix
     space: AtomicMeasureSpace
     phi: Symbol
     frame: SliceFrame
     residual: float
+    decomposition: SpectralDecomposition
+    reconstruction: float = 0.0
+    op_norm: float = 0.0
+    norm_gap: float = 0.0
 
     def reconstruct(self) -> QMatrix:
         return self.U.H @ QMatrix(qa.left_diag_entries(self.phi.values)) @ self.U
@@ -63,25 +73,25 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
     The emitted measure space is counting measure on eigenvalue indices so
     that U stays square; the symbol repeats a value per multiplicity. Both
-    invariants are asserted: reconstruction to 1e-9 * ||A||_F and
-    | ||A|| - ess sup |phi| | <= 1e-9 * ||A||.
+    invariants are asserted and kept on the form: reconstruction to
+    FORM_RESIDUAL_TOL * ||A||_F and | ||A|| - ess sup |phi| | to
+    FORM_RESIDUAL_TOL * max(||A||, 1).
     """
     dec = spectral_decompose(a, frame)
-    n = a.n
-    space = AtomicMeasureSpace.counting(n)
+    space = AtomicMeasureSpace.counting(a.n)
     phi = Symbol.from_values(space, dec.d, frame)
-    u = dec.V.H
+    form = MultiplicationForm(dec.V.H, space, phi, frame, dec.residual, dec)
 
-    form = MultiplicationForm(u, space, phi, frame, dec.residual)
-    scale = max(a.frobenius(), _TINY)
-    rec_err = (a - form.reconstruct()).frobenius()
-    if rec_err > FORM_RESIDUAL_TOL * scale:
-        raise CrossCheckError(f"multiplication form reconstruction off by {rec_err:.3e}")
-    op_norm = a.op_norm()
-    norm_gap = abs(op_norm - ess_sup(phi))
-    if norm_gap > FORM_RESIDUAL_TOL * max(op_norm, 1.0):
-        raise CrossCheckError(f"norm identity off by {norm_gap:.3e}")
-    form.residual = max(dec.residual, rec_err)
+    form.reconstruction = (a - form.reconstruct()).frobenius()
+    if form.reconstruction > FORM_RESIDUAL_TOL * max(a.frobenius(), _TINY):
+        raise CrossCheckError(
+            f"multiplication form reconstruction off by {form.reconstruction:.3e}"
+        )
+    form.op_norm = a.op_norm()
+    form.norm_gap = abs(form.op_norm - ess_sup(phi))
+    if form.norm_gap > FORM_RESIDUAL_TOL * max(form.op_norm, 1.0):
+        raise CrossCheckError(f"norm identity off by {form.norm_gap:.3e}")
+    form.residual = max(dec.residual, form.reconstruction)
     return form
 
 
@@ -328,10 +338,7 @@ def _multiset_deviation(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def slice_spectrum_check(
-    a: QMatrix,
-    s: SliceStructure,
-    tol: float = 1e-8,
-    spectrum: SphereSpectrum | None = None,
+    a: QMatrix, s: SliceStructure, spectrum: SphereSpectrum | None = None
 ) -> SliceSpectrumReport:
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
     minus restriction's eigenvalues are their conjugates. The orbits are
@@ -351,8 +358,8 @@ def slice_spectrum_check(
         float(np.max([np.min(np.abs(plus_c - v)) for v in reps_c])),
     )
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
-    scale = max(a.op_norm(), 1.0)
-    passed = plus_dev <= tol * scale and conj_dev <= tol * scale
+    bound = SLICE_SPECTRUM_TOL * max(a.op_norm(), 1.0)
+    passed = plus_dev <= bound and conj_dev <= bound
     return SliceSpectrumReport(
         [complex_to_cm(v, frame) for v in plus_c],
         [complex_to_cm(v, frame) for v in minus_c],

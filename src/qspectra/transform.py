@@ -50,10 +50,11 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 
 @dataclass
 class BoundedTransform:
-    """Z = source (I + source* source)^(-1/2); always a contraction."""
+    """Z = A (I + A*A)^(-1/2), the ||Z|| <= CONTRACTION_BOUND it was checked
+    against, and ||Z (I + A*A)^(1/2) - A||_F."""
 
     Z: QMatrix
-    source: QMatrix
+    z_norm: float
     residual: float
 
 
@@ -98,8 +99,7 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     norm_z = z.op_norm()
     if norm_z > CONTRACTION_BOUND:
         raise TransformDomainError(f"transform norm {norm_z} exceeds {CONTRACTION_BOUND}")
-    residual = ((z @ half) - a).frobenius()
-    return BoundedTransform(z, a, residual)
+    return BoundedTransform(z, norm_z, ((z @ half) - a).frobenius())
 
 
 def inverse_transform(z: QMatrix) -> QMatrix:

@@ -58,7 +58,9 @@ class TestSelftest:
     def test_flag_validation(self):
         assert main(["selftest", "--n", "0"]) == 3
         assert main(["selftest", "--n", "65"]) == 3
-        assert main(["selftest", "--tol", "-1"]) == 3
+        with pytest.raises(SystemExit) as err:
+            main(["selftest", "--tol", "-1"])
+        assert err.value.code == 3
 
     def test_unknown_flag_is_input_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -185,6 +187,153 @@ class TestTransform:
             save_json(matrix_to_json(a), path)
             assert main(["transform", str(path), "--out", str(out)]) == 0
             assert read_report(out)["status"] == "pass"
+
+
+@pytest.fixture
+def normal_matrix_file(tmp_path):
+    path = tmp_path / "a.json"
+    a = gen.random_normal(np.random.default_rng(3), 8, STANDARD_FRAME)
+    save_json(matrix_to_json(a), path)
+    return path
+
+
+SELFTEST_CHECKS = [
+    "quaternion.modulus_multiplicative",
+    "quaternion.slice_split_recombine",
+    "quaternion.orbit_conjugation_invariant",
+    "quaternion.frame_deterministic",
+    "vectors.inner_self_real",
+    "vectors.cauchy_schwarz_margin",
+    "vectors.expand_reconstruct",
+    "operators.norm_bounds_action",
+    "operators.power_iteration_attains_norm",
+    "operators.delta_orbit_function",
+    "operators.adjoint_antihomomorphism",
+    "bridge.orbit_recovery",
+    "bridge.chi_multiplicative",
+    "bridge.chi_star_homomorphism",
+    "bridge.eigenvalue_conjugate_pairing",
+    "bridge.frame_covariant_orbits",
+    "extension.plus_minus_orthogonality",
+    "extension.norm_equality",
+    "extension.star",
+    "extension.multiplicative",
+    "extension.delta_compatible",
+    "pair.action_associative",
+    "pair.action_unconjugated_fails",
+    "pair.projection_recovers_first_slot",
+    "measure.mphi_norm_equals_ess_sup",
+    "measure.mphi_normal",
+    "measure.slice_split_pythagoras",
+    "measure.pushforward_mass",
+    "form.reconstruction_relative",
+    "form.norm_identity_relative",
+    "oracle.delta_kernel_agrees_with_orbits",
+    "corollaries.classify_cross_check",
+    "corollaries.conjugate_equivalence_relative",
+    "transform.xi_round_trip_relative",
+    "transform.contraction_norm_bounded",
+    "transform.inverse_round_trip_scaled",
+    "transform.star_compatible",
+    "unbounded.z_extension_commutes",
+    "unbounded.truncation_stable",
+]
+EXAMPLE_CHECKS = [
+    "example.unit_modulus",
+    "example.conjugation_identity",
+    "example.multiplier_equivalence",
+    "example.multiplier_equivalence_opnorm",
+    "example.norm_matches_ess_sup",
+]
+DECOMPOSE_CHECKS = [
+    "decompose.reconstruction",
+    "decompose.norm_identity",
+    "decompose.unitary",
+    "decompose.slice_spectrum_plus",
+    "decompose.slice_spectrum_conjugate",
+]
+TRANSFORM_CHECKS = [
+    "transform.contraction",
+    "transform.defining_residual",
+    "transform.star_compatible",
+    "transform.round_trip",
+    "transform.normal_preserved",
+]
+
+
+class TestCheckNames:
+    def names(self, argv, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        return [c["name"] for c in read_report(out)["checks"]]
+
+    def test_selftest(self, tmp_path):
+        assert self.names(["selftest", "--n", "4"], tmp_path) == SELFTEST_CHECKS
+
+    def test_example(self, tmp_path):
+        assert self.names(["example"], tmp_path) == EXAMPLE_CHECKS
+
+    def test_decompose(self, normal_matrix_file, tmp_path):
+        assert self.names(["decompose", str(normal_matrix_file)], tmp_path) == DECOMPOSE_CHECKS
+
+    def test_transform(self, normal_matrix_file, tmp_path):
+        assert self.names(["transform", str(normal_matrix_file)], tmp_path) == TRANSFORM_CHECKS
+
+    def test_transform_inverse(self, tmp_path):
+        path = tmp_path / "z.json"
+        save_json(matrix_to_json(QMatrix.from_rows([[J * 0.5]])), path)
+        names = self.names(["transform", str(path), "--inverse"], tmp_path)
+        assert names == ["transform.inverse_round_trip"]
+
+
+class TestLapackCalls:
+    """The CLI reads the norms and residuals the library has already
+    measured instead of computing them again."""
+
+    def count(self, monkeypatch, argv, tmp_path):
+        calls = dict.fromkeys(["svd", "eig", "qr", "eigvals"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 0
+        return calls
+
+    def test_decompose(self, monkeypatch, normal_matrix_file, tmp_path):
+        calls = self.count(monkeypatch, ["decompose", str(normal_matrix_file)], tmp_path)
+        assert calls == {"svd": 2, "eig": 1, "qr": 1, "eigvals": 2}
+
+    def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
+        calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)
+        assert calls == {"svd": 6, "eig": 0, "qr": 0, "eigvals": 0}
+
+
+def _usage_error_code(argv) -> int:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    return err.value.code
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["selftest", "example", "decompose", "transform"])
+    def test_tol_is_rejected(self, command, normal_matrix_file):
+        matrix = [str(normal_matrix_file)] if command in ("decompose", "transform") else []
+        assert _usage_error_code([command, *matrix, "--tol", "1e-3"]) == 3
+
+    @pytest.mark.parametrize("command", ["selftest", "example"])
+    def test_m_only_on_matrix_commands(self, command):
+        assert _usage_error_code([command, "--m", "0,1,0,0"]) == 3
+
+    def test_out_writes_the_stdout_payload(self, normal_matrix_file, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["decompose", str(normal_matrix_file), "--out", str(out)]) == 0
+        assert main(["decompose", str(normal_matrix_file)]) == 0
+        written, printed = json.loads(out.read_text()), json.loads(capsys.readouterr().out)
+        written.pop("timing"), printed.pop("timing")
+        assert written == printed
+        assert out.read_text().endswith("}\n")
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
