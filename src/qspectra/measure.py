@@ -20,6 +20,9 @@ from .errors import ShapeError
 from .quaternion import Quaternion, SliceFrame
 
 MERGE_TOL = 1e-12
+# the 16 ways to move a row to the next grid cell up in some of its 4
+# coordinates (see _near_pairs)
+_UP = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=bool)
 
 
 @dataclass
@@ -161,37 +164,29 @@ def ess_sup(phi: Symbol) -> float:
 def ess_ran(phi: Symbol, dedup_tol: float = MERGE_TOL) -> list[Quaternion]:
     """Distinct symbol values on positive-weight atoms, first-seen order.
 
-    A row is dropped when it lies within dedup_tol of a row already kept.
-    The vectorised distances round differently from the norm of one
-    difference by an ulp, so they only pick the candidates; the per-row norm
-    decides, and a NaN row is never a duplicate.
+    A row is dropped when the norm of its difference to a row already kept
+    is <= dedup_tol; a NaN row is never a duplicate. One first-seen merge
+    (`_first_seen`) decides, in O(N log N) for distinct values.
     """
     rows = phi.values[phi.space.positive()]
-    kept = np.empty_like(rows)
-    count = 0
-    for row in rows:
-        dist = np.linalg.norm(kept[:count] - row, axis=1)
-        close = kept[:count][dist <= 2.0 * dedup_tol]
-        if not any(np.linalg.norm(row - seen) <= dedup_tol for seen in close):
-            kept[count] = row
-            count += 1
-    return [Quaternion.from_array(row) for row in kept[:count]]
+    kept, _ = _first_seen(rows, dedup_tol)
+    return [Quaternion.from_array(row) for row in rows[kept]]
 
 
 def m_phi_norm(phi: Symbol) -> float:
     """Operator norm of M_phi on the weighted space.
 
-    Computed from the action on atom indicators, for which the Rayleigh
-    quotient is exactly |phi_i|; agrees with ess_sup(phi) to rounding.
+    The largest ratio ||M_phi e_i|| / ||e_i|| over the indicators e_i of the
+    positive-weight atoms, all taken with one qmul: the Rayleigh quotient of
+    e_i is exactly |phi_i|, so this agrees with ess_sup(phi) to rounding
+    while staying a route of its own.
     """
-    pos = np.flatnonzero(phi.space.positive())
-    best = 0.0
-    for i in pos:
-        e_i = np.zeros((phi.space.n_atoms, 4), dtype=np.float64)
-        e_i[i, 0] = 1.0
-        f = L2Element(phi.space, e_i)
-        best = max(best, m_phi(phi, f).norm() / f.norm())
-    return best
+    pos = phi.space.positive()
+    values, w = phi.values[pos], phi.space.weights[pos]
+    unit = np.zeros_like(values)
+    unit[:, 0] = 1.0  # e_i evaluated at its own atom
+    ratio = np.sqrt(w * qa.qnorm_sq(qa.qmul(values, unit))) / np.sqrt(w * qa.qnorm_sq(unit))
+    return float(np.max(ratio))
 
 
 def l2_slice_split(f: L2Element, frame: SliceFrame) -> tuple[L2Element, L2Element]:
@@ -211,32 +206,104 @@ def pushforward(
     fn: Callable[[Quaternion], Quaternion],
     merge_tol: float = MERGE_TOL,
 ) -> AtomicMeasureSpace:
-    """Image space: distinct images as atoms, weights summed over preimages."""
-    space_images, weights = _pushforward_with_map(space, fn, merge_tol)[:2]
-    return AtomicMeasureSpace(space_images, weights)
+    """Image space: distinct images as atoms, weights summed over preimages.
+
+    An image merges into the first image kept before it within merge_tol
+    (`_first_seen`); each image's weight is the sum of its preimages'
+    weights, added in atom order.
+    """
+    images = np.stack([fn(space.label(i)).to_array() for i in range(space.n_atoms)])
+    kept, index = _first_seen(images, merge_tol)
+    weights = space.weights[kept]
+    rest = np.ones(space.n_atoms, dtype=bool)
+    rest[kept] = False
+    np.add.at(weights, index[rest], space.weights[rest])
+    return AtomicMeasureSpace(images[kept], weights)
 
 
-def _pushforward_with_map(
-    space: AtomicMeasureSpace,
-    fn: Callable[[Quaternion], Quaternion],
-    merge_tol: float = MERGE_TOL,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Image atoms, image weights, and the atom -> image index map."""
-    images: list[np.ndarray] = []
-    weights: list[float] = []
-    index_map: list[int] = []
-    for i in range(space.n_atoms):
-        img = fn(space.label(i)).to_array()
-        hit = None
-        for t, seen in enumerate(images):
-            if np.linalg.norm(img - seen) <= merge_tol:
-                hit = t
-                break
-        if hit is None:
-            images.append(img)
-            weights.append(float(space.weights[i]))
-            index_map.append(len(images) - 1)
-        else:
-            weights[hit] += float(space.weights[i])
-            index_map.append(hit)
-    return np.stack(images, axis=0), np.asarray(weights), index_map
+def _first_seen(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen merge of the rows of an (N, 4) array.
+
+    Walking the rows in order, a row merges into the first row kept before
+    it with np.linalg.norm(row - kept) <= tol, and is kept otherwise.
+    Returns the ascending indices of the kept rows and, for every row, the
+    position in them of the row it merged into (its own when kept).
+
+    Exact duplicates share the fate of their first copy, and a row with a
+    NaN or infinite component is never merged, as every norm it takes part
+    in is NaN or infinite. Candidate pairs among the distinct finite rows
+    come from a grid (`_near_pairs`); only they reach the per-pair norm, so
+    N rows further apart than a few tol cost O(N log N) in any layout.
+    """
+    n = rows.shape[0]
+    if not tol >= 0.0:  # no norm is <= a negative or NaN tol
+        return np.arange(n), np.arange(n)
+    finite = np.flatnonzero(np.all(np.isfinite(rows), axis=1))
+    # + 0.0 turns -0.0 into 0.0, so rows equal as numbers sort as one
+    x = rows[finite] + 0.0
+    order = np.lexsort(x.T[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(x[order[1:]] != x[order[:-1]], axis=1)
+    # distinct rows numbered in first-seen order; lexsort is stable, so the
+    # first row of each run of equal rows is its first copy
+    first = finite[order[new]]
+    is_head = np.zeros(n, dtype=bool)
+    is_head[first] = True
+    heads = np.flatnonzero(is_head)
+    rank = np.cumsum(is_head) - 1  # position of a first copy among heads
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = rank[first][np.cumsum(new) - 1]
+
+    distinct = rows[heads]
+    into = list(range(len(heads)))  # the distinct row each one merges into
+    for a, b in _near_pairs(distinct, 2.0 * tol + 1e-160):
+        if into[b] == b and into[a] == a:
+            if np.linalg.norm(distinct[b] - distinct[a]) <= tol:
+                into[b] = a
+
+    target = np.arange(n)
+    target[finite] = heads[np.asarray(into, dtype=np.intp)[group]]
+    keep = target == np.arange(n)
+    return np.flatnonzero(keep), (np.cumsum(keep) - 1)[target]
+
+
+def _near_pairs(x: np.ndarray, reach: float) -> list[tuple[int, int]]:
+    """Pairs (a, b), a < b, of finite rows within reach in every coordinate,
+    sorted by b and then a.
+
+    A norm <= tol bounds every coordinate of the difference by reach =
+    2 tol (plus 1e-160 for squares that underflow). Each row is entered in
+    every cell of a grid of side 8 reach that its box of half-width reach
+    touches, one or two per coordinate; rows within reach of each other
+    share a cell.
+    """
+    cell = 8.0 * reach
+    if np.isfinite(cell):
+        lo, hi = np.floor((x - reach) / cell), np.floor((x + reach) / cell)
+    else:
+        lo = hi = np.zeros_like(x)
+    # row p enters cell where(up, hi, lo) for every pattern up that moves
+    # only coordinates in which its box spills into the next cell
+    pattern, points = np.nonzero(np.all(~_UP[:, None, :] | (hi != lo), axis=2))
+    keys = np.where(_UP[pattern], hi[points], lo[points])
+    order = np.lexsort(keys.T[::-1])
+    points, keys = points[order], keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    cell_id = np.cumsum(start)
+    pairs = []
+    for d in range(1, len(points)):
+        same = np.flatnonzero(cell_id[d:] == cell_id[:-d])
+        if not len(same):
+            break
+        a, b = points[same], points[same + d]
+        pairs.append((np.minimum(a, b), np.maximum(a, b)))
+    if not pairs:
+        return []
+    a, b = (np.concatenate(side) for side in zip(*pairs))
+    near = np.all(np.abs(x[a] - x[b]) <= reach, axis=1)
+    order = np.lexsort((a[near], b[near]))
+    a, b = a[near][order], b[near][order]
+    fresh = np.ones(len(a), dtype=bool)  # rows sharing several cells pair once
+    fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return list(zip(a[fresh].tolist(), b[fresh].tolist()))

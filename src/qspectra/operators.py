@@ -29,7 +29,16 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.diag(np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
+        """Read-only identity in O(n) memory: entry (i, j) is row n - i + j
+        of a (2n + 1, 4) buffer whose middle row is the real 1."""
+        rows = np.zeros((2 * n + 1, 4))
+        rows[n, 0] = 1.0
+        step, comp = rows.strides
+        return cls(
+            np.lib.stride_tricks.as_strided(
+                rows[n:], (n, n, 4), (-step, step, comp), writeable=False
+            )
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":

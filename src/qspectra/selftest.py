@@ -289,7 +289,7 @@ def _group_form(rng, n) -> list[Check]:
         scale = max(a.frobenius(), 1e-30)
         worst_rec = max(worst_rec, (a - form.reconstruct()).frobenius() / scale)
         worst_norm = max(
-            worst_norm, abs(a.op_norm() - ess_sup(form.phi)) / max(a.op_norm(), 1.0)
+            worst_norm, abs(form.op_norm - ess_sup(form.phi)) / max(form.op_norm, 1.0)
         )
     return [
         check_from("form.reconstruction_relative", worst_rec, 1e-9),

@@ -148,7 +148,8 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     exact -- the smallest singular value of Delta_q, compared with t.
     The two screens are skipped, leaving the exact route, wherever their
     rounding error is not well below t (tiny tol, huge probes), so every
-    verdict equals that of the exact route.
+    verdict equals that of the exact route. A probe whose inputs are
+    bit-identical to an earlier probe's takes that probe's verdict.
     """
     a.check_finite()
     for k, q in enumerate(probes):
@@ -165,15 +166,27 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     # right-hand side of the inverse-iteration step: unit entries whose
     # phases (1 rad apart) follow no pattern a kernel vector could cancel
     e = np.exp(1j * np.arange(size))
+    # Equal floats make an equal computation, so a probe reuses the work of
+    # an earlier probe with bit-identical inputs, as probes on one orbit
+    # sphere often have: the screens read lam alone, the exact route re q
+    # and |q|^2.
+    screened: dict[tuple[str, str], bool | None] = {}
+    exact: dict[tuple[str, str], bool] = {}
     out = []
     for q in probes:
         lam = complex(q.re, q.im_norm())
-        verdict = None
-        if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
-            verdict = _screen(z, zh, gram, lam, threshold, e)
+        lam_key = (q.re.hex(), lam.imag.hex())
+        if lam_key not in screened:
+            screened[lam_key] = None
+            if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
+                screened[lam_key] = _screen(z, zh, gram, lam, threshold, e)
+        verdict = screened[lam_key]
         if verdict is None:
-            dz = z2 - (2.0 * q.re) * z + q.norm_sq() * ident
-            verdict = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
+            dz_key = (q.re.hex(), q.norm_sq().hex())
+            if dz_key not in exact:
+                dz = z2 - (2.0 * q.re) * z + q.norm_sq() * ident
+                exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
+            verdict = exact[dz_key]
         out.append(verdict)
     return out
 

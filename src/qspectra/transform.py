@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     TransformDomainError,
 )
-from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol
+from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen
 from .operators import QMatrix
 from .quaternion import STANDARD_FRAME, Quaternion, SliceFrame
 from .slices import SliceStructure, build_J, extend
@@ -214,7 +214,10 @@ def unbounded_multiplication_form(
     through xi (landing on atoms at the original symbol values), and read
     eta off the atom labels. The pushforward must not merge positive-weight
     atoms -- repeated symbol values would collapse the L2 dimension and no
-    unitary V could exist -- so duplicates raise DuplicateSymbolError.
+    unitary V could exist -- so the first atom i within MERGE_TOL of an
+    earlier atom t raises DuplicateSymbolError naming (t, i); the
+    pushforward's first-seen merge finds it in O(N log N). V is the
+    identity, held in O(N) memory (`QMatrix.identity`).
     """
     if sim.psi.frame != frame:
         raise ShapeError("symbol frame does not match the requested frame")
@@ -230,13 +233,16 @@ def unbounded_multiplication_form(
         raise TransformDomainError("bounded symbol escaped the unit ball")
 
     eta_points = xi_values(phi)
-    for i in range(space.n_atoms):
-        for t in range(i):
-            if np.linalg.norm(eta_points[i] - eta_points[t]) <= MERGE_TOL:
-                raise DuplicateSymbolError(
-                    f"symbol values at atoms {t} and {i} collide; the "
-                    "pushforward would collapse the space"
-                )
+    kept, index = _first_seen(eta_points, MERGE_TOL)
+    if len(kept) < space.n_atoms:
+        # the first merged atom i; every atom before it is kept, so t is
+        # the first atom within MERGE_TOL of it
+        i = int(np.flatnonzero(kept[index] != np.arange(space.n_atoms))[0])
+        t = int(kept[index[i]])
+        raise DuplicateSymbolError(
+            f"symbol values at atoms {t} and {i} collide; the "
+            "pushforward would collapse the space"
+        )
 
     new_space = AtomicMeasureSpace(eta_points, space.weights.copy())
     eta = Symbol(new_space, eta_points, frame)

@@ -10,6 +10,7 @@ import pytest
 import qspectra
 from qspectra import J, QMatrix, STANDARD_FRAME
 from qspectra import generate as gen
+from qspectra import selftest
 from qspectra.cli import main
 from qspectra.serialize import matrix_to_json, save_json
 
@@ -290,7 +291,7 @@ class TestLapackCalls:
     """The CLI reads the norms and residuals the library has already
     measured instead of computing them again."""
 
-    def count(self, monkeypatch, argv, tmp_path):
+    def counters(self, monkeypatch):
         calls = dict.fromkeys(["svd", "eig", "qr", "eigvals"], 0)
         for name in calls:
             def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
@@ -298,6 +299,10 @@ class TestLapackCalls:
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def count(self, monkeypatch, argv, tmp_path):
+        calls = self.counters(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 0
         return calls
 
@@ -308,6 +313,12 @@ class TestLapackCalls:
     def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)
         assert calls == {"svd": 6, "eig": 0, "qr": 0, "eigvals": 0}
+
+    def test_selftest_form_group(self, monkeypatch):
+        # four matrices, one SVD each: the group reads ||A|| off the form
+        calls = self.counters(monkeypatch)
+        selftest._group_form(np.random.default_rng([0, 0]), 8)
+        assert calls["svd"] == 4
 
 
 def _usage_error_code(argv) -> int:

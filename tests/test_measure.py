@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspectra import I, J, K, ONE, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
@@ -22,6 +24,10 @@ from qspectra.measure import (
 from qspectra.transform import xi
 
 from conftest import assert_qclose
+
+
+_OBLIQUE = SliceFrame.from_m((I + 2 * J - K) / abs(I + 2 * J - K))
+_TOL_FACTORS = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0]
 
 
 def two_atom_space(w=(1.0, 2.0)):
@@ -134,36 +140,129 @@ class TestEssentialQuantities:
 
 
     def test_ess_ran_matches_pairwise_loop(self):
-        # pairs at exactly MERGE_TOL and one ulp either side, in an oblique
-        # slice where a vectorised norm and the norm of one difference can
-        # round to opposite sides of the tolerance; then repeated values and
-        # NaN rows in one symbol
-        rng = np.random.default_rng(11)
-        frame = SliceFrame.from_m((I + 2 * J - K) / abs(I + 2 * J - K))
-        one, m = np.array([1.0, 0.0, 0.0, 0.0]), frame.m.to_array()
-        base = [np.zeros(4)] + [c0 * one + c1 * m for c0, c1 in 1e-12 * rng.standard_normal((4, 2))]
-        symbols = []
-        for b in base:
-            for angle in rng.uniform(0.0, 2.0 * math.pi, 12):
-                step = MERGE_TOL * (math.cos(angle) * one + math.sin(angle) * m)
-                for factor in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
-                    symbols.append([b, b + factor * step])
-        rows = [base[k % 5] for k in range(15)] + [np.full(4, np.nan), np.array([np.nan, 0, 0, 0])]
-        symbols.append(np.array(rows)[rng.permutation(len(rows))])
-        for values in symbols:
-            phi = Symbol(AtomicMeasureSpace.counting(len(values)), np.array(values), frame)
+        frame, cases = _boundary_cases()
+        for values, weights in cases:
+            phi = Symbol(AtomicMeasureSpace(values, weights), values, frame)
             got = np.array([q.to_array() for q in ess_ran(phi)])
             want = np.array([q.to_array() for q in _ess_ran_pairwise(phi)])
             assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(_TOL_FACTORS),
+                st.floats(0.0, 2.0 * math.pi),
+                st.sampled_from([1.0, 0.5, 0.0, -0.0]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_first_seen_matches_loops(self, bases, atoms):
+        # atoms near a few base points, at 0, MERGE_TOL (and one ulp either
+        # side) or 2 MERGE_TOL from them in an oblique slice
+        frame = _OBLIQUE
+        one, m = np.array([1.0, 0.0, 0.0, 0.0]), frame.m.to_array()
+        values, weights = [], []
+        for k, factor, angle, weight in atoms:
+            c0, c1 = bases[k % len(bases)]
+            step = factor * MERGE_TOL * (math.cos(angle) * one + math.sin(angle) * m)
+            values.append(c0 * one + c1 * m + step)
+            weights.append(weight)
+        values, weights = np.array(values), np.array(weights)
+        if not np.any(weights > 0.0):
+            weights[0] = 1.0
+        _assert_matches_loops(values, weights, frame)
+
+
+def _boundary_cases():
+    """Symbol values and weights at the merge tolerance.
+
+    Pairs at exactly MERGE_TOL and one ulp either side in an oblique slice,
+    where a vectorised norm and the norm of one difference can round to
+    opposite sides of the tolerance; then repeated values, -0.0 components,
+    NaN rows and zero and -0.0 weights in one symbol.
+    """
+    rng = np.random.default_rng(11)
+    frame = _OBLIQUE
+    one, m = np.array([1.0, 0.0, 0.0, 0.0]), frame.m.to_array()
+    base = [np.zeros(4)] + [c0 * one + c1 * m for c0, c1 in 1e-12 * rng.standard_normal((4, 2))]
+    cases = []
+    for b in base:
+        for angle in rng.uniform(0.0, 2.0 * math.pi, 12):
+            step = MERGE_TOL * (math.cos(angle) * one + math.sin(angle) * m)
+            for factor in _TOL_FACTORS[1:4]:
+                cases.append((np.array([b, b + factor * step]), np.ones(2)))
+    rows = [base[k % 5] for k in range(15)] + [
+        np.full(4, np.nan),
+        np.array([np.nan, 0, 0, 0]),
+        np.array([-0.0, 0.0, -0.0, 0.0]),
+        -base[1],
+    ]
+    order = rng.permutation(len(rows))
+    weights = rng.choice([1.0, 0.5, 2.0, 0.0, -0.0], len(rows))
+    weights[0] = 1.0
+    cases.append((np.array(rows)[order], weights))
+    return frame, cases
+
+
+def _assert_matches_loops(values, weights, frame):
+    """ess_ran, pushforward and m_phi_norm equal the loops they replaced,
+    bit for bit."""
+    space = AtomicMeasureSpace(values, weights)
+    phi = Symbol(space, values, frame)
+    got = np.array([q.to_array() for q in ess_ran(phi)])
+    want = np.array([q.to_array() for q in _ess_ran_pairwise(phi)])
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    for fn in (lambda q: q, lambda q: q * q):
+        image = pushforward(space, fn)
+        atoms, image_weights = _pushforward_loop(space, fn)
+        assert image.atoms.shape == atoms.shape
+        assert np.array_equal(image.atoms, atoms, equal_nan=True)
+        assert image.weights.tobytes() == image_weights.tobytes()  # -0.0 too
+    if np.all(np.isfinite(values)):
+        assert m_phi_norm(phi) == _m_phi_norm_loop(phi)
+
 
 def _ess_ran_pairwise(phi):
-    """The first-seen loop over every pair that ess_ran vectorises."""
+    """The first-seen loop over every pair that ess_ran replaces."""
     out = []
     for row in phi.values[phi.space.positive()]:
         if not any(np.linalg.norm(row - seen) <= MERGE_TOL for seen in out):
             out.append(row)
     return [Quaternion.from_array(row) for row in out]
+
+
+def _pushforward_loop(space, fn):
+    """Image atoms and weights as the linear scan pushforward replaced."""
+    images, weights = [], []
+    for i in range(space.n_atoms):
+        img = fn(space.label(i)).to_array()
+        hit = None
+        for t, seen in enumerate(images):
+            if np.linalg.norm(img - seen) <= MERGE_TOL:
+                hit = t
+                break
+        if hit is None:
+            images.append(img)
+            weights.append(float(space.weights[i]))
+        else:
+            weights[hit] += float(space.weights[i])
+    return np.stack(images, axis=0), np.asarray(weights)
+
+
+def _m_phi_norm_loop(phi):
+    """max ||M_phi e_i|| / ||e_i|| with one N x 4 indicator per atom."""
+    best = 0.0
+    for i in np.flatnonzero(phi.space.positive()):
+        e_i = np.zeros((phi.space.n_atoms, 4), dtype=np.float64)
+        e_i[i, 0] = 1.0
+        f = L2Element(phi.space, e_i)
+        best = max(best, m_phi(phi, f).norm() / f.norm())
+    return best
 
 
 class TestOperatorNormIdentity:
@@ -257,3 +356,18 @@ class TestPushforward:
         sp = AtomicMeasureSpace(gen.random_qvector(rng, 9), np.abs(rng.normal(size=9)) + 0.01)
         image = pushforward(sp, lambda q: Quaternion(round(q.re, 1)))
         assert image.total_mass() == pytest.approx(sp.total_mass(), rel=1e-14)
+
+    def test_non_finite_images_never_merge(self):
+        # every norm an infinite or NaN image takes part in is NaN or
+        # infinite, so the loop kept each one, even an exact repeat
+        inf, nan = math.inf, math.nan
+        images = [(inf, 0, 0, 0), (inf, 0, 0, 0), (nan, 0, 0, 0), (nan, 0, 0, 0), (1, 0, 0, 0),
+                  (1, 0, 0, 0), (1, inf, 0, 0), (1, inf, 0, 0)]
+        sp = AtomicMeasureSpace.counting(len(images))
+        fn = lambda q: Quaternion(*images[int(q.re) - 1])  # noqa: E731
+        image = pushforward(sp, fn)
+        with np.errstate(invalid="ignore"):  # inf - inf in the loop
+            atoms, weights = _pushforward_loop(sp, fn)
+        assert image.n_atoms == 7
+        assert np.array_equal(image.atoms, atoms, equal_nan=True)
+        assert np.array_equal(image.weights, weights)

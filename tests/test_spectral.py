@@ -238,6 +238,25 @@ class TestDeltaOracle:
         assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
         assert calls[0] == 1
 
+    @pytest.mark.parametrize("tol, screens, svds", [(1e-7, 2, 1), (1e-30, 0, 3)], ids=["screen", "exact"])
+    def test_one_computation_per_key(self, rng, monkeypatch, tol, screens, svds):
+        # (x, b, 0, 0), (x, 0, b, 0) and (x, 0, 0, b) have bit-identical
+        # re q, |im q| and |q|^2, so one screen (or, below the rounding gate,
+        # one exact SVD) decides all three; x = 0.0 and -0.0 are two keys
+        a = gen.random_normal(rng, 8, STANDARD_FRAME)
+        probes = [Quaternion(x, *(0.7 * np.eye(3)[k])) for x in (0.0, -0.0) for k in range(3)]
+        want = [delta_oracle(a, [q], tol)[0] for q in probes]
+        calls = _count_svd(monkeypatch)
+        cholesky, factored = np.linalg.cholesky, [0]
+
+        def counted(*args, **kwargs):
+            factored[0] += 1
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        assert delta_oracle(a, probes, tol) == want
+        assert (factored[0], calls[0]) == (screens, svds)
+
 
 def _exact_verdicts(a, probes, tol):
     threshold = tol * oracle_scale(a)

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qspectra import I, J, ONE, QMatrix, Quaternion, STANDARD_FRAME
+from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.errors import (
@@ -12,7 +13,15 @@ from qspectra.errors import (
     ShapeError,
     TransformDomainError,
 )
-from qspectra.measure import AtomicMeasureSpace, L2Element, Symbol, m_phi
+from qspectra.measure import (
+    MERGE_TOL,
+    AtomicMeasureSpace,
+    L2Element,
+    Symbol,
+    ess_ran,
+    m_phi,
+    pushforward,
+)
 from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
@@ -353,3 +362,90 @@ class TestUnboundedForm:
             scale = 1.0 + float(np.max(np.abs(lhs)))
             residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
         assert all(r <= 1e-10 for r in residuals)
+
+    def test_collision_matches_pairwise_loop(self):
+        # one to three rows per symbol at 0, MERGE_TOL and one ulp either
+        # side of earlier rows, at moduli where the xi round trip is exact and
+        # where it is not: the form raises exactly when the old pairwise
+        # check did, naming the same pair
+        rng = np.random.default_rng(5)
+        frame = SliceFrame.from_m((I + 2 * J - K) / abs(I + 2 * J - K))
+        one, m = np.array([1.0, 0.0, 0.0, 0.0]), frame.m.to_array()
+        factors = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+        outcomes = set()
+        for scale in (1e-3, 1.0, 30.0):
+            for _ in range(40):
+                c = scale * rng.standard_normal((8, 2))
+                values = c[:, :1] * one + c[:, 1:] * m
+                for _ in range(int(rng.integers(1, 4))):
+                    k, j = rng.choice(8, 2, replace=False)
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    step = MERGE_TOL * (math.cos(angle) * one + math.sin(angle) * m)
+                    values[k] = values[j] + rng.choice(factors) * step
+                space = AtomicMeasureSpace(values, np.ones(8))
+                sim = UnboundedSim.from_symbol(Symbol(space, values, frame))
+                want = _collision_loop(xi_values(xi_inv_values(values)))
+                outcomes.add(want is None)
+                if want is None:
+                    unbounded_multiplication_form(sim, frame)
+                else:
+                    with pytest.raises(DuplicateSymbolError) as err:
+                        unbounded_multiplication_form(sim, frame)
+                    assert str(err.value) == want
+        assert outcomes == {True, False}
+
+
+def _collision_loop(eta_points):
+    """The pairwise check the unbounded form made before the first-seen
+    merge: the message it raised, or None."""
+    for i in range(len(eta_points)):
+        for t in range(i):
+            if np.linalg.norm(eta_points[i] - eta_points[t]) <= MERGE_TOL:
+                return (
+                    f"symbol values at atoms {t} and {i} collide; the "
+                    "pushforward would collapse the space"
+                )
+    return None
+
+
+def _layout(name: str, n: int) -> tuple[np.ndarray, SliceFrame]:
+    """n distinct slice values in the frame m = (i - j)/sqrt(2): on a line
+    of constant real part, or on a square grid."""
+    m = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    if name == "line":
+        re, im = np.full(n, 0.5), np.linspace(-3.0, 3.0, n)
+    else:
+        side = math.isqrt(n)
+        re, im = (g.ravel() for g in np.meshgrid(*[np.linspace(-2.0, 2.0, side)] * 2))
+    return np.column_stack([re, np.outer(im, m[1:])]), SliceFrame.from_m(Quaternion(*m))
+
+
+class TestAtomsAtScale:
+    @pytest.mark.parametrize("layout", ["line", "grid"])
+    def test_distinct_atoms(self, layout, monkeypatch):
+        # the pairwise loops took N^2 / 2 norms, about 40 s per call at
+        # N = 4096; the first-seen merge takes one per candidate pair, and
+        # here only q and -q, whose squares agree, make candidates
+        n = 4096
+        values, frame = _layout(layout, n)
+        norms = 0
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            nonlocal norms
+            norms += 1
+            assert norms <= n, "more per-pair norms than atoms"
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        start = time.perf_counter()
+        space = AtomicMeasureSpace(values, np.ones(n))
+        psi = Symbol(space, values, frame)
+        _, new_space, _ = unbounded_multiplication_form(UnboundedSim.from_symbol(psi), frame)
+        assert new_space.n_atoms == n
+        assert len(ess_ran(psi)) == n
+        image = pushforward(space, lambda q: q * q)
+        assert image.n_atoms == (n if layout == "line" else n // 2)
+        assert image.total_mass() == n
+        # about 0.1 s on a 2-vCPU Xeon VM; the bound leaves room for slower hosts
+        assert time.perf_counter() - start < 3.0
