@@ -19,6 +19,13 @@ iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
 The eigenvectors of chi(A) are its complex Schur vectors, recovered by QR
 from LAPACK's eig. The Schur form of a normal matrix is diagonal whatever
 the eigenvalue gaps, so no cluster tolerance is involved.
+
+The decomposition is checked in the same coordinates, by chi(XY) =
+chi(X) chi(Y), chi(X*) = chi(X)* and ||chi(X)||_F = sqrt(2) ||X||_F
+(F. Zhang, Linear Algebra Appl. 251, 1997): with C the lifted columns (u; v)
+and JC their partners (-conj v; conj u), W = [C, JC] = chi(V), so
+||AV - VD||_F = ||chi(A) W - W diag(lam, conj lam)||_F / sqrt 2 and
+||V*V - I||_F = ||W*W - I||_F / sqrt 2; no quaternion product is formed.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import (
     NotNormalError,
     PairingError,
     ShapeError,
+    SliceMembershipError,
 )
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, complex_to_cm
@@ -72,10 +80,15 @@ class CMatrix:
         return out
 
     @classmethod
-    def project(cls, data, frame: SliceFrame, max_off: float) -> "CMatrix":
-        """Project quaternion entries onto the slice; components off it up to
-        max_off are dropped (eigenvector rounding), larger ones rejected."""
-        return cls.from_complex(qa.slice_coords(data, frame, max_off), frame)
+    def from_chi_row(cls, row: np.ndarray, frame: SliceFrame, max_off: float) -> "CMatrix":
+        """The slice part X1 of the X whose chi image has top block row
+        [X1, -X2]; X2 is dropped if its coordinates are within max_off
+        (eigenvector rounding), rejected otherwise."""
+        n = row.shape[1] // 2
+        off = np.max(np.abs(np.stack([row[:, n:].real, row[:, n:].imag])), initial=0.0)
+        if off > max_off:
+            raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds {max_off:.3e}")
+        return cls.from_complex(row[:, :n], frame)
 
     def to_complex(self) -> np.ndarray:
         return self.z
@@ -100,20 +113,24 @@ class CMatrix:
 
 @dataclass
 class SpectralDecomposition:
-    """Unitary V and standard eigenvalues d in C_m+ with A V_k = V_k d_k."""
+    """Unitary V and standard eigenvalues d in C_m+ with A V_k = V_k d_k, the
+    chi images z = chi(A), w = chi(V) and rec = chi(V D V*), and ||AV - VD||_F
+    (residual) and ||V*V - I||_F (unitarity) as measured on them."""
 
     V: QMatrix
     d: list[Quaternion]
     frame: SliceFrame
     residual: float
+    unitarity: float
+    z: np.ndarray
+    w: np.ndarray
+    rec: np.ndarray
 
 
 def chi(a: QMatrix, frame: SliceFrame) -> np.ndarray:
     """Embed a quaternion matrix as a complex matrix of doubled size."""
-    c0, c1, c2, c3 = qa.frame_coords(a.a, frame)
-    a1 = c0 + 1j * c1
-    a2 = c2 + 1j * c3
-    return np.block([[a1, -a2], [np.conj(a2), np.conj(a1)]])
+    # the complex adjoint of the matrix whose standard coordinates are the frame's
+    return qa.to_complex_adjoint(np.stack(qa.frame_coords(a.a, frame), axis=-1))
 
 
 def iota(x: np.ndarray, frame: SliceFrame) -> np.ndarray:
@@ -132,15 +149,22 @@ def iota_inv(w: np.ndarray, frame: SliceFrame) -> np.ndarray:
     return qa.from_frame_coords(u.real, u.imag, v.real, -v.imag, frame)
 
 
-def _normal_scale(z: np.ndarray) -> float:
-    """||z||_F; NotNormalError if ||z z* - z* z||_F > NORMAL_TOL ||z||_F^2."""
+def _j(x: np.ndarray) -> np.ndarray:
+    """J (u; v) = (-conj v; conj u) = iota(x * n), columnwise."""
+    half = x.shape[0] // 2
+    return np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
+
+
+def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
+    """||z||_F; NotNormalError if ||z z* - z* z||_F / k > NORMAL_TOL (||z||_F / k)^2.
+    k = sqrt 2 on z = chi(A) makes this ||AA* - A*A||_F <= NORMAL_TOL ||A||_F^2."""
     rows, cols = z.shape
     if rows != cols:
         raise ShapeError("eigendecomposition needs a square matrix")
     scale = float(np.linalg.norm(z))
-    defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z))
-    if defect > NORMAL_TOL * max(scale**2, _TINY):
-        raise NotNormalError(defect, NORMAL_TOL * scale**2)
+    defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z)) / k
+    if defect > NORMAL_TOL * max((scale / k) ** 2, _TINY):
+        raise NotNormalError(defect, NORMAL_TOL * (scale / k) ** 2)
     return scale
 
 
@@ -165,8 +189,11 @@ def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NotNormalError for non-normal input and EigenResidualError when the
     residual contract residual <= EIG_RESIDUAL_TOL * ||z||_F is not met.
     """
-    scale = _normal_scale(z)
+    return _schur_eig(z, _normal_scale(z))
 
+
+def _schur_eig(z: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """eig_normal of a z already checked normal, with scale = ||z||_F."""
     # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
     # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
     # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
@@ -195,15 +222,13 @@ def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
     of w mixes a repeated eigenvalue; its pair is then projected out of all
     columns twice, for orthogonality at rounding level."""
     w = w.copy()
-    half = w.shape[0] // 2
     kept: list[int] = []
     out = np.empty((w.shape[0], w.shape[1] // 2), dtype=np.complex128)
     for k in range(out.shape[1]):
         norms = np.linalg.norm(w, axis=0)
         t = int(np.argmax(norms))
         x = w[:, t] / norms[t]
-        jx = np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
-        pair = np.stack([x, jx], axis=1)
+        pair = np.stack([x, _j(x)], axis=1)
         for _ in range(2):
             w -= pair @ (np.conj(pair.T) @ w)
         kept.append(t)
@@ -219,13 +244,14 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     to u + conj(v) * n as they are. Eigenvalues on the real axis (within
     1e-9 * ||A||_F) come in doubled pairs whose eigenvectors span
     J-invariant spaces; J-pair deflation keeps one vector per quaternionic
-    line, so exactly half of them survive.
+    line, so exactly half of them survive. Normality, the residual and the
+    unitarity of V are checked on chi(A) and W = chi(V) (module docstring).
     """
-    a.check_normal(NORMAL_TOL)
+    a.check_finite()
     n = a.n
-    scale = max(a.frobenius(), _TINY)
-
-    vals, w = eig_normal(chi(a, frame))
+    z = chi(a, frame)
+    vals, w = _schur_eig(z, _normal_scale(z, np.sqrt(2.0)))
+    scale = max(qa.chi_fro(z), _TINY)
 
     pair_tol = 1e-9 * scale
     upper = np.flatnonzero(vals.imag > pair_tol)
@@ -241,14 +267,17 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
         raise PairingError(f"selected {len(lam)} eigenvectors for dimension {n}")
 
     order = np.lexsort((-lam.imag, -lam.real))
-    v_mat = QMatrix(iota_inv(cols[:, order], frame))
-    values = [complex_to_cm(v, frame) for v in lam[order]]
-
-    residual = ((a @ v_mat) - (v_mat @ QMatrix.diag(values))).frobenius()
-    unitarity = ((v_mat.H @ v_mat) - QMatrix.identity(n)).frobenius()
+    cols, lam = cols[:, order], lam[order]
+    w = np.concatenate([cols, _j(cols)], axis=1)
+    residual = qa.chi_fro(z @ w - w * np.concatenate([lam, np.conj(lam)]))
+    unitarity = qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n))
     if residual > DECOMP_RESIDUAL_TOL * scale or unitarity > 1e-10 * max(1.0, np.sqrt(n)):
         raise EigenResidualError(
             f"decomposition residual {residual:.3e} (unitarity {unitarity:.3e}) "
             f"exceeds contract at scale {scale:.3e}"
         )
-    return SpectralDecomposition(v_mat, values, frame, residual)
+    rec = (w * np.concatenate([lam, np.conj(lam)])) @ np.conj(w.T)
+    values = [complex_to_cm(v, frame) for v in lam]
+    return SpectralDecomposition(
+        QMatrix(iota_inv(cols, frame)), values, frame, residual, unitarity, z, w, rec
+    )

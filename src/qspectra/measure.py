@@ -208,11 +208,17 @@ def pushforward(
 ) -> AtomicMeasureSpace:
     """Image space: distinct images as atoms, weights summed over preimages.
 
-    An image merges into the first image kept before it within merge_tol
-    (`_first_seen`); each image's weight is the sum of its preimages'
-    weights, added in atom order.
+    fn is called once per bit-identical atom, in first-seen order, and a
+    repeated atom reuses the image of its first copy. An image merges into
+    the first image kept before it within merge_tol (`_first_seen`); each
+    image's weight is the sum of its preimages' weights, added in atom order.
     """
-    images = np.stack([fn(space.label(i)).to_array() for i in range(space.n_atoms)])
+    atoms = np.ascontiguousarray(space.atoms)
+    bits = atoms.view(np.dtype((np.void, atoms.itemsize * 4))).ravel()
+    _, first, copy_of = np.unique(bits, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # the distinct atoms in first-seen order
+    images = np.stack([fn(space.label(i)).to_array() for i in first[seen]])
+    images = images[np.argsort(seen)[copy_of.ravel()]]
     kept, index = _first_seen(images, merge_tol)
     weights = space.weights[kept]
     rest = np.ones(space.n_atoms, dtype=bool)

@@ -41,6 +41,13 @@ class QMatrix:
         )
 
     @classmethod
+    def from_complex_adjoint(cls, f: np.ndarray) -> "QMatrix":
+        """The matrix whose complex adjoint is f, read off its top block row
+        [F11, F12] as from_pair(F11, -F12)."""
+        n = f.shape[1] // 2
+        return cls(qa.from_pair(f[:n, :n], -f[:n, n:]))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
         cols = rows if cols is None else cols
         return cls(np.zeros((rows, cols, 4), dtype=np.float64))
@@ -110,9 +117,6 @@ class QMatrix:
 
     __rmul__ = __mul__
 
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.a.copy())
-
     def frobenius(self) -> float:
         return float(np.sqrt(np.sum(self.a * self.a)))
 
@@ -130,9 +134,8 @@ class QMatrix:
         return float(self.singular_values()[-1])
 
     def commutator_defect(self) -> float:
-        """Frobenius norm of A*A - AA*."""
-        h = self.H
-        return ((h @ self) - (self @ h)).frobenius()
+        """Frobenius norm of A*A - AA*, taken on the complex adjoint."""
+        return qa.chi_commutator(self.to_complex_adjoint())
 
     def is_normal(self, tol: float = DEFAULT_TOL) -> bool:
         if tol < 0.0:
@@ -150,9 +153,6 @@ class QMatrix:
         self.check_finite()
         if not self.is_normal(tol):
             raise NotNormalError(self.commutator_defect(), tol * self.frobenius() ** 2)
-
-    def allclose(self, other: "QMatrix", tol: float = DEFAULT_TOL) -> bool:
-        return (self - other).frobenius() <= tol
 
     def __repr__(self):
         rows, cols = self.shape

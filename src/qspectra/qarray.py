@@ -99,6 +99,18 @@ def left_diag_entries(values) -> np.ndarray:
     return out
 
 
+def chi_fro(x: np.ndarray) -> float:
+    """||X||_F read off the complex adjoint or chi image x of a quaternion
+    matrix X: ||chi(X)||_F = sqrt(2) ||X||_F."""
+    return float(np.linalg.norm(x)) / np.sqrt(2.0)
+
+
+def chi_commutator(x: np.ndarray) -> float:
+    """||X*X - XX*||_F from the complex adjoint or chi image x of X."""
+    xh = np.conj(x.T)
+    return chi_fro(xh @ x - x @ xh)
+
+
 def to_complex_adjoint(a) -> np.ndarray:
     """Complex matrix of doubled size acting as the quaternion matrix does.
 
@@ -121,19 +133,18 @@ def frame_coords(a, frame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return coords[..., 0], coords[..., 1], coords[..., 2], coords[..., 3]
 
 
-def slice_coords(a, frame, max_off: float | None = None) -> np.ndarray:
+def slice_coords(a, frame) -> np.ndarray:
     """Complex coordinates c0 + c1 * i of a quaternion array in the slice C_m
     of a frame.
 
     Raises SliceMembershipError when the off-slice mass (the largest
-    coordinate along n or mn) exceeds max_off, by default
-    CM_MEMBERSHIP_TOL * (1 + largest in-slice coordinate).
+    coordinate along n or mn) exceeds CM_MEMBERSHIP_TOL * (1 + largest
+    in-slice coordinate).
     """
     c0, c1, c2, c3 = frame_coords(a, frame)
     off = max(np.max(np.abs(c2), initial=0.0), np.max(np.abs(c3), initial=0.0))
-    if max_off is None:
-        inside = max(np.max(np.abs(c0), initial=0.0), np.max(np.abs(c1), initial=0.0))
-        max_off = CM_MEMBERSHIP_TOL * (1.0 + inside)
+    inside = max(np.max(np.abs(c0), initial=0.0), np.max(np.abs(c1), initial=0.0))
+    max_off = CM_MEMBERSHIP_TOL * (1.0 + inside)
     if off > max_off:
         raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds {max_off:.3e}")
     return c0 + 1j * c1

@@ -6,6 +6,12 @@ A slice structure is an anti-self-adjoint unitary J together with a frame;
 the plus subspace is {x : Jx = x * m} and carries a C_m-linear calculus.
 Extension is exact at desk scale: with plus basis V, a slice matrix M extends
 to V M V*, the unique right-linear operator restricting to M.
+
+J and the restrictions are built and checked on chi images (bridge), with
+||X||_F = ||chi(X)||_F / sqrt 2: for W = chi(V), chi(J) = W diag(iI, -iI) W*,
+and the matrix B* A B of A on a basis B is the top-left block of
+chi(B)* chi(A) chi(B), whose top-right block is minus its off-slice part;
+the minus basis V n has chi(V n) = [W2, -W1] for W = [W1, W2].
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import qarray as qa
 from . import vectors as vec
-from .bridge import CMatrix, SpectralDecomposition
+from .bridge import CMatrix, SpectralDecomposition, chi
 from .errors import ShapeError, SliceCommutationError
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm
@@ -48,20 +54,20 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
     """J = V (columns right-multiplied by m) V*.
 
     J is anti-self-adjoint and unitary because m is; it commutes with
-    V diag(d) V* because every d_k lies in the slice of m.
+    V diag(d) V* because every d_k lies in the slice of m. All three are
+    checked on chi(J), against the decomposition's own chi(V D V*).
     """
-    v = dec.V
-    n = v.n
-    m_diag = QMatrix.diag([dec.frame.m] * n)
-    j = v @ m_diag @ v.H
-
-    ident = QMatrix.identity(n)
-    if (j.H + j).frobenius() > 1e-10 * n or ((j @ j) + ident).frobenius() > 1e-10 * n:
+    w = dec.w
+    n = w.shape[1] // 2
+    cj = (w * np.repeat([1j, -1j], n)) @ np.conj(w.T)
+    anti, square = qa.chi_fro(np.conj(cj.T) + cj), qa.chi_fro(cj @ cj + np.eye(2 * n))
+    if anti > 1e-10 * n or square > 1e-10 * n:
         raise SliceCommutationError("constructed J is not anti-self-adjoint unitary")
-    rec = v @ QMatrix.diag(dec.d) @ v.H
-    if ((j @ rec) - (rec @ j)).frobenius() > COMMUTE_TOL * max(rec.frobenius(), 1.0):
+    if qa.chi_fro(cj @ dec.rec - dec.rec @ cj) > COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0):
         raise SliceCommutationError("constructed J fails to commute with its operator")
-    return SliceStructure(j, dec.frame, v)
+    j1, j2 = cj[:n, :n], -cj[:n, n:]  # chi(J) = [[J1, -J2], ...]
+    j = qa.from_frame_coords(j1.real, j1.imag, j2.real, j2.imag, dec.frame)
+    return SliceStructure(QMatrix(j), dec.frame, dec.V)
 
 
 def project_plus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
@@ -73,35 +79,36 @@ def project_minus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
     return 0.5 * (qa.qarr(x) + vec.scale_right(s.J.apply(x), s.frame.m))
 
 
-def check_commutes(a: QMatrix, s: SliceStructure, tol: float = COMMUTE_TOL) -> float:
-    defect = ((a @ s.J) - (s.J @ a)).frobenius()
-    bound = tol * max(a.frobenius(), 1.0)
+def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
+    """Matrices of A on the plus basis, (T+)_kl = <z_k | A z_l>, and on the
+    minus basis {z_k * n}, entries in C_m, after one check that
+    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, 1).
+
+    Components off the slice up to the same bound are eigenvector rounding
+    and are projected away; anything larger means A does not truly preserve
+    the slice. Each matrix takes its own product with chi(A), so that T- is
+    the conjugate of T+ stays a check.
+    """
+    z, cj, w = chi(a, s.frame), chi(s.J, s.frame), chi(s.plus_basis, s.frame)
+    defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), 1.0)
     if defect > bound:
         raise SliceCommutationError(
             f"operator does not preserve the slice: ||AJ - JA|| = {defect:.3e} > {bound:.3e}"
         )
-    return defect
+    n = s.n
+    bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))
+    plus, minus = (np.conj(b[:, :n].T) @ z @ b for b in bases)
+    return CMatrix.from_chi_row(plus, s.frame, bound), CMatrix.from_chi_row(minus, s.frame, bound)
 
 
-def restrict_plus(a: QMatrix, s: SliceStructure, tol: float = COMMUTE_TOL) -> CMatrix:
-    """Matrix of A on the plus basis: (T+)_kl = <z_k | A z_l>, entries in C_m.
-
-    Components off the slice up to tol * ||A|| are eigenvector rounding and
-    are projected away; anything larger means A does not truly preserve the
-    slice.
-    """
-    check_commutes(a, s, tol)
-    t_plus = s.plus_basis.H @ a @ s.plus_basis
-    return CMatrix.project(t_plus.a, s.frame, tol * max(a.frobenius(), 1.0))
+def restrict_plus(a: QMatrix, s: SliceStructure) -> CMatrix:
+    """The plus matrix of restrict_pair."""
+    return restrict_pair(a, s)[0]
 
 
-def restrict_minus(a: QMatrix, s: SliceStructure, tol: float = COMMUTE_TOL) -> CMatrix:
-    """Matrix of A on the minus basis {z_k * n}; conjugate of the plus matrix."""
-    check_commutes(a, s, tol)
-    minus_cols = [vec.scale_right(s.plus_basis.col(k), s.frame.n) for k in range(s.n)]
-    basis = QMatrix.from_columns(minus_cols)
-    t_minus = basis.H @ a @ basis
-    return CMatrix.project(t_minus.a, s.frame, tol * max(a.frobenius(), 1.0))
+def restrict_minus(a: QMatrix, s: SliceStructure) -> CMatrix:
+    """The minus matrix of restrict_pair; the conjugate of the plus matrix."""
+    return restrict_pair(a, s)[1]
 
 
 def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:

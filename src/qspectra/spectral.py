@@ -20,7 +20,7 @@ from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
 from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, complex_to_cm, orbit_of
-from .slices import SliceStructure, restrict_minus, restrict_plus
+from .slices import SliceStructure, restrict_pair
 
 FORM_RESIDUAL_TOL = 1e-9
 ORBIT_DEDUP_TOL = 1e-9
@@ -57,9 +57,11 @@ class MultiplicationForm:
 
 @dataclass
 class SphereSpectrum:
-    """Union of similarity orbits; the spherical spectrum at desk scale."""
+    """Union of similarity orbits; the spherical spectrum at desk scale, and
+    the norm ||A|| that the form it was read from measured."""
 
     orbits: list[SimilarityOrbit]
+    op_norm: float
 
     def contains(self, q: Quaternion, tol: float) -> bool:
         return any(o.contains(q, tol) for o in self.orbits)
@@ -82,12 +84,14 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
     phi = Symbol.from_values(space, dec.d, frame)
     form = MultiplicationForm(dec.V.H, space, phi, frame, dec.residual, dec)
 
-    form.reconstruction = (a - form.reconstruct()).frobenius()
-    if form.reconstruction > FORM_RESIDUAL_TOL * max(a.frobenius(), _TINY):
+    # on chi(A), as in spectral_decompose: U* M_phi U = V D V*
+    z = dec.z
+    form.reconstruction = qa.chi_fro(z - dec.rec)
+    if form.reconstruction > FORM_RESIDUAL_TOL * max(qa.chi_fro(z), _TINY):
         raise CrossCheckError(
             f"multiplication form reconstruction off by {form.reconstruction:.3e}"
         )
-    form.op_norm = a.op_norm()
+    form.op_norm = float(np.linalg.svd(z, compute_uv=False)[0])
     form.norm_gap = abs(form.op_norm - ess_sup(phi))
     if form.norm_gap > FORM_RESIDUAL_TOL * max(form.op_norm, 1.0):
         raise CrossCheckError(f"norm identity off by {form.norm_gap:.3e}")
@@ -104,7 +108,7 @@ def sphere_spectrum(form: MultiplicationForm, dedup_tol: float = ORBIT_DEDUP_TOL
             math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= dedup_tol for o in orbits
         ):
             orbits.append(cand)
-    return SphereSpectrum(orbits)
+    return SphereSpectrum(orbits, form.op_norm)
 
 
 def oracle_scale(a: QMatrix) -> float:
@@ -354,11 +358,13 @@ def slice_spectrum_check(
     a: QMatrix, s: SliceStructure, spectrum: SphereSpectrum | None = None
 ) -> SliceSpectrumReport:
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
-    minus restriction's eigenvalues are their conjugates. The orbits are
-    those of multiplication_form(a) unless spectrum is given."""
+    minus restriction's eigenvalues are their conjugates, both within
+    SLICE_SPECTRUM_TOL * max(||A||, 1). The orbits and ||A|| are those of
+    multiplication_form(a) unless spectrum is given."""
     frame = s.frame
-    plus_c = eigvals_normal(restrict_plus(a, s).to_complex())
-    minus_c = eigvals_normal(restrict_minus(a, s).to_complex())
+    t_plus, t_minus = restrict_pair(a, s)
+    plus_c = eigvals_normal(t_plus.z)
+    minus_c = eigvals_normal(t_minus.z)
 
     if spectrum is None:
         spectrum = sphere_spectrum(multiplication_form(a, frame))
@@ -371,7 +377,7 @@ def slice_spectrum_check(
         float(np.max([np.min(np.abs(plus_c - v)) for v in reps_c])),
     )
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
-    bound = SLICE_SPECTRUM_TOL * max(a.op_norm(), 1.0)
+    bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, 1.0)
     passed = plus_dev <= bound and conj_dev <= bound
     return SliceSpectrumReport(
         [complex_to_cm(v, frame) for v in plus_c],

@@ -51,11 +51,14 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 @dataclass
 class BoundedTransform:
     """Z = A (I + A*A)^(-1/2), the ||Z|| <= CONTRACTION_BOUND it was checked
-    against, and ||Z (I + A*A)^(1/2) - A||_F."""
+    against, ||Z (I + A*A)^(1/2) - A||_F, Z's complex adjoint as the SVD of
+    A's gave it, and ||A|| = s[0] of that SVD."""
 
     Z: QMatrix
     z_norm: float
     residual: float
+    adjoint: np.ndarray
+    a_norm: float
 
 
 @dataclass
@@ -70,19 +73,13 @@ class UnboundedSim:
         return cls(psi.space, psi)
 
 
-def _svd(a: QMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the complex adjoint, u diag(s) vh; every transform below is a
-    function of s on the same singular vectors, so ||Z|| <= 1 up to
-    rounding by construction."""
+def _adjoint(a: QMatrix) -> np.ndarray:
+    """The complex adjoint of a finite input. Each transform below is a
+    function of its singular values on the singular vectors of one SVD, so
+    ||Z|| <= 1 up to rounding by construction."""
     if not np.all(np.isfinite(a.a)):
         raise PreconditionError("transform input has non-finite entries")
-    return np.linalg.svd(a.to_complex_adjoint())
-
-
-def _from_adjoint(f: np.ndarray) -> QMatrix:
-    """The quaternion matrix whose complex adjoint is f: from_pair(F11, -F12)."""
-    n = f.shape[1] // 2
-    return QMatrix(qa.from_pair(f[:n, :n], -f[:n, n:]))
+    return a.to_complex_adjoint()
 
 
 def bounded_transform(a: QMatrix) -> BoundedTransform:
@@ -91,15 +88,29 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     With A = u diag(s) vh, Z = u diag(s / sqrt(1 + s^2)) vh and
     (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh.
     """
-    u, s, vh = _svd(a)
+    x = _adjoint(a)
+    u, s, vh = np.linalg.svd(x)
     root = np.hypot(1.0, s)
-    z = _from_adjoint((u * (s / root)) @ vh)
-    half = _from_adjoint((np.conj(vh.T) * root) @ vh)
+    z = (u * (s / root)) @ vh
+    half = (np.conj(vh.T) * root) @ vh
 
-    norm_z = z.op_norm()
+    norm_z = float(np.linalg.svd(z, compute_uv=False)[0])
     if norm_z > CONTRACTION_BOUND:
         raise TransformDomainError(f"transform norm {norm_z} exceeds {CONTRACTION_BOUND}")
-    return BoundedTransform(z, norm_z, ((z @ half) - a).frobenius())
+    return BoundedTransform(
+        QMatrix.from_complex_adjoint(z), norm_z, qa.chi_fro(z @ half - x), z, float(s[0])
+    )
+
+
+def inverse_adjoint(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """inverse_transform on complex adjoints: the adjoint of T and ||Z||,
+    both from one SVD of z."""
+    u, s, vh = np.linalg.svd(z)
+    if s[0] >= 1.0 - INVERSE_GUARD:
+        raise TransformDomainError(
+            f"||Z|| = {s[0]:.12f} is within {INVERSE_GUARD:.0e} of 1"
+        )
+    return (u * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ vh, float(s[0])
 
 
 def inverse_transform(z: QMatrix) -> QMatrix:
@@ -110,12 +121,7 @@ def inverse_transform(z: QMatrix) -> QMatrix:
     (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable;
     it also keeps I - Z*Z >= 1e-8.
     """
-    u, s, vh = _svd(z)
-    if s[0] >= 1.0 - INVERSE_GUARD:
-        raise TransformDomainError(
-            f"||Z|| = {s[0]:.12f} is within {INVERSE_GUARD:.0e} of 1"
-        )
-    return _from_adjoint((u * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ vh)
+    return QMatrix.from_complex_adjoint(inverse_adjoint(_adjoint(z))[0])
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:

@@ -10,7 +10,7 @@ import pytest
 import qspectra
 from qspectra import J, QMatrix, STANDARD_FRAME
 from qspectra import generate as gen
-from qspectra import selftest
+from qspectra import cli, qarray, selftest
 from qspectra.cli import main
 from qspectra.serialize import matrix_to_json, save_json
 
@@ -289,16 +289,19 @@ class TestCheckNames:
 
 class TestLapackCalls:
     """The CLI reads the norms and residuals the library has already
-    measured instead of computing them again."""
+    measured instead of computing them again, and checks on complex
+    adjoints, with no quaternion matrix product."""
 
     def counters(self, monkeypatch):
-        calls = dict.fromkeys(["svd", "eig", "qr", "eigvals"], 0)
+        calls = dict.fromkeys(["svd", "eig", "qr", "eigvals", "qmatmul"], 0)
         for name in calls:
-            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            module = qarray if name == "qmatmul" else np.linalg
+
+            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def count(self, monkeypatch, argv, tmp_path):
@@ -308,17 +311,39 @@ class TestLapackCalls:
 
     def test_decompose(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["decompose", str(normal_matrix_file)], tmp_path)
-        assert calls == {"svd": 2, "eig": 1, "qr": 1, "eigvals": 2}
+        assert calls == {"svd": 1, "eig": 1, "qr": 1, "eigvals": 2, "qmatmul": 0}
 
     def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)
-        assert calls == {"svd": 6, "eig": 0, "qr": 0, "eigvals": 0}
+        assert calls == {"svd": 5, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
+
+    def test_inverse_transform(self, monkeypatch, tmp_path):
+        a = gen.random_normal(np.random.default_rng(3), 8, STANDARD_FRAME, scale=0.3)
+        path = tmp_path / "z.json"
+        save_json(matrix_to_json(a), path)
+        calls = self.count(monkeypatch, ["transform", str(path), "--inverse"], tmp_path)
+        assert calls == {"svd": 3, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
 
     def test_selftest_form_group(self, monkeypatch):
         # four matrices, one SVD each: the group reads ||A|| off the form
         calls = self.counters(monkeypatch)
         selftest._group_form(np.random.default_rng([0, 0]), 8)
         assert calls["svd"] == 4
+
+
+class TestParser:
+    def test_built_once_per_process(self, normal_matrix_file, tmp_path):
+        cli._build_parser.cache_clear()
+        for name in ("a", "b"):
+            assert main(["decompose", str(normal_matrix_file), "--out", str(tmp_path / name)]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_usage_errors_still_exit_3(self, normal_matrix_file, tmp_path):
+        assert _usage_error_code(["selftest", "--bogus"]) == 3
+        assert _usage_error_code(["decompose"]) == 3
+        # the parser that raised them still parses
+        assert main(["decompose", str(normal_matrix_file), "--out", str(tmp_path / "r")]) == 0
+        assert _usage_error_code(["transform", str(normal_matrix_file), "--tol", "1"]) == 3
 
 
 def _usage_error_code(argv) -> int:

@@ -371,3 +371,27 @@ class TestPushforward:
         assert image.n_atoms == 7
         assert np.array_equal(image.atoms, atoms, equal_nan=True)
         assert np.array_equal(image.weights, weights)
+
+    def test_one_call_per_bit_identical_atom(self):
+        # repeats reuse the image of their first copy; -0.0 and 0.0 are
+        # different bits and get a call each, and so do the NaN rows whose
+        # bits differ
+        nan = math.nan
+        rows = np.array([(1, 2, 0, 0), (0.0, 0, 0, 0), (1, 2, 0, 0), (-0.0, 0, 0, 0),
+                         (nan, 0, 0, 0), (0.0, 0, 0, 0), (nan, 0, 0, 0), (3, 0, 0, 0),
+                         (-nan, 0, 0, 0), (1, 2, 0, 0)])
+        space = AtomicMeasureSpace(rows, np.array([1.0, 2.0, 0.5, 0.0, 1.0, -0.0, 3.0, 1.0, 2.0, 1.0]))
+        calls = []
+
+        def fn(q):
+            calls.append(q.to_array())
+            return q * q
+
+        image = pushforward(space, fn)
+        first = [0, 1, 3, 4, 7, 8]
+        assert np.array_equal(np.array(calls), rows[first], equal_nan=True)
+        assert [np.signbit(c[0]) for c in calls] == [False, False, True, False, False, True]
+        with np.errstate(invalid="ignore"):
+            atoms, weights = _pushforward_loop(space, lambda q: q * q)
+        assert np.array_equal(image.atoms, atoms, equal_nan=True)
+        assert image.weights.tobytes() == weights.tobytes()
