@@ -268,15 +268,15 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
 
     order = np.lexsort((-lam.imag, -lam.real))
     cols, lam = cols[:, order], lam[order]
-    w = np.concatenate([cols, _j(cols)], axis=1)
-    residual = qa.chi_fro(z @ w - w * np.concatenate([lam, np.conj(lam)]))
+    w, diag = np.concatenate([cols, _j(cols)], axis=1), np.concatenate([lam, np.conj(lam)])
+    residual = qa.chi_fro(z @ w - w * diag)
     unitarity = qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n))
     if residual > DECOMP_RESIDUAL_TOL * scale or unitarity > 1e-10 * max(1.0, np.sqrt(n)):
         raise EigenResidualError(
             f"decomposition residual {residual:.3e} (unitarity {unitarity:.3e}) "
             f"exceeds contract at scale {scale:.3e}"
         )
-    rec = (w * np.concatenate([lam, np.conj(lam)])) @ np.conj(w.T)
+    rec = (w * diag) @ np.conj(w.T)
     values = [complex_to_cm(v, frame) for v in lam]
     return SpectralDecomposition(
         QMatrix(iota_inv(cols, frame)), values, frame, residual, unitarity, z, w, rec

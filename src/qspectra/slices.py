@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qarray as qa
 from . import vectors as vec
-from .bridge import CMatrix, SpectralDecomposition, chi
+from .bridge import CMatrix, SpectralDecomposition, chi, iota_inv
 from .errors import ShapeError, SliceCommutationError
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm
@@ -65,9 +65,8 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
         raise SliceCommutationError("constructed J is not anti-self-adjoint unitary")
     if qa.chi_fro(cj @ dec.rec - dec.rec @ cj) > COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0):
         raise SliceCommutationError("constructed J fails to commute with its operator")
-    j1, j2 = cj[:n, :n], -cj[:n, n:]  # chi(J) = [[J1, -J2], ...]
-    j = qa.from_frame_coords(j1.real, j1.imag, j2.real, j2.imag, dec.frame)
-    return SliceStructure(QMatrix(j), dec.frame, dec.V)
+    # the first n columns of chi(J) are iota(J e_k)
+    return SliceStructure(QMatrix(iota_inv(cj[:, :n], dec.frame)), dec.frame, dec.V)
 
 
 def project_plus(x: np.ndarray, s: SliceStructure) -> np.ndarray:

@@ -180,8 +180,9 @@ def _check_transform(a, tmp_path):
         if residual is not None:
             assert got["pass"] == (residual <= tol)
             assert got["tol"] == pytest.approx(tol, rel=100 * n * EPS)
-            scale = a.frobenius() if "residual" in name or "round" in name else 1.0
-            _assert_close(residual, got["residual"], n, scale * (1.0 + a.op_norm()), name)
+            # Z is a contraction; A's round trip loses (1 + ||A||^2) = tol / 1e-8
+            scale = {"transform.defining_residual": a.frobenius(), "transform.round_trip": tol / 1e-8}
+            _assert_close(residual, got["residual"], n, scale.get(name, 1.0), name)
 
     save_json(matrix_to_json(z), path)
     old_code, old, z_norm = _old_inverse_checks(z)
