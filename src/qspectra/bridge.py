@@ -43,7 +43,7 @@ from .errors import (
     SliceMembershipError,
 )
 from .operators import QMatrix
-from .quaternion import Quaternion, SliceFrame, complex_to_cm
+from .quaternion import Quaternion, SliceFrame
 
 NORMAL_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-10
@@ -96,8 +96,7 @@ class CMatrix:
     @property
     def data(self) -> np.ndarray:
         """The entries as an (p, q, 4) quaternion array."""
-        zero = np.zeros_like(self.z.real)
-        return qa.from_frame_coords(self.z.real, self.z.imag, zero, zero, self.frame)
+        return qa.cm_values(self.z, self.frame)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,18 +112,22 @@ class CMatrix:
 
 @dataclass
 class SpectralDecomposition:
-    """Unitary V and standard eigenvalues d in C_m+ with A V_k = V_k d_k, the
-    chi images z = chi(A), w = chi(V) and rec = chi(V D V*), and ||AV - VD||_F
-    (residual) and ||V*V - I||_F (unitarity) as measured on them."""
+    """Unitary V and standard eigenvalues d in C_m+ (an (n, 4) array, values)
+    with A V_k = V_k d_k, the chi images z = chi(A), w = chi(V) and rec =
+    chi(V D V*), and ||AV - VD||_F (residual) and ||V*V - I||_F (unitarity) on them."""
 
     V: QMatrix
-    d: list[Quaternion]
+    values: np.ndarray
     frame: SliceFrame
     residual: float
     unitarity: float
     z: np.ndarray
     w: np.ndarray
     rec: np.ndarray
+
+    @property
+    def d(self) -> list[Quaternion]:
+        return [Quaternion.from_array(v) for v in self.values]
 
 
 def chi(a: QMatrix, frame: SliceFrame) -> np.ndarray:
@@ -277,7 +280,7 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
             f"exceeds contract at scale {scale:.3e}"
         )
     rec = (w * diag) @ np.conj(w.T)
-    values = [complex_to_cm(v, frame) for v in lam]
+    values = qa.cm_values(lam, frame)
     return SpectralDecomposition(
         QMatrix(iota_inv(cols, frame)), values, frame, residual, unitarity, z, w, rec
     )

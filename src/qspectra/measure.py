@@ -72,13 +72,8 @@ class AtomicMeasureSpace:
         return float(np.sum(self.weights))
 
     def same_as(self, other: "AtomicMeasureSpace") -> bool:
-        return (
-            self is other
-            or (
-                self.atoms.shape == other.atoms.shape
-                and np.array_equal(self.atoms, other.atoms)
-                and np.array_equal(self.weights, other.weights)
-            )
+        return self is other or (
+            np.array_equal(self.atoms, other.atoms) and np.array_equal(self.weights, other.weights)
         )
 
 
@@ -161,15 +156,15 @@ def ess_sup(phi: Symbol) -> float:
     return float(np.max(phi.moduli()[pos]))
 
 
-def ess_ran(phi: Symbol, dedup_tol: float = MERGE_TOL) -> list[Quaternion]:
+def ess_ran(phi: Symbol) -> list[Quaternion]:
     """Distinct symbol values on positive-weight atoms, first-seen order.
 
     A row is dropped when the norm of its difference to a row already kept
-    is <= dedup_tol; a NaN row is never a duplicate. One first-seen merge
+    is <= MERGE_TOL; a NaN row is never a duplicate. One first-seen merge
     (`_first_seen`) decides, in O(N log N) for distinct values.
     """
     rows = phi.values[phi.space.positive()]
-    kept, _ = _first_seen(rows, dedup_tol)
+    kept, _ = _first_seen(rows, MERGE_TOL)
     return [Quaternion.from_array(row) for row in rows[kept]]
 
 
@@ -195,22 +190,18 @@ def l2_slice_split(f: L2Element, frame: SliceFrame) -> tuple[L2Element, L2Elemen
     Norms satisfy ||f||^2 = ||F1||^2 + ||F2||^2.
     """
     c0, c1, c2, c3 = qa.frame_coords(f.values, frame)
-    zero = np.zeros_like(c0)
-    f1 = qa.from_frame_coords(c0, c1, zero, zero, frame)
-    f2 = qa.from_frame_coords(c2, c3, zero, zero, frame)
+    f1, f2 = qa.cm_values(c0 + 1j * c1, frame), qa.cm_values(c2 + 1j * c3, frame)
     return L2Element(f.space, f1), L2Element(f.space, f2)
 
 
 def pushforward(
-    space: AtomicMeasureSpace,
-    fn: Callable[[Quaternion], Quaternion],
-    merge_tol: float = MERGE_TOL,
+    space: AtomicMeasureSpace, fn: Callable[[Quaternion], Quaternion]
 ) -> AtomicMeasureSpace:
     """Image space: distinct images as atoms, weights summed over preimages.
 
     fn is called once per bit-identical atom, in first-seen order, and a
     repeated atom reuses the image of its first copy. An image merges into
-    the first image kept before it within merge_tol (`_first_seen`); each
+    the first image kept before it within MERGE_TOL (`_first_seen`); each
     image's weight is the sum of its preimages' weights, added in atom order.
     """
     atoms = np.ascontiguousarray(space.atoms)
@@ -219,7 +210,7 @@ def pushforward(
     seen = np.argsort(first)  # the distinct atoms in first-seen order
     images = np.stack([fn(space.label(i)).to_array() for i in first[seen]])
     images = images[np.argsort(seen)[copy_of.ravel()]]
-    kept, index = _first_seen(images, merge_tol)
+    kept, index = _first_seen(images, MERGE_TOL)
     weights = space.weights[kept]
     rest = np.ones(space.n_atoms, dtype=bool)
     rest[kept] = False

@@ -150,6 +150,13 @@ def slice_coords(a, frame) -> np.ndarray:
     return c0 + 1j * c1
 
 
+def cm_values(c, frame) -> np.ndarray:
+    """complex_to_cm over a complex array, bit for bit (signed zeros too)."""
+    out = 0.0 + c.imag[..., None] * frame.m.to_array()
+    out[..., 0] = c.real + c.imag * frame.m.w
+    return out
+
+
 def from_frame_coords(c0, c1, c2, c3, frame) -> np.ndarray:
     basis = np.stack([q.to_array() for q in frame.basis()], axis=0)
     coords = np.stack([c0, c1, c2, c3], axis=-1)

@@ -204,13 +204,8 @@ STANDARD_FRAME = SliceFrame(I, J, K)
 
 def slice_split(q: Quaternion, frame: SliceFrame) -> tuple[Quaternion, Quaternion]:
     """Write q = a + b*n with a, b in the slice C_m of the frame."""
-    c0 = q.w
-    c1 = real_dot(frame.m, q)
-    c2 = real_dot(frame.n, q)
-    c3 = real_dot(frame.mn, q)
-    a = Quaternion(c0) + frame.m * c1
-    b = Quaternion(c2) + frame.m * c3
-    return a, b
+    a = complex_to_cm(complex(q.w, real_dot(frame.m, q)), frame)
+    return a, complex_to_cm(complex(real_dot(frame.n, q), real_dot(frame.mn, q)), frame)
 
 
 def slice_join(a: Quaternion, b: Quaternion, frame: SliceFrame) -> Quaternion:

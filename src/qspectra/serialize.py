@@ -50,7 +50,7 @@ def quaternion_from_text(text: str) -> Quaternion:
 
 
 def vector_to_json(x: np.ndarray) -> list[list[float]]:
-    return [[float(c) for c in row] for row in np.asarray(x, dtype=np.float64)]
+    return np.asarray(x, dtype=np.float64).tolist()
 
 
 def _finite_array(data, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -79,13 +79,7 @@ def vector_from_json(data) -> np.ndarray:
 
 
 def matrix_to_json(a: QMatrix) -> dict:
-    rows, cols = a.shape
-    return {
-        "n": rows,
-        "entries": [
-            [[float(c) for c in a.a[i, j]] for j in range(cols)] for i in range(rows)
-        ],
-    }
+    return {"n": a.shape[0], "entries": a.a.tolist()}
 
 
 def matrix_from_json(data) -> QMatrix:
@@ -110,8 +104,8 @@ def matrix_from_json(data) -> QMatrix:
 
 def space_to_json(space: AtomicMeasureSpace) -> dict:
     return {
-        "atoms": [list(map(float, row)) for row in space.atoms],
-        "weights": [float(w) for w in space.weights],
+        "atoms": space.atoms.tolist(),
+        "weights": space.weights.tolist(),
     }
 
 
@@ -133,7 +127,7 @@ def space_from_json(data) -> AtomicMeasureSpace:
 
 def symbol_to_json(sym: Symbol) -> dict:
     out = space_to_json(sym.space)
-    out["values"] = [list(map(float, row)) for row in sym.values]
+    out["values"] = sym.values.tolist()
     return out
 
 

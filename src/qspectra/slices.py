@@ -25,7 +25,7 @@ from . import vectors as vec
 from .bridge import CMatrix, SpectralDecomposition, chi, iota_inv
 from .errors import ShapeError, SliceCommutationError
 from .operators import QMatrix
-from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm
+from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm, slice_split
 
 COMMUTE_TOL = 1e-9
 
@@ -166,8 +166,6 @@ class QuaternionifiedSpace:
         return x, y
 
     def _split_scalar(self, q: Quaternion) -> tuple[complex, complex]:
-        from .quaternion import slice_split
-
         a, b = slice_split(q, self.frame)
         return cm_to_complex(a, self.frame), cm_to_complex(b, self.frame)
 

@@ -19,7 +19,7 @@ from .bridge import SpectralDecomposition, eigvals_normal, spectral_decompose
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from .operators import QMatrix, delta
-from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, complex_to_cm, orbit_of
+from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, orbit_of
 from .slices import SliceStructure, restrict_pair
 
 FORM_RESIDUAL_TOL = 1e-9
@@ -81,7 +81,7 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
     """
     dec = spectral_decompose(a, frame)
     space = AtomicMeasureSpace.counting(a.n)
-    phi = Symbol.from_values(space, dec.d, frame)
+    phi = Symbol(space, dec.values, frame)
     form = MultiplicationForm(dec.V.H, space, phi, frame, dec.residual, dec)
 
     # on chi(A), as in spectral_decompose: U* M_phi U = V D V*
@@ -99,13 +99,13 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
     return form
 
 
-def sphere_spectrum(form: MultiplicationForm, dedup_tol: float = ORBIT_DEDUP_TOL) -> SphereSpectrum:
-    """Orbits of the essential range of the symbol."""
+def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
+    """Orbits of the essential range of the symbol, merged within ORBIT_DEDUP_TOL."""
     orbits: list[SimilarityOrbit] = []
     for value in ess_ran(form.phi):
         cand = orbit_of(value)
         if not any(
-            math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= dedup_tol for o in orbits
+            math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= ORBIT_DEDUP_TOL for o in orbits
         ):
             orbits.append(cand)
     return SphereSpectrum(orbits, form.op_norm)
@@ -304,12 +304,11 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
 
     Requires the symbol to be nonzero on every positive-weight atom.
     """
-    pos = np.flatnonzero(form.space.positive())
     moduli = form.phi.moduli()
     floor = 1e-12 * (1.0 + float(np.max(moduli)))
-    for i in pos:
-        if moduli[i] <= floor:
-            raise SymbolZeroError(f"symbol vanishes on positive-weight atom {i}")
+    low = np.flatnonzero(form.space.positive() & (moduli <= floor))
+    if len(low):
+        raise SymbolZeroError(f"symbol vanishes on positive-weight atom {low[0]}")
 
     rho = [
         (form.phi.value(int(i)) / moduli[int(i)]) * form.frame.n
@@ -372,16 +371,14 @@ def slice_spectrum_check(
     reps_c = np.array([complex(o.re, o.im_norm) for o in orbits])
 
     # Hausdorff distance between the eigenvalue set and the orbit reps.
-    plus_dev = max(
-        float(np.max([np.min(np.abs(reps_c - v)) for v in plus_c])),
-        float(np.max([np.min(np.abs(plus_c - v)) for v in reps_c])),
-    )
+    dist = np.abs(plus_c[:, None] - reps_c[None, :])
+    plus_dev = max(float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
     bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, 1.0)
     passed = plus_dev <= bound and conj_dev <= bound
     return SliceSpectrumReport(
-        [complex_to_cm(v, frame) for v in plus_c],
-        [complex_to_cm(v, frame) for v in minus_c],
+        [Quaternion.from_array(v) for v in qa.cm_values(plus_c, frame)],
+        [Quaternion.from_array(v) for v in qa.cm_values(minus_c, frame)],
         [o.representative(frame) for o in orbits],
         plus_dev,
         conj_dev,

@@ -3,7 +3,9 @@
 Vectors are (n, 4) float64 arrays. The inner product is right-linear in its
 second argument, <x|y> = sum conj(x_i) * y_i, and basis expansions combine
 coefficients on the right: x = sum z * <z|x>. Mixing sides is the dominant
-bug class, so every helper here keeps coefficients on the right.
+bug class, so every helper here keeps coefficients on the right. A family of
+vectors is one quaternion matrix, orthonormalized by one QR of its complex
+adjoint and expanded by quaternion matrix products.
 """
 
 from __future__ import annotations
@@ -11,22 +13,28 @@ from __future__ import annotations
 import numpy as np
 
 from . import qarray as qa
-from .errors import IncompleteBasisError, RankDeficiencyError, ShapeError
+from .errors import IncompleteBasisError, PreconditionError, RankDeficiencyError, ShapeError
 from .quaternion import Quaternion
 
 RANK_TOL = 1e-12
+EXPAND_TOL = 1e-10  # share of 1 + ||x|| by which an expansion may miss x
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x, y = qa.qarr(x), qa.qarr(y)
-    if x.shape != y.shape or x.ndim != 2:
-        raise ShapeError(f"vector shapes differ: {x.shape} vs {y.shape}")
-    return x, y
+def _columns(vectors, n: int = 0) -> np.ndarray:
+    """The vectors as the columns of an (n, K, 4) array, (n, 0, 4) if none."""
+    vectors = list(vectors)
+    try:
+        x = np.stack(vectors, axis=1) if vectors else np.zeros((n, 0, 4))
+    except ValueError as err:
+        raise ShapeError(f"vector shapes differ: {err}") from None
+    if x.ndim != 3 or x.shape[2] != 4:
+        raise ShapeError(f"expected (n, 4) vectors, got shape {x.shape[::2]}")
+    return x.astype(np.float64, copy=False)
 
 
 def inner(x, y) -> Quaternion:
     """<x|y> = sum conj(x_i) * y_i."""
-    x, y = _check_pair(x, y)
+    x, y = _columns([x, y]).transpose(1, 0, 2)
     return qa.to_quaternion(np.sum(qa.qmul(qa.qconj(x), y), axis=0))
 
 
@@ -45,55 +53,62 @@ def basis_vector(n: int, k: int) -> np.ndarray:
     return out
 
 
-def gram_schmidt(vectors, rank_tol: float = RANK_TOL) -> list[np.ndarray]:
-    """Orthonormalize with right-multiplying coefficients: v <- v - z * <z|v>.
+def gram_schmidt(vectors) -> list[np.ndarray]:
+    """Orthonormalize in input order: z_k is the residual of x_k after
+    v <- v - z * <z|v> over the earlier z, divided by its norm.
 
-    Modified Gram-Schmidt with one full re-orthogonalization pass, processed
-    in input order. Raises RankDeficiencyError with the offending index when
-    the residual norm falls below rank_tol before normalization.
+    One QR of the complex adjoint, columns iota(x_k), iota(x_k * j) in pairs
+    that each span the line x_k H: column 2k of Q is iota(z_k) times the
+    phase of R[2k, 2k], whose modulus is the residual norm. Raises
+    PreconditionError at the first vector with a non-finite entry, and
+    RankDeficiencyError at the first residual below RANK_TOL or at index n.
     """
-    done: list[np.ndarray] = []
-    for idx, v in enumerate(vectors):
-        u = qa.qarr(v).copy()
-        for _ in range(2):
-            for z in done:
-                u = u - scale_right(z, inner(z, u))
-        r = norm(u)
-        if r < rank_tol:
-            raise RankDeficiencyError(idx, r)
-        done.append(u / r)
-    return done
+    x = _columns(vectors)
+    n, count = x.shape[:2]
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=(0, 2)))
+    if len(bad):
+        raise PreconditionError(f"vector {bad[0]} has a non-finite entry")
+    pairs = np.arange(2 * count).reshape(2, count).T.ravel()  # 0, K, 1, K + 1, ...
+    q, r = np.linalg.qr(qa.to_complex_adjoint(x)[:, pairs])
+    diag = np.diagonal(r)[::2]
+    residual = np.abs(np.pad(diag, (0, count - len(diag))))  # 0 past n: n lines span H^n
+    low = np.flatnonzero(residual < RANK_TOL)
+    if len(low):
+        raise RankDeficiencyError(int(low[0]), float(residual[low[0]]))
+    z = q[:, ::2] * (diag / residual)
+    return list(qa.from_pair(z[:n].T, np.conj(z[n:].T)))
 
 
 def orthonormality_defect(basis) -> float:
     """max |<z|z'> - delta| over all pairs."""
-    worst = 0.0
-    for i, z in enumerate(basis):
-        for j, zp in enumerate(basis):
-            g = inner(z, zp)
-            target = Quaternion(1.0) if i == j else Quaternion()
-            worst = max(worst, abs(g - target))
-    return worst
+    z = _columns(basis)
+    gram = qa.qmatmul(qa.qconj(z.transpose(1, 0, 2)), z)
+    gram[..., 0] -= np.eye(z.shape[1])
+    return float(np.max(qa.qabs(gram), initial=0.0))
 
 
-def expand(x, basis, tol: float = 1e-10) -> list[Quaternion]:
+def expand(x, basis) -> list[Quaternion]:
     """Coefficients c_z = <z|x> with x = sum z * c_z.
 
-    Raises IncompleteBasisError when the reconstruction misses x by more
-    than tol * (1 + ||x||).
+    Raises PreconditionError when x or a basis vector has a non-finite entry,
+    and IncompleteBasisError when the reconstruction misses x by more than
+    EXPAND_TOL * (1 + ||x||).
     """
-    x = qa.qarr(x)
-    coeffs = [inner(z, x) for z in basis]
-    rec = reconstruct(basis, coeffs, like=x)
-    miss = norm(x - rec)
-    if miss > tol * (1.0 + norm(x)):
+    both = _columns([*basis, x])
+    z, x = both[:, :-1], both[:, -1]
+    if not np.all(np.isfinite(both)):
+        raise PreconditionError("vector to expand or its basis has a non-finite entry")
+    coeffs = qa.qmatmul(qa.qconj(z.transpose(1, 0, 2)), x[:, None])
+    miss = norm(x - qa.qmatmul(z, coeffs)[:, 0])
+    if miss > EXPAND_TOL * (1.0 + norm(x)):
         raise IncompleteBasisError(f"basis reconstruction misses by {miss:.3e}")
-    return coeffs
+    return [Quaternion.from_array(c) for c in coeffs[:, 0]]
 
 
 def reconstruct(basis, coeffs, like=None) -> np.ndarray:
-    first = qa.qarr(basis[0]) if basis else qa.qarr(like)
-    out = np.zeros_like(first)
-    for z, c in zip(basis, coeffs):
-        out = out + scale_right(z, c)
-    return out
+    """sum z * c_z; for an empty basis, zeros shaped like `like`."""
+    z = _columns(basis, 0 if like is None else len(qa.qarr(like)))
+    c = np.array([q.to_array() for q in coeffs]).reshape(-1, 1, 4)
+    if len(c) != z.shape[1]:
+        raise ShapeError(f"{len(c)} coefficients for {z.shape[1]} basis vectors")
+    return qa.qmatmul(z, c)[:, 0]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from qspectra import (
     slice_join,
     slice_split,
 )
+from qspectra import qarray as qa
 from qspectra.errors import FrameError
 
 from conftest import assert_qclose
@@ -164,6 +166,15 @@ class TestSliceSplit:
     def test_complex_coordinates_roundtrip(self, frame):
         z = complex(0.7, -2.5)
         assert cm_to_complex(complex_to_cm(z, frame), frame) == pytest.approx(z)
+
+    def test_cm_values_bitwise_equal_to_complex_to_cm(self, frame):
+        # signed zeros too: the decompose report prints these values
+        parts = [0.0, -0.0, 0.7, -2.5, 1e-300, -3e200]
+        values = np.array([complex(a, b) for a in parts for b in parts])
+        frames = [frame, SliceFrame.from_m(Quaternion(-0.0, *frame.m.to_array()[1:]))]
+        for f in frames:
+            want = np.stack([complex_to_cm(complex(c), f).to_array() for c in values])
+            assert qa.cm_values(values, f).tobytes() == want.tobytes()
 
 
 class TestOrbits:

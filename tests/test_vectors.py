@@ -15,14 +15,65 @@ from qspectra import (
     scale_right,
 )
 from qspectra import generate as gen
-from qspectra.errors import IncompleteBasisError, RankDeficiencyError, ShapeError
-from qspectra.vectors import basis_vector, orthonormality_defect
+from qspectra.errors import (
+    IncompleteBasisError,
+    PreconditionError,
+    RankDeficiencyError,
+    ShapeError,
+)
+from qspectra.vectors import RANK_TOL, basis_vector, orthonormality_defect
 
 from conftest import assert_qclose
 
 
 def qvec(*qs):
     return np.stack([q.to_array() for q in qs], axis=0)
+
+
+def mgs_reference(vectors):
+    """The two-pass modified Gram-Schmidt loop that gram_schmidt replaces:
+    v <- v - z * <z|v> over every earlier z, twice, then v / ||v||. Returns
+    the basis and the residual norms."""
+    done, residuals = [], []
+    for idx, v in enumerate(vectors):
+        u = np.array(v, dtype=np.float64)
+        for _ in range(2):
+            for z in done:
+                u = u - scale_right(z, inner(z, u))
+        r = norm(u)
+        if r < RANK_TOL:
+            raise RankDeficiencyError(idx, r)
+        done.append(u / r)
+        residuals.append(r)
+    return done, residuals
+
+
+def assert_matches_reference(vectors):
+    """gram_schmidt raises at the reference's index, or agrees with it
+    entrywise within 16 n eps max ||x|| / (smallest residual)."""
+    try:
+        want, residuals = mgs_reference(vectors)
+    except RankDeficiencyError as err:
+        with pytest.raises(RankDeficiencyError) as got:
+            gram_schmidt(vectors)
+        assert got.value.index == err.index
+        return
+    got = gram_schmidt(vectors)
+    assert len(got) == len(want)
+    if not want:
+        return
+    n = len(want[0])
+    scale = max(norm(v) for v in vectors)
+    bound = 16 * n * np.finfo(float).eps * max(scale, 1.0) / min(residuals)
+    assert np.max(np.abs(np.stack(got) - np.stack(want))) <= bound
+
+
+def near_dependent(rng, n, residual):
+    """Three vectors of H^n, the third x_0 q + residual * w with w a unit
+    vector orthogonal to the lines of x_0 and x_1."""
+    x0, x1, w = (gen.random_qvector(rng, n) for _ in range(3))
+    w = mgs_reference([x0, x1, w])[0][2]
+    return [x0, x1, scale_right(x0, gen.random_quaternion(rng)) + residual * w]
 
 
 class TestInnerProduct:
@@ -104,6 +155,73 @@ class TestGramSchmidt:
         basis = gram_schmidt([gen.random_qvector(rng, 6) for _ in range(6)])
         assert orthonormality_defect(basis) <= 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_seeded_inputs_match_reference(self, n):
+        rng = np.random.default_rng([11, n])
+        for count in sorted({1, max(1, n // 2), n}):
+            assert_matches_reference([gen.random_qvector(rng, n) for _ in range(count)])
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_more_vectors_than_dimension(self, n):
+        rng = np.random.default_rng([12, n])
+        vectors = [gen.random_qvector(rng, n) for _ in range(n + 2)]
+        assert_matches_reference(vectors)
+        with pytest.raises(RankDeficiencyError) as err:
+            gram_schmidt(vectors)
+        assert err.value.index == n
+
+    def test_zero_vector_matches_reference(self, rng):
+        x = [gen.random_qvector(rng, 4) for _ in range(3)]
+        assert_matches_reference([x[0], np.zeros((4, 4)), x[2]])
+        assert_matches_reference([np.zeros((4, 4)), x[1]])
+
+    def test_repeated_vector_matches_reference(self, rng):
+        x = [gen.random_qvector(rng, 5) for _ in range(3)]
+        assert_matches_reference([x[0], x[1], x[0]])
+
+    @pytest.mark.parametrize("residual", [1e-13, 1e-11])
+    def test_near_dependent_matches_reference(self, rng, residual):
+        vectors = near_dependent(rng, 6, residual)
+        assert_matches_reference(vectors)
+        if residual < RANK_TOL:
+            with pytest.raises(RankDeficiencyError) as err:
+                gram_schmidt(vectors)
+            assert err.value.index == 2
+        else:
+            assert len(gram_schmidt(vectors)) == 3
+
+    def test_orthonormal_input_matches_reference(self, rng):
+        basis, _ = mgs_reference([gen.random_qvector(rng, 8) for _ in range(8)])
+        assert_matches_reference(basis)
+
+    def test_empty_list(self):
+        assert gram_schmidt([]) == []
+        assert mgs_reference([]) == ([], [])
+
+    def test_orthonormal_at_n64(self):
+        rng = np.random.default_rng(64)
+        basis = gram_schmidt([gen.random_qvector(rng, 64) for _ in range(64)])
+        assert orthonormality_defect(basis) <= 1e-13
+
+    def test_positive_leading_coefficient(self, rng):
+        vectors = [gen.random_qvector(rng, 5) for _ in range(5)]
+        for z, x in zip(gram_schmidt(vectors), vectors):
+            c = inner(z, x)
+            assert c.re > 0.0 and c.im_norm() <= 1e-13 * c.re
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_named(self, rng, bad):
+        vectors = [gen.random_qvector(rng, 4) for _ in range(4)]
+        vectors[2][1, 3] = bad
+        vectors[3][0, 0] = bad
+        with pytest.raises(PreconditionError, match="vector 2 ") as err:
+            gram_schmidt(vectors)
+        assert not isinstance(err.value, RankDeficiencyError)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            gram_schmidt([qvec(ONE), qvec(ONE, ONE)])
+
     def test_right_coefficient_convention(self, rng):
         # the projection must kill <z|v> exactly on the right
         z, v = gen.random_qvector(rng, 5), gen.random_qvector(rng, 5)
@@ -138,6 +256,32 @@ class TestExpand:
             x = gen.random_qvector(rng, 5)
             coeffs = expand(x, basis)
             assert norm(x - reconstruct(basis, coeffs)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, rng, bad):
+        basis = gram_schmidt([gen.random_qvector(rng, 3) for _ in range(3)])
+        x = gen.random_qvector(rng, 3)
+        x[1, 2] = bad
+        with pytest.raises(PreconditionError, match="non-finite") as err:
+            expand(x, basis)
+        assert not isinstance(err.value, IncompleteBasisError)
+        basis[1][0, 0] = bad
+        with pytest.raises(PreconditionError, match="non-finite"):
+            expand(gen.random_qvector(rng, 3), basis)
+
+    def test_length_mismatch(self, rng):
+        basis = gram_schmidt([gen.random_qvector(rng, 3) for _ in range(3)])
+        with pytest.raises(ShapeError):
+            expand(gen.random_qvector(rng, 2), basis)
+
+    def test_coefficient_count_mismatch(self):
+        with pytest.raises(ShapeError):
+            reconstruct([basis_vector(2, 0)], [ONE, I])
+
+    def test_empty_basis(self):
+        with pytest.raises(IncompleteBasisError):
+            expand(basis_vector(2, 0), [])
+        assert np.array_equal(reconstruct([], [], like=basis_vector(3, 0)), np.zeros((3, 4)))
 
     def test_incomplete_basis_detected(self):
         basis = [basis_vector(2, 0)]
