@@ -90,9 +90,6 @@ class CMatrix:
             raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds {max_off:.3e}")
         return cls.from_complex(row[:, :n], frame)
 
-    def to_complex(self) -> np.ndarray:
-        return self.z
-
     @property
     def data(self) -> np.ndarray:
         """The entries as an (p, q, 4) quaternion array."""

@@ -1,18 +1,16 @@
-"""Seeded random data for tests, the selftest harness and scenario inputs.
+"""Seeded random data for the selftest harness and the tests.
 
-Everything here is driven by numpy Generators so a scenario seed pins the
-inputs bit-for-bit.
+Everything here is driven by numpy Generators, so a seed pins the inputs
+bit-for-bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import vectors as vec
 from .operators import QMatrix
-from .quaternion import I, Quaternion, SliceFrame
+from .quaternion import Quaternion, SliceFrame
 
 MATRIX_CLASSES = ("normal", "antiSelfAdjoint", "unitary", "real")
 
@@ -93,25 +91,3 @@ def random_complex_normal(rng: np.random.Generator, n: int, scale: float = 1.0) 
     w, _ = np.linalg.qr(g)
     vals = rng.uniform(-scale, scale, size=n) + 1j * rng.uniform(-scale, scale, size=n)
     return (w * vals) @ np.conj(w.T)
-
-
-@dataclass
-class Scenario:
-    """A named, seeded operator input for the verification harness.
-
-    Same seed, same spec -> bit-identical matrices, so every report built
-    from a scenario is reproducible.
-    """
-
-    name: str
-    seed: int
-    n: int
-    matrix_class: str = "normal"
-    m: Quaternion = field(default_factory=lambda: I)
-
-    def frame(self) -> SliceFrame:
-        return SliceFrame.from_m(self.m)
-
-    def build(self) -> QMatrix:
-        rng = np.random.default_rng(self.seed)
-        return random_normal(rng, self.n, self.frame(), self.matrix_class)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import qarray as qa
-from .errors import ShapeError
+from .errors import PreconditionError, ShapeError
 from .quaternion import Quaternion, SliceFrame
 
 MERGE_TOL = 1e-12
@@ -39,6 +39,9 @@ class AtomicMeasureSpace:
             raise ShapeError("atoms must be (N, 4) and weights (N,)")
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise ShapeError("atom and weight counts differ")
+        bad = np.flatnonzero(~np.isfinite(self.weights))
+        if len(bad):
+            raise PreconditionError(f"weight {self.weights[bad[0]]} of atom {bad[0]} is not finite")
         if np.any(self.weights < 0.0):
             raise ShapeError("weights must be >= 0")
         if not np.any(self.weights > 0.0):

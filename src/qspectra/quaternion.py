@@ -142,8 +142,8 @@ def real_dot(a: Quaternion, b: Quaternion) -> float:
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def check_unit_imaginary(q: Quaternion, tol: float = DEFAULT_TOL) -> None:
-    if max(abs(q.re), abs(abs(q) - 1.0)) > tol:
+def check_unit_imaginary(q: Quaternion) -> None:
+    if max(abs(q.re), abs(abs(q) - 1.0)) > DEFAULT_TOL:
         raise FrameError(f"{q!r} is not a unit imaginary quaternion")
 
 

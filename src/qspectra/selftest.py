@@ -93,10 +93,10 @@ def _group_vectors(rng, n) -> list[Check]:
     ]
 
 
-def _power_iteration_norm(a: QMatrix, rng, sweeps: int = 100) -> float:
+def _power_iteration_norm(a: QMatrix, rng) -> float:
     x = gen.random_qvector(rng, a.n)
     x /= vec.norm(x)
-    for _ in range(sweeps):
+    for _ in range(100):
         x = a.H.apply(a.apply(x))
         nx = vec.norm(x)
         if nx == 0.0:

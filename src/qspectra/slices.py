@@ -105,11 +105,6 @@ def restrict_plus(a: QMatrix, s: SliceStructure) -> CMatrix:
     return restrict_pair(a, s)[0]
 
 
-def restrict_minus(a: QMatrix, s: SliceStructure) -> CMatrix:
-    """The minus matrix of restrict_pair; the conjugate of the plus matrix."""
-    return restrict_pair(a, s)[1]
-
-
 def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
     """Unique right-linear extension of a slice operator to the whole space.
 

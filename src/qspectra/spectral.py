@@ -17,13 +17,15 @@ import numpy as np
 from . import qarray as qa
 from .bridge import SpectralDecomposition, eigvals_normal, spectral_decompose
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
-from .measure import AtomicMeasureSpace, Symbol, ess_ran, ess_sup
-from .operators import QMatrix, delta
-from .quaternion import Quaternion, SimilarityOrbit, SliceFrame, orbit_of
+from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
+from .operators import QMatrix
+from .quaternion import Quaternion, SimilarityOrbit, SliceFrame
 from .slices import SliceStructure, restrict_pair
 
 FORM_RESIDUAL_TOL = 1e-9
 ORBIT_DEDUP_TOL = 1e-9
+# on- and off-sphere probes per orbit for the Delta-kernel oracle
+PROBES_PER_ORBIT = 16
 # Share of max(||A||, 1) by which a restriction's eigenvalues may miss the
 # orbits (plus) or the conjugates of the plus eigenvalues (minus).
 SLICE_SPECTRUM_TOL = 1e-8
@@ -50,9 +52,6 @@ class MultiplicationForm:
 
     def reconstruct(self) -> QMatrix:
         return self.U.H @ QMatrix(qa.left_diag_entries(self.phi.values)) @ self.U
-
-    def phi_values(self) -> list[Quaternion]:
-        return [Quaternion.from_array(row) for row in self.phi.values]
 
 
 @dataclass
@@ -100,15 +99,20 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
 
 def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
-    """Orbits of the essential range of the symbol, merged within ORBIT_DEDUP_TOL."""
-    orbits: list[SimilarityOrbit] = []
-    for value in ess_ran(form.phi):
-        cand = orbit_of(value)
-        if not any(
-            math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= ORBIT_DEDUP_TOL for o in orbits
-        ):
-            orbits.append(cand)
-    return SphereSpectrum(orbits, form.op_norm)
+    """Orbits of the essential range of the symbol, merged within ORBIT_DEDUP_TOL.
+
+    Two first-seen merges (`_first_seen`): the positive-weight values within
+    MERGE_TOL, as ess_ran takes them, then their (re, |im|) points within
+    ORBIT_DEDUP_TOL, each orbit kept at its first value.
+    """
+    rows = form.phi.values[form.phi.space.positive()]
+    rows = rows[_first_seen(rows, MERGE_TOL)[0]]
+    x, y, z = rows[:, 1], rows[:, 2], rows[:, 3]
+    points = np.zeros_like(rows)
+    points[:, 0] = rows[:, 0]
+    points[:, 1] = np.sqrt(x * x + y * y + z * z)  # bit-equal to Quaternion.im_norm
+    kept, _ = _first_seen(points, ORBIT_DEDUP_TOL)
+    return SphereSpectrum([SimilarityOrbit(*p) for p in points[kept, :2].tolist()], form.op_norm)
 
 
 def oracle_scale(a: QMatrix) -> float:
@@ -228,32 +232,27 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(golden * t), r * np.sin(golden * t), z], axis=1)
 
 
-def on_sphere_probes(orbit: SimilarityOrbit, count: int = 16) -> list[Quaternion]:
-    """Probes exactly on the orbit sphere via a Fibonacci lattice."""
-    dirs = fibonacci_sphere(count)
-    return [
-        Quaternion(orbit.re, *(orbit.im_norm * d)) for d in dirs
-    ]
+def on_sphere_probes(orbit: SimilarityOrbit) -> list[Quaternion]:
+    """PROBES_PER_ORBIT probes exactly on the orbit sphere via a Fibonacci lattice."""
+    return [Quaternion(orbit.re, *(orbit.im_norm * d)) for d in fibonacci_sphere(PROBES_PER_ORBIT)]
 
 
 def off_sphere_probes(
-    orbit: SimilarityOrbit,
-    spectrum: SphereSpectrum,
-    margin: float,
-    count: int = 16,
+    orbit: SimilarityOrbit, spectrum: SphereSpectrum, margin: float
 ) -> list[Quaternion]:
-    """Probes near the orbit but at distance >= margin from every orbit.
+    """PROBES_PER_ORBIT probes near the orbit but at distance >= margin from
+    every orbit.
 
     Candidates circle the orbit point in the (re, |im|) half plane at growing
     radii until clear of the whole spectrum; a far-field fallback guarantees
     termination. Probe directions reuse the Fibonacci lattice so the oracle
     also sees varying imaginary directions.
     """
-    dirs = fibonacci_sphere(count)
+    dirs = fibonacci_sphere(PROBES_PER_ORBIT)
     far = max(abs(o.re) + o.im_norm for o in spectrum.orbits) + 1.0
     out = []
-    for t in range(count):
-        angle = 2.0 * math.pi * (t + 0.5) / count
+    for t in range(PROBES_PER_ORBIT):
+        angle = 2.0 * math.pi * (t + 0.5) / PROBES_PER_ORBIT
         placed = None
         for attempt in range(40):
             r = margin * (1.3**attempt) * 1.5
@@ -329,11 +328,12 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
 
 @dataclass
 class SliceSpectrumReport:
-    """Eigenvalues of the plus/minus restrictions against the orbit set."""
+    """Eigenvalues of the plus/minus restrictions, as complex coordinates
+    against {1, m}, and how far they are from the orbit set and from each
+    other's conjugates."""
 
-    plus_vals: list[Quaternion]
-    minus_vals: list[Quaternion]
-    orbit_reps: list[Quaternion]
+    plus: np.ndarray
+    minus: np.ndarray
     plus_deviation: float
     conj_deviation: float
     passed: bool
@@ -360,15 +360,13 @@ def slice_spectrum_check(
     minus restriction's eigenvalues are their conjugates, both within
     SLICE_SPECTRUM_TOL * max(||A||, 1). The orbits and ||A|| are those of
     multiplication_form(a) unless spectrum is given."""
-    frame = s.frame
     t_plus, t_minus = restrict_pair(a, s)
     plus_c = eigvals_normal(t_plus.z)
     minus_c = eigvals_normal(t_minus.z)
 
     if spectrum is None:
-        spectrum = sphere_spectrum(multiplication_form(a, frame))
-    orbits = spectrum.orbits
-    reps_c = np.array([complex(o.re, o.im_norm) for o in orbits])
+        spectrum = sphere_spectrum(multiplication_form(a, s.frame))
+    reps_c = np.array([complex(o.re, o.im_norm) for o in spectrum.orbits])
 
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     dist = np.abs(plus_c[:, None] - reps_c[None, :])
@@ -376,11 +374,4 @@ def slice_spectrum_check(
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
     bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, 1.0)
     passed = plus_dev <= bound and conj_dev <= bound
-    return SliceSpectrumReport(
-        [Quaternion.from_array(v) for v in qa.cm_values(plus_c, frame)],
-        [Quaternion.from_array(v) for v in qa.cm_values(minus_c, frame)],
-        [o.representative(frame) for o in orbits],
-        plus_dev,
-        conj_dev,
-        passed,
-    )
+    return SliceSpectrumReport(plus_c, minus_c, plus_dev, conj_dev, passed)

@@ -118,7 +118,7 @@ def test_criterion_3_oracle_equivalence(corpus):
         spectrum = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
         for orbit in spectrum.orbits:
-            probes = on_sphere_probes(orbit, 16) + off_sphere_probes(orbit, spectrum, margin, 16)
+            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
             verdicts = delta_oracle(a, probes, 1e-7)
             member = [spectrum.contains(q, 1e-9) for q in probes]
             probes_run += len(probes)

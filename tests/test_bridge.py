@@ -83,7 +83,7 @@ class TestCMatrix:
 
     def test_complex_roundtrip(self, frame, rng):
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        back = CMatrix.from_complex(z, frame).to_complex()
+        back = CMatrix.from_complex(z, frame).z
         np.testing.assert_allclose(back, z, atol=1e-15)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qspectra
-from qspectra import J, QMatrix, STANDARD_FRAME
+from qspectra import J, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra import cli, qarray, selftest
 from qspectra.cli import main
@@ -329,6 +329,26 @@ class TestLapackCalls:
         calls = self.counters(monkeypatch)
         selftest._group_form(np.random.default_rng([0, 0]), 8)
         assert calls["svd"] == 4
+
+
+class TestQuaternionCount:
+    """Below the API boundary a decompose keeps its values in arrays; the
+    Quaternion objects it builds are the slice axis and its frame."""
+
+    def test_decompose_n64(self, monkeypatch, tmp_path):
+        path = tmp_path / "a.json"
+        a = gen.random_normal(np.random.default_rng(5), 64, STANDARD_FRAME)
+        save_json(matrix_to_json(a), path)
+        built = []
+        init = Quaternion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Quaternion, "__init__", counted)
+        assert main(["decompose", str(path), "--out", str(tmp_path / "rep.json")]) == 0
+        assert len(built) <= 16
 
 
 class TestParser:

@@ -1,31 +1,35 @@
 import numpy as np
 import pytest
 
-from qspectra import J, QMatrix
+from qspectra import I, J, QMatrix, SliceFrame
 from qspectra import generate as gen
 
 
+def seeded_normal(seed: int, n: int, kind: str = "normal", m=I) -> QMatrix:
+    return gen.random_normal(np.random.default_rng(seed), n, SliceFrame.from_m(m), kind)
+
+
 class TestScenario:
+    """A seed, a size, a class and a slice axis pin a random_normal input."""
+
     def test_seeded_build_is_bit_identical(self):
-        params = dict(name="roundtrip", seed=2024, n=6, matrix_class="normal", m=J)
-        a = gen.Scenario(**params).build()
-        b = gen.Scenario(**params).build()
+        a = seeded_normal(2024, 6, "normal", J)
+        b = seeded_normal(2024, 6, "normal", J)
         assert (a - b).frobenius() == 0.0
         np.testing.assert_array_equal(a.a, b.a)
 
     def test_different_seeds_differ(self):
-        a = gen.Scenario("x", 1, 4).build()
-        b = gen.Scenario("x", 2, 4).build()
+        a = seeded_normal(1, 4)
+        b = seeded_normal(2, 4)
         assert (a - b).frobenius() > 1e-3
 
     @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
     def test_all_classes_normal(self, kind):
-        a = gen.Scenario("k", 5, 5, matrix_class=kind).build()
-        assert a.is_normal(1e-10)
+        assert seeded_normal(5, 5, kind).is_normal(1e-10)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
-            gen.Scenario("bad", 0, 3, matrix_class="hermitian").build()
+            seeded_normal(0, 3, "hermitian")
 
 
 class TestRandomBuilders:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qspectra import I, J, K, ONE, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
-from qspectra.errors import ShapeError, SliceMembershipError
+from qspectra.errors import PreconditionError, ShapeError, SliceMembershipError
 from qspectra.measure import (
     MERGE_TOL,
     AtomicMeasureSpace,
@@ -38,6 +38,11 @@ class TestSpaces:
     def test_rejects_negative_weight(self):
         with pytest.raises(ShapeError):
             AtomicMeasureSpace.from_labels([Quaternion(0)], [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(PreconditionError, match=f"weight {bad} of atom 1 is not finite"):
+            AtomicMeasureSpace.from_labels([Quaternion(0), I, J], [1.0, bad, math.nan])
 
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ShapeError):

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,12 @@ from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.bridge import spectral_decompose
 from qspectra.errors import NotNormalError, PreconditionError, SymbolZeroError
-from qspectra.measure import ess_sup
+from qspectra.measure import MERGE_TOL, AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from qspectra.operators import delta
-from qspectra.quaternion import cm_to_complex
+from qspectra.quaternion import orbit_of
 from qspectra.slices import build_J
 from qspectra.spectral import (
+    ORBIT_DEDUP_TOL,
     classify,
     conjugate_equivalence,
     delta_oracle,
@@ -29,7 +33,7 @@ from conftest import assert_qclose
 class TestMultiplicationForm:
     def test_left_j(self):
         form = multiplication_form(QMatrix.from_rows([[J]]), STANDARD_FRAME)
-        assert_qclose(form.phi_values()[0], I, 1e-13)
+        assert_qclose(form.phi.value(0), I, 1e-13)
         assert (QMatrix.from_rows([[J]]) - form.reconstruct()).frobenius() <= 1e-12
         assert form.space.n_atoms == 1
         assert form.space.weights[0] == 1.0
@@ -37,13 +41,12 @@ class TestMultiplicationForm:
     def test_lower_half_diagonal_flipped(self):
         a = QMatrix.from_rows([[Quaternion(1, -2)]])
         form = multiplication_form(a, STANDARD_FRAME)
-        assert_qclose(form.phi_values()[0], Quaternion(1, 2), 1e-12)
+        assert_qclose(form.phi.value(0), Quaternion(1, 2), 1e-12)
         assert (a - form.reconstruct()).frobenius() <= 1e-12
 
     def test_zero_matrix(self):
         form = multiplication_form(QMatrix.zeros(2), STANDARD_FRAME)
-        for v in form.phi_values():
-            assert abs(v) <= 1e-13
+        assert np.all(form.phi.moduli() <= 1e-13)
 
     def test_norm_identity(self, frame, rng):
         a = gen.random_normal(rng, 8, frame)
@@ -114,6 +117,66 @@ class TestSphereSpectrum:
     def test_multiplicity_deduplicated(self):
         form = multiplication_form(QMatrix.diag([I, I, I]), STANDARD_FRAME)
         assert len(sphere_spectrum(form).orbits) == 1
+
+
+def reference_orbits(form) -> list[tuple[str, str]]:
+    """The orbit loop sphere_spectrum replaced: the values of ess_ran, each
+    kept unless math.hypot puts a kept orbit within ORBIT_DEDUP_TOL."""
+    orbits = []
+    for value in ess_ran(form.phi):
+        cand = orbit_of(value)
+        if not any(
+            math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= ORBIT_DEDUP_TOL for o in orbits
+        ):
+            orbits.append(cand)
+    return [(o.re.hex(), o.im_norm.hex()) for o in orbits]
+
+
+def orbit_bits(form) -> list[tuple[str, str]]:
+    return [(o.re.hex(), o.im_norm.hex()) for o in sphere_spectrum(form).orbits]
+
+
+def symbol_form(values, weights=None):
+    """What sphere_spectrum reads of a form, for a symbol on C_i."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.zeros((len(values), 4))
+    rows[:, :2] = values
+    atoms = AtomicMeasureSpace.counting(len(rows)).atoms
+    space = AtomicMeasureSpace(atoms, np.ones(len(rows)) if weights is None else weights)
+    return SimpleNamespace(phi=Symbol(space, rows, STANDARD_FRAME), op_norm=1.0)
+
+
+class TestSphereSpectrumReference:
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_seeded_forms(self, frame, kind, n):
+        a = gen.random_normal(np.random.default_rng([n, gen.MATRIX_CLASSES.index(kind)]), n, frame, kind)
+        form = multiplication_form(a, frame)
+        assert orbit_bits(form) == reference_orbits(form)
+
+    def test_repeated_values(self):
+        half = 0.5 * MERGE_TOL
+        values = [(1, 2), (1, -2), (1, 2), (0, 1), (1 + half, 2), (0, -1), (3, 0), (3, -0.0)]
+        form = symbol_form(values)
+        assert orbit_bits(form) == reference_orbits(form)
+        assert len(orbit_bits(form)) == 3
+
+    def test_zero_weight_atoms(self):
+        values = [(5, 1), (1, 2), (7, 0), (1, -2), (0, 1)]
+        form = symbol_form(values, [0.0, 1.0, 0.0, 2.0, 0.5])
+        assert orbit_bits(form) == reference_orbits(form)
+        assert orbit_bits(form)[0] == ((1.0).hex(), (2.0).hex())
+        assert len(orbit_bits(form)) == 2
+
+    @pytest.mark.parametrize("factor, count", [(1 - 1e-3, 1), (1 + 1e-3, 2)])
+    @pytest.mark.parametrize("direction", [(1, 0), (0, 1), (0.6, 0.8)])
+    def test_pairs_at_the_dedup_tolerance(self, factor, count, direction):
+        step = ORBIT_DEDUP_TOL * factor
+        base = (0.25, 0.75)
+        other = (base[0] + step * direction[0], base[1] + step * direction[1])
+        form = symbol_form([base, other, (other[0], -other[1])])
+        assert orbit_bits(form) == reference_orbits(form)
+        assert len(orbit_bits(form)) == count
 
 
 class TestDeltaOracle:
@@ -356,16 +419,16 @@ class TestSliceSpectrumIdentity:
         s = build_J(spectral_decompose(a, STANDARD_FRAME))
         report = slice_spectrum_check(a, s)
         assert report.passed
-        assert_qclose(report.plus_vals[0], I, 1e-12)
-        assert_qclose(report.minus_vals[0], -I, 1e-12)
+        assert report.plus[0] == pytest.approx(1j, abs=1e-12)
+        assert report.minus[0] == pytest.approx(-1j, abs=1e-12)
 
     def test_real_diagonal_self_conjugate(self):
         a = QMatrix.diag([Quaternion(2), Quaternion(3)])
         s = build_J(spectral_decompose(a, STANDARD_FRAME))
         report = slice_spectrum_check(a, s)
         assert report.passed
-        plus = sorted(v.re for v in report.plus_vals)
-        minus = sorted(v.re for v in report.minus_vals)
+        plus = sorted(report.plus.real)
+        minus = sorted(report.minus.real)
         assert plus == pytest.approx([2.0, 3.0], abs=1e-10)
         assert minus == pytest.approx([2.0, 3.0], abs=1e-10)
 
@@ -374,8 +437,8 @@ class TestSliceSpectrumIdentity:
         s = build_J(spectral_decompose(a, STANDARD_FRAME))
         report = slice_spectrum_check(a, s)
         assert report.passed
-        assert_qclose(report.plus_vals[0], Quaternion(1, 2), 1e-10)
-        assert_qclose(report.minus_vals[0], Quaternion(1, -2), 1e-10)
+        assert report.plus[0] == pytest.approx(1 + 2j, abs=1e-10)
+        assert report.minus[0] == pytest.approx(1 - 2j, abs=1e-10)
 
     def test_random_corpus(self, frame, rng):
         for n in (3, 7):
@@ -397,8 +460,7 @@ class TestSliceSpectrumIdentity:
     def test_altered_minus_multiset_fails(self, rng):
         a = gen.random_normal(rng, 8, STANDARD_FRAME, kind="antiSelfAdjoint")
         report = slice_spectrum_check(a, build_J(spectral_decompose(a, STANDARD_FRAME)))
-        plus = np.array([cm_to_complex(v, STANDARD_FRAME) for v in report.plus_vals])
-        conj_minus = np.conj([cm_to_complex(v, STANDARD_FRAME) for v in report.minus_vals])
+        plus, conj_minus = report.plus, np.conj(report.minus)
         tol = 1e-8 * max(a.op_norm(), 1.0)
         assert _multiset_deviation(plus, rng.permutation(conj_minus)) <= tol
         # same set of values, different multiplicities
