@@ -39,6 +39,7 @@ from .errors import (
     EigenResidualError,
     NotNormalError,
     PairingError,
+    PreconditionError,
     ShapeError,
     SliceMembershipError,
 )
@@ -163,8 +164,13 @@ def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
         raise ShapeError("eigendecomposition needs a square matrix")
     scale = float(np.linalg.norm(z))
     defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z)) / k
-    if defect > NORMAL_TOL * max((scale / k) ** 2, _TINY):
-        raise NotNormalError(defect, NORMAL_TOL * (scale / k) ** 2)
+    bound = NORMAL_TOL * max((scale / k) * (scale / k), _TINY)
+    if not (np.isfinite(bound) and np.isfinite(defect)):
+        raise PreconditionError(
+            f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"
+        )
+    if defect > bound:
+        raise NotNormalError(defect, bound)
     return scale
 
 

@@ -20,9 +20,6 @@ from .errors import PreconditionError, ShapeError
 from .quaternion import Quaternion, SliceFrame
 
 MERGE_TOL = 1e-12
-# the 16 ways to move a row to the next grid cell up in some of its 4
-# coordinates (see _near_pairs)
-_UP = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=bool)
 
 
 @dataclass
@@ -232,8 +229,10 @@ def _first_seen(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Exact duplicates share the fate of their first copy, and a row with a
     NaN or infinite component is never merged, as every norm it takes part
     in is NaN or infinite. Candidate pairs among the distinct finite rows
-    come from a grid (`_near_pairs`); only they reach the per-pair norm, so
-    N rows further apart than a few tol cost O(N log N) in any layout.
+    come from a sorted sweep (`_near_pairs`); only they reach the per-pair
+    norm. The cost is O(N log N), plus N comparisons for each offset d in
+    the sweep, up to the longest run of rows within reach along the sort
+    coordinate.
     """
     n = rows.shape[0]
     if not tol >= 0.0:  # no norm is <= a negative or NaN tol
@@ -272,38 +271,23 @@ def _near_pairs(x: np.ndarray, reach: float) -> list[tuple[int, int]]:
     sorted by b and then a.
 
     A norm <= tol bounds every coordinate of the difference by reach =
-    2 tol (plus 1e-160 for squares that underflow). Each row is entered in
-    every cell of a grid of side 8 reach that its box of half-width reach
-    touches, one or two per coordinate; rows within reach of each other
-    share a cell.
+    2 tol (plus 1e-160 for squares that underflow). The rows are sorted
+    along their widest coordinate, and rows d apart in that order are
+    compared for d = 1, 2, ... until no two of them are within reach along
+    it; rows further apart in the order are no closer along it.
     """
-    cell = 8.0 * reach
-    if np.isfinite(cell):
-        lo, hi = np.floor((x - reach) / cell), np.floor((x + reach) / cell)
-    else:
-        lo = hi = np.zeros_like(x)
-    # row p enters cell where(up, hi, lo) for every pattern up that moves
-    # only coordinates in which its box spills into the next cell
-    pattern, points = np.nonzero(np.all(~_UP[:, None, :] | (hi != lo), axis=2))
-    keys = np.where(_UP[pattern], hi[points], lo[points])
-    order = np.lexsort(keys.T[::-1])
-    points, keys = points[order], keys[order]
-    start = np.ones(len(keys), dtype=bool)
-    start[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    cell_id = np.cumsum(start)
-    pairs = []
-    for d in range(1, len(points)):
-        same = np.flatnonzero(cell_id[d:] == cell_id[:-d])
-        if not len(same):
+    axis = np.argmax(np.ptp(x, axis=0)) if len(x) else 0
+    order = np.argsort(x[:, axis])
+    x, pairs = x[order], []
+    for d in range(1, len(x)):
+        close = np.flatnonzero(x[d:, axis] - x[:-d, axis] <= reach)
+        if not len(close):
             break
-        a, b = points[same], points[same + d]
+        near = close[np.all(np.abs(x[close + d] - x[close]) <= reach, axis=1)]
+        a, b = order[near], order[near + d]
         pairs.append((np.minimum(a, b), np.maximum(a, b)))
     if not pairs:
         return []
     a, b = (np.concatenate(side) for side in zip(*pairs))
-    near = np.all(np.abs(x[a] - x[b]) <= reach, axis=1)
-    order = np.lexsort((a[near], b[near]))
-    a, b = a[near][order], b[near][order]
-    fresh = np.ones(len(a), dtype=bool)  # rows sharing several cells pair once
-    fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return list(zip(a[fresh].tolist(), b[fresh].tolist()))
+    order = np.lexsort((a, b))
+    return list(zip(a[order].tolist(), b[order].tolist()))

@@ -143,7 +143,8 @@ def real_dot(a: Quaternion, b: Quaternion) -> float:
 
 
 def check_unit_imaginary(q: Quaternion) -> None:
-    if max(abs(q.re), abs(abs(q) - 1.0)) > DEFAULT_TOL:
+    # written so that a NaN component, for which every comparison is False, fails
+    if not (abs(q.re) <= DEFAULT_TOL and abs(abs(q) - 1.0) <= DEFAULT_TOL):
         raise FrameError(f"{q!r} is not a unit imaginary quaternion")
 
 

@@ -7,6 +7,7 @@ the timing field, which is explicitly outside the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -78,7 +79,8 @@ class Check:
 
 
 def check_from(name: str, residual: float, tol: float) -> Check:
-    return Check(name, float(residual), float(tol), bool(residual <= tol))
+    """residual <= tol; a bound that overflowed to inf or NaN bounds nothing."""
+    return Check(name, float(residual), float(tol), bool(residual <= tol < math.inf))
 
 
 def flag_check(name: str, passed: bool) -> Check:

@@ -12,7 +12,7 @@ from qspectra.bridge import (
     iota_inv,
     spectral_decompose,
 )
-from qspectra.errors import NotNormalError, ShapeError, SliceMembershipError
+from qspectra.errors import NotNormalError, PreconditionError, ShapeError, SliceMembershipError
 from qspectra.quaternion import cm_to_complex
 from qspectra.vectors import scale_right
 
@@ -117,6 +117,15 @@ class TestEigNormalComplex:
         z = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotNormalError):
             eig_normal(z)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_overflowing_normality_check_is_named(self, scale):
+        # the commutator's norm overflows at 1e150 and ||z||_F at 1e300;
+        # neither is a defect of a normal input
+        z = scale * gen.random_complex_normal(np.random.default_rng(0), 4)
+        with pytest.raises(PreconditionError, match="normality check overflows") as err:
+            eig_normal(z)
+        assert not isinstance(err.value, NotNormalError)
 
     def test_requires_square(self):
         with pytest.raises(ShapeError):

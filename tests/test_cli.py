@@ -372,6 +372,30 @@ def _usage_error_code(argv) -> int:
     return err.value.code
 
 
+def _scaled_normal_file(tmp_path, scale):
+    """A seeded n = 6 normal matrix with ||A||_F = scale."""
+    a = gen.random_normal(np.random.default_rng(5), 6, STANDARD_FRAME)
+    path = tmp_path / f"a{scale:.0e}.json"
+    save_json(matrix_to_json(QMatrix(a.a * (scale / a.frobenius()))), path)
+    return path
+
+
+class TestOverflow:
+    def test_transform_with_overflowed_bound_fails(self, tmp_path):
+        # ||A||_F overflows, so the defining residual's bound is inf
+        out = tmp_path / "rep.json"
+        assert main(["transform", str(_scaled_normal_file(tmp_path, 1e160)), "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["status"] == "fail"
+        check = next(c for c in rep["checks"] if c["name"] == "transform.defining_residual")
+        assert check["tol"] == float("inf") and not check["pass"]
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_decompose_names_the_overflow(self, scale, tmp_path, capsys):
+        assert main(["decompose", str(_scaled_normal_file(tmp_path, scale))]) == 2
+        assert "normality check overflows" in capsys.readouterr().err
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", ["selftest", "example", "decompose", "transform"])
     def test_tol_is_rejected(self, command, normal_matrix_file):
@@ -381,6 +405,14 @@ class TestFlags:
     @pytest.mark.parametrize("command", ["selftest", "example"])
     def test_m_only_on_matrix_commands(self, command):
         assert _usage_error_code([command, "--m", "0,1,0,0"]) == 3
+
+    @pytest.mark.parametrize(
+        "command,m",
+        [("decompose", "0,nan,0,0"), ("transform", "0,nan,0,0"), ("transform", "nan,1,0,0")],
+    )
+    def test_nan_slice_axis_is_input_error(self, command, m, normal_matrix_file, capsys):
+        assert main([command, str(normal_matrix_file), "--m", m]) == 3
+        assert "unit imaginary" in capsys.readouterr().err
 
     def test_out_writes_the_stdout_payload(self, normal_matrix_file, tmp_path, capsys):
         out = tmp_path / "rep.json"

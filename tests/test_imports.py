@@ -1,4 +1,5 @@
-"""Every module of the package, bar its __init__, uses each name it imports."""
+"""Every module of the package, bar its __init__, uses each name it imports,
+and the package reads every private name it defines at module level."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,36 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Module-level names starting with one underscore that no Name or
+    Attribute node of any of the sources reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_finds_unused_private_names():
+    sources = [
+        "_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "import m\nm._C\n_B: int = 4\n",
+    ]
+    assert unused_private_names(sources) == ["_B", "_f"]
+
+
+def test_no_unused_private_name():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []

@@ -182,6 +182,26 @@ class TestEssentialQuantities:
             weights[0] = 1.0
         _assert_matches_loops(values, weights, frame)
 
+    def test_first_seen_matches_loops_on_lattice(self):
+        # a 16 x 16 lattice shares each value of its widest coordinate among
+        # 16 rows, and the copies at up to 2 MERGE_TOL from them lengthen
+        # those runs, so the sweep goes far past its first offsets
+        rng = np.random.default_rng(23)
+        one, m = np.array([1.0, 0.0, 0.0, 0.0]), _OBLIQUE.m.to_array()
+        side, step = 16, 1.5 * MERGE_TOL
+        c0, c1 = (g.ravel() for g in np.meshgrid(*[step * np.arange(side)] * 2))
+        lattice = np.outer(0.25 + c0, one) + np.outer(-0.5 + c1, m)
+        angle = rng.uniform(0.0, 2.0 * math.pi, 160)
+        factor = MERGE_TOL * rng.choice(_TOL_FACTORS, 160)
+        shift = np.outer(factor * np.cos(angle), one) + np.outer(factor * np.sin(angle), m)
+        copies = lattice[rng.integers(0, len(lattice), 160)] + shift
+        values = np.concatenate([lattice, copies])
+        values = np.concatenate([values, values[rng.integers(0, len(values), 48)]])
+        values = values[rng.permutation(len(values))]
+        weights = rng.choice([1.0, 2.0, 0.0], len(values))
+        weights[0] = 1.0
+        _assert_matches_loops(values, weights, _OBLIQUE)
+
 
 def _boundary_cases():
     """Symbol values and weights at the merge tolerance.

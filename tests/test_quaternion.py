@@ -133,6 +133,14 @@ class TestFrameCompletion:
         with pytest.raises(FrameError):
             SliceFrame.from_m(bad)
 
+    @pytest.mark.parametrize(
+        "bad", [Quaternion(0, np.nan, 0, 0), Quaternion(np.nan, 1, 0, 0), Quaternion(0, 1, np.nan, 0)]
+    )
+    def test_rejects_nan_axis(self, bad):
+        # every comparison with NaN is False, so "defect > tol" never fired
+        with pytest.raises(FrameError):
+            SliceFrame.from_m(bad)
+
     def test_rejects_inconsistent_triple(self):
         with pytest.raises(FrameError):
             SliceFrame(I, J, -K)

@@ -20,6 +20,12 @@ class TestChecks:
         assert check_from("x", 1e-12, 1e-10).passed
         assert not check_from("x", 1e-8, 1e-10).passed
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_check_from_fails_on_non_finite_bound(self, tol):
+        # a bound that overflowed bounds nothing, whatever the residual
+        assert not check_from("x", 0.0, tol).passed
+        assert not check_from("x", np.inf, tol).passed
+
     def test_flag_check(self):
         assert flag_check("x", True).passed
         assert not flag_check("x", False).passed
