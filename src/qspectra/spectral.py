@@ -62,8 +62,22 @@ class SphereSpectrum:
     orbits: list[SimilarityOrbit]
     op_norm: float
 
+    def __post_init__(self):
+        self._points = [(o.re, o.im_norm) for o in self.orbits]
+
     def contains(self, q: Quaternion, tol: float) -> bool:
-        return any(o.contains(q, tol) for o in self.orbits)
+        """Whether some orbit contains q, by SimilarityOrbit.contains's
+        comparisons, with |im q| taken at most once."""
+        if tol < 0.0:
+            raise ValueError("tolerance must be >= 0")
+        re, im_norm = q.re, None
+        for o_re, o_im_norm in self._points:
+            if abs(re - o_re) <= tol:
+                if im_norm is None:
+                    im_norm = q.im_norm()
+                if abs(im_norm - o_im_norm) <= tol:
+                    return True
+        return False
 
     def distance(self, q: Quaternion) -> float:
         return min(o.distance(q) for o in self.orbits)
@@ -116,31 +130,45 @@ def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
 
 
 def oracle_scale(a: QMatrix) -> float:
-    """Threshold scale for the Delta-kernel oracle: (1 + ||A||)^2."""
-    return _oracle_scale(a.to_complex_adjoint())
+    """Threshold scale for the Delta-kernel oracle: (1 + ||A||)^2.
+
+    ||A|| = sqrt(lambda_max(Z*Z)), Z the complex adjoint of A, from one
+    `eigvalsh` of the gram that delta_oracle also forms, so both see the
+    same threshold bit for bit."""
+    z = a.to_complex_adjoint()
+    return (1.0 + _gram_norm(z.conj().T @ z)) ** 2
 
 
-def _oracle_scale(z: np.ndarray) -> float:
-    return (1.0 + float(np.linalg.svd(z, compute_uv=False)[0])) ** 2
+def _gram_norm(gram: np.ndarray) -> float:
+    """||Z|| from Z*Z: the square root of its largest eigenvalue."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 # The screens of delta_oracle test sigma_min(Z - lam)^2 > _OUT_MARGIN * t and
 # ||Delta x|| <= _IN_MARGIN * t * ||x||. They decide a probe only when
 # _ROUNDING_FACTOR * (N + 2) * eps * F^2 < t, with F = ||Z||_F + sqrt(N) |lam|
-# >= ||Z - lam||_F: that covers the rounding of forming (Z - lam)*(Z - lam),
-# of its Cholesky factorization, of the two matvecs, and of the exact route
-# whose verdict the screens must reproduce.
+# >= ||Z - lam||_F, so that each rounding stage -- forming
+# (Z - lam)*(Z - lam), its Cholesky factorization, the two matvecs, and the
+# exact route whose verdict the screens must reproduce -- errs by less than
+# t / _ROUNDING_FACTOR.
 _OUT_MARGIN = 2.0
 _IN_MARGIN = 0.5
 _ROUNDING_FACTOR = 8.0
+# Reuse radii of a screened verdict, in units of sqrt(t) (out) and of
+# t / (||A|| + |lam| + sqrt(t)) (in); derived in delta_oracle's docstring.
+_OUT_RADIUS = math.sqrt(_OUT_MARGIN - 2.0 / _ROUNDING_FACTOR) - math.sqrt(
+    1.0 + 1.0 / _ROUNDING_FACTOR
+)
+_IN_RADIUS = (1.0 - _IN_MARGIN - 2.0 / _ROUNDING_FACTOR) / 2.0
 
 
 def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
     """Mark each probe q whose Delta_q(A) has a numerical kernel.
 
-    In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2. This
-    route never touches the eigendecomposition, so it is an independent check
-    of the spectrum read off the multiplication form.
+    In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2, with
+    ||A|| as oracle_scale takes it; tol must be finite and >= 0. This route
+    never touches the eigendecomposition, so it is an independent check of
+    the spectrum read off the multiplication form.
 
     With Z the complex adjoint of A and lam = re q + i |im q|,
     Delta_q = (Z - lam)(Z - conj lam), and Z - conj lam = J conj(Z - lam) J^-1
@@ -149,74 +177,107 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
         sigma_min(Z - lam)^2 <= sigma_min(Delta_q) <= ||Delta_q x|| / ||x||.
 
     Each probe is decided by the first of these that applies:
+    reuse -- it lies within the radius of an earlier screened verdict (below);
     out  -- a Cholesky factorization of (Z - lam)*(Z - lam) - 2t I succeeds,
             so sigma_min(Delta_q) > 2t less rounding > t;
     in   -- one inverse-iteration step x = (Z - lam)^-1 e gives
             ||Delta_q x|| <= t/2 ||x||, so sigma_min(Delta_q) <= t;
     exact -- the smallest singular value of Delta_q, compared with t.
-    The two screens are skipped, leaving the exact route, wherever their
-    rounding error is not well below t (tiny tol, huge probes), so every
-    verdict equals that of the exact route. A probe whose inputs are
-    bit-identical to an earlier probe's takes that probe's verdict.
+    The screens and the reuse are skipped, leaving the exact route, wherever
+    their rounding error is not well below t (tiny tol, huge probes), so
+    every verdict equals that of the exact route. Probes with bit-identical
+    re q and |q|^2 share one exact computation.
+
+    Reuse. With R = _ROUNDING_FACTOR, each rounding stage errs by less than
+    t/R, so the exact route answers out when sigma_min(Delta) > (1 + 1/R) t
+    and in when sigma_min(Delta) <= (1 - 1/R) t. Let lam' = lam + d be a
+    later probe that the rounding gate admits.
+    out at lam: the factorization proves sigma_min(Z - lam)^2
+        > (_OUT_MARGIN - 2/R) t (forming and factoring), and by Weyl
+        sigma_min(Z - lam') >= sigma_min(Z - lam) - |d|, so lam' is out too
+        when |d| <= (sqrt(_OUT_MARGIN - 2/R) - sqrt(1 + 1/R)) sqrt(t),
+        about 0.26 sqrt(t).
+    in at lam: Delta_lam' - Delta_lam = -d (Z - conj lam) - conj d (Z - lam)
+        + |d|^2, so ||Delta_lam' x|| <= (_IN_MARGIN + 1/R) t ||x||
+        + (2 |d| X + |d|^2) ||x||, X = ||A|| + |lam|. That stays within
+        (1 - 1/R) t ||x|| when 2 |d| X + |d|^2 <= b t,
+        b = 1 - _IN_MARGIN - 2/R, which |d| <= (b/2) t / (X + sqrt(t)),
+        about 0.125 t / (X + sqrt(t)), guarantees.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
     a.check_finite()
     for k, q in enumerate(probes):
         if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
             raise PreconditionError(f"probe {k} is not finite")
     z = qa.to_complex_adjoint(a.a)
     size = z.shape[0]
-    threshold = tol * _oracle_scale(z)
     zh = z.conj().T
-    gram, z2 = zh @ z, z @ z
+    gram = zh @ z
+    norm = _gram_norm(gram)
+    threshold = tol * (1.0 + norm) ** 2
+    root_t = math.sqrt(threshold)
     fro = float(np.linalg.norm(z))
     rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
-    ident = np.eye(size)
     # right-hand side of the inverse-iteration step: unit entries whose
     # phases (1 rad apart) follow no pattern a kernel vector could cancel
     e = np.exp(1j * np.arange(size))
-    # Equal floats make an equal computation, so a probe reuses the work of
-    # an earlier probe with bit-identical inputs, as probes on one orbit
-    # sphere often have: the screens read lam alone, the exact route re q
-    # and |q|^2.
-    screened: dict[tuple[str, str], bool | None] = {}
+    buf = np.empty_like(gram)
+    # (lam, radius, verdict) of each screen; a screen that decided nothing
+    # covers its own lam alone
+    screened: list[tuple[complex, float, bool | None]] = []
     exact: dict[tuple[str, str], bool] = {}
+    z2 = None
     out = []
     for q in probes:
         lam = complex(q.re, q.im_norm())
-        lam_key = (q.re.hex(), lam.imag.hex())
-        if lam_key not in screened:
-            screened[lam_key] = None
-            if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
-                screened[lam_key] = _screen(z, zh, gram, lam, threshold, e)
-        verdict = screened[lam_key]
+        verdict = None
+        if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
+            hit = next((s for s in screened if abs(lam - s[0]) <= s[1]), None)
+            if hit is None:
+                verdict = _screen(z, zh, gram, lam, threshold, e, buf)
+                if verdict is None:
+                    radius = 0.0
+                elif verdict:
+                    radius = _IN_RADIUS * threshold / (norm + abs(lam) + root_t)
+                else:
+                    radius = _OUT_RADIUS * root_t
+                screened.append((lam, radius, verdict))
+            else:
+                verdict = hit[2]
         if verdict is None:
             dz_key = (q.re.hex(), q.norm_sq().hex())
             if dz_key not in exact:
-                dz = z2 - (2.0 * q.re) * z + q.norm_sq() * ident
+                if z2 is None:
+                    z2 = z @ z
+                dz = z2 - (2.0 * q.re) * z + q.norm_sq() * np.eye(size)
                 exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
             verdict = exact[dz_key]
         out.append(verdict)
     return out
 
 
-def _screen(z, zh, gram, lam, t, e) -> bool | None:
-    """The out and in screens of delta_oracle; None when neither decides."""
+def _screen(z, zh, gram, lam, t, e, buf) -> bool | None:
+    """The out and in screens of delta_oracle, built in buf; None when
+    neither decides."""
     step = z.shape[0] + 1  # stride of the diagonal in .flat
-    g = gram - lam * zh - lam.conjugate() * z
-    g.flat[::step] += abs(lam) ** 2 - _OUT_MARGIN * t
+    np.multiply(zh, -lam, out=buf)
+    buf += gram
+    buf -= lam.conjugate() * z
+    buf.flat[::step] += abs(lam) ** 2 - _OUT_MARGIN * t
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(buf)
         return False
     except np.linalg.LinAlgError:
         pass
-    shifted = z.copy()
-    shifted.flat[::step] -= lam
+    np.copyto(buf, z)
+    buf.flat[::step] -= lam
     try:
-        x = np.linalg.solve(shifted, e)
+        x = np.linalg.solve(buf, e)
     except np.linalg.LinAlgError:
         return None
-    r = shifted @ x
-    dx = shifted @ r + (lam - lam.conjugate()) * r
+    r = buf @ x
+    dx = buf @ r + (lam - lam.conjugate()) * r
     nx, ndx = float(np.linalg.norm(x)), float(np.linalg.norm(dx))
     if math.isfinite(nx) and ndx <= _IN_MARGIN * t * nx:
         return True

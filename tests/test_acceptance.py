@@ -131,6 +131,21 @@ def test_criterion_3_oracle_equivalence(corpus):
     )
 
 
+def test_sphere_contains_matches_orbit_loop(corpus):
+    # SphereSpectrum.contains against the per-orbit loop it replaced, on the
+    # probes of criterion 3
+    matrices, _ = corpus
+    for a, frame, form in matrices:
+        spectrum = sphere_spectrum(form)
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        for orbit in spectrum.orbits:
+            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+            for tol in (0.0, 1e-9):
+                member = [spectrum.contains(q, tol) for q in probes]
+                loop = [any(o.contains(q, tol) for o in spectrum.orbits) for q in probes]
+                assert member == loop
+
+
 def test_criterion_4_slice_spectrum(corpus):
     matrices, _ = corpus
     worst_plus, worst_conj = 0.0, 0.0

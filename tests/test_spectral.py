@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
-from qspectra import generate as gen
+from qspectra import generate as gen, spectral
 from qspectra.bridge import spectral_decompose
 from qspectra.errors import NotNormalError, PreconditionError, SymbolZeroError
 from qspectra.measure import MERGE_TOL, AtomicMeasureSpace, Symbol, ess_ran, ess_sup
@@ -118,6 +118,11 @@ class TestSphereSpectrum:
         form = multiplication_form(QMatrix.diag([I, I, I]), STANDARD_FRAME)
         assert len(sphere_spectrum(form).orbits) == 1
 
+    def test_contains_rejects_negative_tol(self):
+        spec = sphere_spectrum(multiplication_form(QMatrix.from_rows([[J]]), STANDARD_FRAME))
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            spec.contains(J, -1e-9)
+
 
 def reference_orbits(form) -> list[tuple[str, str]]:
     """The orbit loop sphere_spectrum replaced: the values of ess_ran, each
@@ -227,6 +232,17 @@ class TestDeltaOracle:
         with pytest.raises(PreconditionError, match=r"probe 2 is not finite"):
             delta_oracle(a, [I, J, Quaternion(0.0, 1.0, bad, 0.0)], 1e-7)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-7])
+    def test_bad_tol_named(self, tol, rng, monkeypatch):
+        a = gen.random_normal(rng, 3, STANDARD_FRAME)
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"tol must be finite and >= 0"):
+            delta_oracle(a, [I, J], tol)
+
+    def test_zero_tol_accepted(self):
+        # Delta_I(diag(I)) = 0 exactly, and Delta_2I(diag(I)) = 3
+        assert delta_oracle(QMatrix.diag([I]), [I, 2 * I], 0.0) == [True, False]
+
     @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_non_normal_matches_exact_route(self, scale, tol):
@@ -285,11 +301,58 @@ class TestDeltaOracle:
         if tol == 1e-7:
             assert calls[0] < len(probes)  # the screens decided some probes
 
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_reuse_radius_is_sound(self, scale, tol, monkeypatch):
+        # a first probe at sigma_min(Delta_q) near t/2, t and 2t, then a
+        # second one just inside and just outside the in and the out radius
+        # of its verdict: toward the nearest eigenvalue, away from it, and
+        # along the imaginary axis
+        values = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
+        steps = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
+        a = QMatrix.diag([scale * v for v in values])
+        eigs = [complex(scale * v.re, scale * v.im_norm()) for v in values]
+        norm = math.sqrt(oracle_scale(a)) - 1.0
+        t = tol * oracle_scale(a)
+        firsts = [
+            _bisect_probe(a, scale * v, scale * w, ratio * t)
+            for v, w in zip(values, steps)
+            for ratio in (0.45, 0.55, 0.95, 1.05, 1.9, 2.1)
+        ]
+        factored = _count_calls(monkeypatch, "cholesky")
+        reused = 0
+        for first in firsts:
+            lam = complex(first.re, first.im_norm())
+            toward = min(eigs, key=lambda d: abs(d - lam)) - lam
+            toward /= abs(toward)
+            radii = (
+                spectral._IN_RADIUS * t / (norm + abs(lam) + math.sqrt(t)),
+                spectral._OUT_RADIUS * math.sqrt(t),
+            )
+            for radius in radii:
+                for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+                    for direction in (toward, -toward, 1j):
+                        p = lam + factor * radius * direction
+                        probes = [first, Quaternion(p.real, p.imag)]
+                        factored[0] = 0
+                        assert delta_oracle(a, probes, tol) == _exact_verdicts(a, probes, tol)
+                        reused += factored[0] == 1
+        assert reused > 0  # some second probes took the first one's verdict
+
+    def test_orbit_call_screens_on_sphere_once(self, rng, monkeypatch):
+        # the 16 on-sphere probes of an orbit differ in |im q| by ulps; the
+        # first one's in verdict covers the others
+        a = gen.random_normal(rng, 16, STANDARD_FRAME)
+        orbit = sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).orbits[0]
+        counts = [_count_calls(monkeypatch, name) for name in ("cholesky", "solve", "svd")]
+        assert delta_oracle(a, on_sphere_probes(orbit), 1e-7) == [True] * 16
+        assert [c[0] for c in counts] == [1, 1, 0]
+
     def test_probe_at_eigenvalue_falls_back(self, monkeypatch):
         # Z - lam is exactly singular, so solve fails and the exact SVD decides
         calls = _count_svd(monkeypatch)
         assert delta_oracle(QMatrix.diag([I]), [I], 1e-7) == [True]
-        assert calls[0] == 2  # ||A|| and the fallback
+        assert calls[0] == 1  # the fallback
 
     def test_clear_probes_need_one_svd(self, rng, monkeypatch):
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
@@ -299,13 +362,14 @@ class TestDeltaOracle:
         probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
         calls = _count_svd(monkeypatch)
         assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
-        assert calls[0] == 1
+        assert calls[0] == 0
 
-    @pytest.mark.parametrize("tol, screens, svds", [(1e-7, 2, 1), (1e-30, 0, 3)], ids=["screen", "exact"])
+    @pytest.mark.parametrize("tol, screens, svds", [(1e-7, 1, 0), (1e-30, 0, 2)], ids=["screen", "exact"])
     def test_one_computation_per_key(self, rng, monkeypatch, tol, screens, svds):
         # (x, b, 0, 0), (x, 0, b, 0) and (x, 0, 0, b) have bit-identical
         # re q, |im q| and |q|^2, so one screen (or, below the rounding gate,
-        # one exact SVD) decides all three; x = 0.0 and -0.0 are two keys
+        # one exact SVD) decides all three; x = 0.0 and -0.0 share a screen
+        # but are two exact keys
         a = gen.random_normal(rng, 8, STANDARD_FRAME)
         probes = [Quaternion(x, *(0.7 * np.eye(3)[k])) for x in (0.0, -0.0) for k in range(3)]
         want = [delta_oracle(a, [q], tol)[0] for q in probes]
@@ -341,14 +405,18 @@ def _bisect_probe(a, v, w, target):
 
 
 def _count_svd(monkeypatch):
+    return _count_calls(monkeypatch, "svd")
+
+
+def _count_calls(monkeypatch, name):
     calls = [0]
-    svd = np.linalg.svd
+    wrapped = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return svd(*args, **kwargs)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -356,7 +424,7 @@ def _forbid_lapack(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("LAPACK reached before the input check")
 
-    for name in ("svd", "cholesky", "solve"):
+    for name in ("svd", "eigvalsh", "cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, fail)
 
 
