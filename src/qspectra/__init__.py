@@ -21,7 +21,7 @@ from .quaternion import (
 )
 from .operators import QMatrix, delta
 from .vectors import expand, gram_schmidt, inner, norm, reconstruct, scale_right
-from .bridge import CMatrix, SpectralDecomposition, chi, eig_normal, spectral_decompose
+from .bridge import CMatrix, SpectralDecomposition, chi, spectral_decompose
 from .slices import SliceStructure, build_J, extend, quaternionify, restrict_plus
 from .measure import AtomicMeasureSpace, L2Element, Symbol, ess_ran, ess_sup, m_phi
 from .spectral import (
@@ -63,7 +63,6 @@ __all__ = [
     "complex_to_cm",
     "delta",
     "delta_oracle",
-    "eig_normal",
     "ess_ran",
     "ess_sup",
     "expand",

@@ -16,9 +16,12 @@ which is forced by the iota contract: iota(x) = (x1; conj(x2)) means the
 lifted vector must have slice parts x1 = u and x2 = conj(v), and then
 iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
 
-The eigenvectors of chi(A) are its complex Schur vectors, recovered by QR
-from LAPACK's eig. The Schur form of a normal matrix is diagonal whatever
-the eigenvalue gaps, so no cluster tolerance is involved.
+The eigenvectors come from one eig of chi(A) and one QR (spectral_decompose).
+LAPACK's eig returns eigenvectors V = Q X in Schur order, with Q the Schur
+vectors and X upper triangular, and the Schur form of a normal matrix is
+diagonal whatever the eigenvalue gaps, so a QR that meets each repeated
+eigenvalue's vectors in Schur order gives back orthonormal eigenvectors with
+no cluster tolerance.
 
 The decomposition is checked in the same coordinates, by chi(XY) =
 chi(X) chi(Y), chi(X*) = chi(X)* and ||chi(X)||_F = sqrt(2) ||X||_F
@@ -38,7 +41,6 @@ from . import qarray as qa
 from .errors import (
     EigenResidualError,
     NotNormalError,
-    PairingError,
     PreconditionError,
     ShapeError,
     SliceMembershipError,
@@ -47,7 +49,6 @@ from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame
 
 NORMAL_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-10
 DECOMP_RESIDUAL_TOL = 1e-9
 
 _TINY = 1e-300
@@ -162,7 +163,7 @@ def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
     rows, cols = z.shape
     if rows != cols:
         raise ShapeError("eigendecomposition needs a square matrix")
-    scale = float(np.linalg.norm(z))
+    scale = qa.fro(z)
     defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z)) / k
     bound = NORMAL_TOL * max((scale / k) * (scale / k), _TINY)
     if not (np.isfinite(bound) and np.isfinite(defect)):
@@ -175,60 +176,22 @@ def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
 
 
 def eigvals_normal(z: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a normal complex matrix, in eig_normal's order; its
-    eigenvectors are unitary, so Bauer-Fike bounds their error by eig's."""
+    """Eigenvalues of a normal complex matrix, ordered lexicographically by
+    (real part, imaginary part), descending; its eigenvectors are unitary, so
+    Bauer-Fike bounds their error by eig's backward error."""
     _normal_scale(z)
     vals = np.linalg.eigvals(z)
     return vals[np.lexsort((-vals.imag, -vals.real))]
 
 
-def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a normal complex matrix: z q = q diag(vals), q unitary.
-
-    q holds the Schur vectors of z. LAPACK's eig returns eigenvectors
-    V = Q X in Schur order, with Q the Schur vectors and X upper triangular,
-    so the QR factor of V gives back Q; for normal z, Q* z Q is diagonal to
-    rounding whatever the eigenvalue gaps, exact repeats included.
-
-    Eigenvalues are ordered lexicographically by (real part, imaginary part),
-    descending, so repeated runs produce identical output. Raises
-    NotNormalError for non-normal input and EigenResidualError when the
-    residual contract residual <= EIG_RESIDUAL_TOL * ||z||_F is not met.
-    """
-    return _schur_eig(z, _normal_scale(z))
-
-
-def _schur_eig(z: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """eig_normal of a z already checked normal, with scale = ||z||_F."""
-    # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
-    # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
-    # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
-    # and changes no eigenvector.
-    shifted = z + (2.0 * scale) * np.eye(len(z))
-    q, _ = np.linalg.qr(np.linalg.eig(shifted)[1])
-    zq = z @ q
-    vals = np.sum(np.conj(q) * zq, axis=0)
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals, q, zq = vals[order], q[:, order], zq[:, order]
-
-    residual = float(np.linalg.norm(zq - q * vals))
-    if residual > EIG_RESIDUAL_TOL * max(scale, _TINY):
-        raise EigenResidualError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{EIG_RESIDUAL_TOL:.1e} * {scale:.3e}"
-        )
-    return vals, q
-
-
-def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Indices and orthonormal deflated vectors x of half the columns of w
-    whose pairs [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the
-    J-invariant span of w: one per quaternionic line. Each step keeps the
-    column with the largest residual, so no line is lost however the basis
-    of w mixes a repeated eigenvalue; its pair is then projected out of all
-    columns twice, for orthogonality at rounding level."""
+def _j_pairs(w: np.ndarray) -> np.ndarray:
+    """Orthonormal deflated vectors x of half the columns of w whose pairs
+    [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the J-invariant span
+    of w: one per quaternionic line. Each step keeps the column with the
+    largest residual, so no line is lost however the basis of w mixes a
+    repeated eigenvalue; its pair is then projected out of all columns twice,
+    for orthogonality at rounding level."""
     w = w.copy()
-    kept: list[int] = []
     out = np.empty((w.shape[0], w.shape[1] // 2), dtype=np.complex128)
     for k in range(out.shape[1]):
         norms = np.linalg.norm(w, axis=0)
@@ -237,40 +200,55 @@ def _j_pairs(w: np.ndarray) -> tuple[list[int], np.ndarray]:
         pair = np.stack([x, _j(x)], axis=1)
         for _ in range(2):
             w -= pair @ (np.conj(pair.T) @ w)
-        kept.append(t)
         out[:, k] = x
-    return kept, out
+    return out
 
 
 def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     """Diagonalize a normal quaternion matrix: A V_k = V_k d_k, d_k in C_m+.
 
-    Route: eigendecompose chi(A), whose spectrum is closed under slice
-    conjugation. Eigenvectors (u; v) at eigenvalues above the real axis lift
-    to u + conj(v) * n as they are. Eigenvalues on the real axis (within
-    1e-9 * ||A||_F) come in doubled pairs whose eigenvectors span
-    J-invariant spaces; J-pair deflation keeps one vector per quaternionic
-    line, so exactly half of them survive. Normality, the residual and the
-    unitarity of V are checked on chi(A) and W = chi(V) (module docstring).
+    One eig of chi(A), whose spectrum is closed under slice conjugation, and
+    one QR of its eigenvectors: each of the m above the real axis followed
+    by its J image (chi(A) commutes with J, so that is an eigenvector at the
+    conjugate), then those on the axis. The even columns 2k < 2m of Q are
+    the upper lines; J-pair deflation picks the lines in the last 2n - 2m,
+    which span the J-invariant on-axis eigenspaces. The eigenvalues are the
+    kept columns' Rayleigh quotients, real parts alone on the axis.
+
+    Axis band 3 N eps ||chi(A)||_F, N = 2n: eig is backward stable for the
+    shifted chi(A) + 2 ||chi(A)||_F I, with an error of N u ||shifted||_2
+    <= 3 N u ||chi(A)||_F (u = eps / 2); forming the shift adds 3 u
+    ||chi(A)||_F; and by Bauer-Fike no eigenvalue of a normal matrix moves
+    further, so a real one's imaginary part stays within
+    3 (N + 1) u ||chi(A)||_F, below the band. The k-th largest and k-th
+    smallest imaginary parts are decided as one conjugate pair, off the axis
+    when half their difference exceeds the band, so the split is m, m and
+    2n - 2m however near the band a value lies. Normality, the residual and
+    the unitarity of V are checked on chi(A) and W = chi(V) (module
+    docstring).
     """
     a.check_finite()
     n = a.n
     z = chi(a, frame)
-    vals, w = _schur_eig(z, _normal_scale(z, np.sqrt(2.0)))
-    scale = max(qa.chi_fro(z), _TINY)
+    fro = _normal_scale(z, np.sqrt(2.0))
+    scale = max(fro / np.sqrt(2.0), _TINY)  # ||A||_F
 
-    pair_tol = 1e-9 * scale
-    upper = np.flatnonzero(vals.imag > pair_tol)
-    for v in vals[upper]:
-        if np.min(np.abs(vals - np.conj(v))) > pair_tol:
-            raise PairingError(f"eigenvalue {v:.6e} lacks a conjugate partner")
-    real_axis = np.flatnonzero(np.abs(vals.imag) <= pair_tol)
-    kept, real_cols = _j_pairs(w[:, real_axis])
-
-    cols = np.concatenate([w[:, upper], real_cols], axis=1)
-    lam = np.concatenate([vals[upper], vals[real_axis[kept]].real + 0j])
-    if len(lam) != n:
-        raise PairingError(f"selected {len(lam)} eigenvectors for dimension {n}")
+    # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
+    # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
+    # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
+    # and changes no eigenvector nor any imaginary part.
+    mu, x = np.linalg.eig(z + (2.0 * fro) * np.eye(2 * n))
+    band = 3.0 * (2 * n) * np.finfo(float).eps * fro
+    # the k-th largest and k-th smallest imaginary parts, k < n, as one pair
+    rank = np.argsort(-mu.imag, kind="stable")
+    im = mu.imag[rank]
+    m = int(np.count_nonzero(im[:n] - im[::-1][:n] > 2.0 * band))
+    upper, axis = np.sort(rank[:m]), np.sort(rank[m : 2 * n - m])
+    lines = np.stack([x[:, upper], _j(x[:, upper])], axis=2).reshape(2 * n, 2 * m)
+    q, _ = np.linalg.qr(np.concatenate([lines, x[:, axis]], axis=1))
+    cols = np.concatenate([q[:, : 2 * m : 2], _j_pairs(q[:, 2 * m :])], axis=1)
+    lam = np.sum(np.conj(cols) * (z @ cols), axis=0)
+    lam[m:] = lam[m:].real
 
     order = np.lexsort((-lam.imag, -lam.real))
     cols, lam = cols[:, order], lam[order]

@@ -67,10 +67,6 @@ class EigenResidualError(ComputationError):
     """Eigendecomposition failed its residual contract."""
 
 
-class PairingError(ComputationError):
-    """Eigenvalues do not pair under conjugation; eigensolver breakdown."""
-
-
 class CrossCheckError(ComputationError):
     """Two independent routes to the same answer disagree."""
 

@@ -99,10 +99,24 @@ def left_diag_entries(values) -> np.ndarray:
     return out
 
 
+def fro(x: np.ndarray) -> float:
+    """||x||_F. np.linalg.norm sums unscaled squares, which underflow below
+    about 1e-154 and overflow above about 1e154, so outside [1e-140, 1e140]
+    x is first scaled by a power of two near its largest entry."""
+    norm = float(np.linalg.norm(x))
+    if 1e-140 < norm < 1e140:
+        return norm
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < peak < np.inf:
+        return norm
+    s = 2.0 ** -min(max(np.frexp(peak)[1], -1000), 1000)
+    return float(np.linalg.norm(x * s)) / s
+
+
 def chi_fro(x: np.ndarray) -> float:
     """||X||_F read off the complex adjoint or chi image x of a quaternion
     matrix X: ||chi(X)||_F = sqrt(2) ||X||_F."""
-    return float(np.linalg.norm(x)) / np.sqrt(2.0)
+    return fro(x) / np.sqrt(2.0)
 
 
 def chi_commutator(x: np.ndarray) -> float:

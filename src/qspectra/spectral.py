@@ -140,8 +140,16 @@ def oracle_scale(a: QMatrix) -> float:
 
 
 def _gram_norm(gram: np.ndarray) -> float:
-    """||Z|| from Z*Z: the square root of its largest eigenvalue."""
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    """||Z|| from Z*Z: the square root of its largest eigenvalue.
+
+    Raises PreconditionError, before any LAPACK call, when Z*Z overflows, and
+    when the threshold scale (1 + ||Z||)^2 does."""
+    if not np.all(np.isfinite(gram)):
+        raise PreconditionError("oracle scale overflows: Z*Z has a non-finite entry")
+    norm = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    if not math.isfinite((1.0 + norm) * (1.0 + norm)):
+        raise PreconditionError(f"oracle scale overflows: (1 + ||A||)^2 with ||A|| = {norm:.3e}")
+    return norm
 
 
 # The screens of delta_oracle test sigma_min(Z - lam)^2 > _OUT_MARGIN * t and

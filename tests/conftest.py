@@ -9,6 +9,19 @@ def assert_qclose(a: Quaternion, b: Quaternion, tol: float = 1e-12):
     assert abs(a - b) <= tol, f"{a} != {b} (|diff| = {abs(a - b):.3e})"
 
 
+def count_calls(monkeypatch, name):
+    """A one-element list counting the calls to np.linalg.<name> from now on."""
+    calls = [0]
+    wrapped = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

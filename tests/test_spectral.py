@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen, spectral
@@ -27,7 +29,7 @@ from qspectra.spectral import (
     _multiset_deviation,
 )
 
-from conftest import assert_qclose
+from conftest import assert_qclose, count_calls
 
 
 class TestMultiplicationForm:
@@ -239,6 +241,21 @@ class TestDeltaOracle:
         with pytest.raises(PreconditionError, match=r"tol must be finite and >= 0"):
             delta_oracle(a, [I, J], tol)
 
+    @pytest.mark.parametrize("s", [1e155, 1e160, 1e200])
+    def test_overflowing_scale_named(self, s, monkeypatch):
+        # Z*Z holds (2s)^2, past the largest double
+        a = QMatrix.diag([s * I, Quaternion(2.0 * s)])
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(PreconditionError, match="oracle scale overflows"):
+            delta_oracle(a, [s * I, Quaternion(3.0 * s)], 1e-7)
+        with pytest.raises(PreconditionError, match="oracle scale overflows"):
+            oracle_scale(a)
+
+    def test_large_scale_below_overflow(self):
+        s = 1e150
+        a = QMatrix.diag([s * I, Quaternion(2.0 * s)])
+        assert delta_oracle(a, [s * I, Quaternion(3.0 * s)], 1e-7) == [True, False]
+
     def test_zero_tol_accepted(self):
         # Delta_I(diag(I)) = 0 exactly, and Delta_2I(diag(I)) = 3
         assert delta_oracle(QMatrix.diag([I]), [I, 2 * I], 0.0) == [True, False]
@@ -319,7 +336,7 @@ class TestDeltaOracle:
             for v, w in zip(values, steps)
             for ratio in (0.45, 0.55, 0.95, 1.05, 1.9, 2.1)
         ]
-        factored = _count_calls(monkeypatch, "cholesky")
+        factored = count_calls(monkeypatch, "cholesky")
         reused = 0
         for first in firsts:
             lam = complex(first.re, first.im_norm())
@@ -344,7 +361,7 @@ class TestDeltaOracle:
         # first one's in verdict covers the others
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
         orbit = sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).orbits[0]
-        counts = [_count_calls(monkeypatch, name) for name in ("cholesky", "solve", "svd")]
+        counts = [count_calls(monkeypatch, name) for name in ("cholesky", "solve", "svd")]
         assert delta_oracle(a, on_sphere_probes(orbit), 1e-7) == [True] * 16
         assert [c[0] for c in counts] == [1, 1, 0]
 
@@ -405,19 +422,7 @@ def _bisect_probe(a, v, w, target):
 
 
 def _count_svd(monkeypatch):
-    return _count_calls(monkeypatch, "svd")
-
-
-def _count_calls(monkeypatch, name):
-    calls = [0]
-    wrapped = getattr(np.linalg, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return wrapped(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    return count_calls(monkeypatch, "svd")
 
 
 def _forbid_lapack(monkeypatch):
@@ -479,6 +484,43 @@ class TestConjugateEquivalence:
             a = gen.random_normal(rng, 6, frame, min_modulus=0.1)
             w = conjugate_equivalence(multiplication_form(a, frame))
             assert (a - (w.H @ a.H @ w)).frobenius() <= 1e-9 * a.frobenius()
+
+
+class TestFormAcrossSpectra:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 16),
+        kind=st.sampled_from(gen.MATRIX_CLASSES),
+        low=st.integers(-6, 6),
+        decades=st.floats(0.0, 12.0),
+        tilt=st.one_of(st.just(0.0), st.floats(-16.0, -6.0).map(lambda e: 10.0**e)),
+        distinct=st.integers(1, 16),
+        close=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_form_and_slice_spectrum(self, n, kind, low, decades, tilt, distinct, close, seed):
+        # moduli over up to 12 decades (unitary input keeps modulus 1), real
+        # and some normal eigenvalues within tilt ||A|| of the real axis, and
+        # the first `distinct` values repeated exactly or 1e-9 ||A|| apart
+        rng = np.random.default_rng(seed)
+        f = gen.random_frame(rng)
+        d = gen.random_standard_values(rng, min(distinct, n), f, kind)
+        vals = np.array([complex(q.re, q.im_norm()) for q in d])
+        if kind != "unitary":
+            vals *= 10.0 ** rng.uniform(low, low + decades, len(vals))
+        size = max(np.max(np.abs(vals)), 1e-300)
+        near = rng.random(len(vals)) < (0.5 if kind == "normal" else float(kind == "real"))
+        lift = tilt * size * rng.uniform(0.0, 1.0, np.count_nonzero(near))
+        vals[near] = vals[near].real + 1j * lift
+        vals = np.resize(vals, n)
+        if close:
+            step = rng.uniform(-1.0, 1.0, (2, n - len(d)))
+            vals[len(d):] += 1e-9 * size * (step[0] + 1j * step[1])
+        v = gen.random_unitary(rng, n)
+        a = v @ QMatrix.diag([Quaternion(z.real) + f.m * z.imag for z in vals]) @ v.H
+        form = multiplication_form(a, f)
+        s = build_J(form.decomposition)
+        assert slice_spectrum_check(a, s, spectrum=sphere_spectrum(form)).passed
 
 
 class TestSliceSpectrumIdentity:
