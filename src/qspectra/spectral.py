@@ -136,16 +136,23 @@ def oracle_scale(a: QMatrix) -> float:
     `eigvalsh` of the gram that delta_oracle also forms, so both see the
     same threshold bit for bit."""
     z = a.to_complex_adjoint()
-    return (1.0 + _gram_norm(z.conj().T @ z)) ** 2
+    return (1.0 + _gram_norm(_gram(z, z.conj().T))) ** 2
+
+
+def _gram(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
+    """Z*Z from Z and its conjugate transpose; raises PreconditionError,
+    before any LAPACK call, when it overflows."""
+    gram = zh @ z
+    if not np.all(np.isfinite(gram)):
+        raise PreconditionError("oracle scale overflows: Z*Z has a non-finite entry")
+    return gram
 
 
 def _gram_norm(gram: np.ndarray) -> float:
-    """||Z|| from Z*Z: the square root of its largest eigenvalue.
+    """||Z|| from a finite Z*Z: the square root of its largest eigenvalue.
 
-    Raises PreconditionError, before any LAPACK call, when Z*Z overflows, and
-    when the threshold scale (1 + ||Z||)^2 does."""
-    if not np.all(np.isfinite(gram)):
-        raise PreconditionError("oracle scale overflows: Z*Z has a non-finite entry")
+    Raises PreconditionError when the threshold scale (1 + ||Z||)^2
+    overflows."""
     norm = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     if not math.isfinite((1.0 + norm) * (1.0 + norm)):
         raise PreconditionError(f"oracle scale overflows: (1 + ||A||)^2 with ||A|| = {norm:.3e}")
@@ -168,15 +175,31 @@ _OUT_RADIUS = math.sqrt(_OUT_MARGIN - 2.0 / _ROUNDING_FACTOR) - math.sqrt(
     1.0 + 1.0 / _ROUNDING_FACTOR
 )
 _IN_RADIUS = (1.0 - _IN_MARGIN - 2.0 / _ROUNDING_FACTOR) / 2.0
+# The eigen-certificate of delta_oracle factors C = H + _BETA K, with
+# H = (Z + Z*)/2 and K = (Z - Z*)/(2i); an irrational weight keeps the
+# distinct eigenvalues of a normal Z apart in C but for measure-zero inputs.
+_BETA = 0.7549
+# Gated probes per call from which delta_oracle runs the certificate first:
+# one certificate costs about as much as 13 out screens (5 to 9 in screens).
+# Median of 50 runs, one BLAS thread, numpy 2.4 / OpenBLAS 0.3.31 on a
+# 2-vCPU Xeon VM, N = 32 / 64 / 128: certificate for 32 probes 0.30 / 1.0 /
+# 5.2 ms, out screen 0.029 / 0.074 / 0.39 ms, in screen 0.054 / 0.20 /
+# 0.70 ms.
+_CERTIFICATE_PROBES = 13
 
 
 def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
     """Mark each probe q whose Delta_q(A) has a numerical kernel.
 
     In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2, with
-    ||A|| as oracle_scale takes it; tol must be finite and >= 0. This route
-    never touches the eigendecomposition, so it is an independent check of
-    the spectrum read off the multiplication form.
+    ||A|| as oracle_scale takes it; tol must be finite and >= 0, and every
+    probe and its |q|^2 finite. This route never calls the bridge's
+    eigensolver: its only eigendecompositions are its own `eigvalsh` of Z*Z
+    for ||A|| and `eigh` of a Hermitian matrix for the certificate (below),
+    which is checked from measured residuals, and a check that fails only
+    leaves probes undecided. So it is an independent check of the spectrum
+    read off the multiplication form, and no factorization can flip one of
+    its verdicts.
 
     With Z the complex adjoint of A and lam = re q + i |im q|,
     Delta_q = (Z - lam)(Z - conj lam), and Z - conj lam = J conj(Z - lam) J^-1
@@ -185,16 +208,19 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
         sigma_min(Z - lam)^2 <= sigma_min(Delta_q) <= ||Delta_q x|| / ||x||.
 
     Each probe is decided by the first of these that applies:
+    certificate -- when at least _CERTIFICATE_PROBES probes pass the rounding
+            gate (see _ROUNDING_FACTOR), bounds read off one
+            eigendecomposition decide them in O(N) each (below);
     reuse -- it lies within the radius of an earlier screened verdict (below);
     out  -- a Cholesky factorization of (Z - lam)*(Z - lam) - 2t I succeeds,
             so sigma_min(Delta_q) > 2t less rounding > t;
     in   -- one inverse-iteration step x = (Z - lam)^-1 e gives
             ||Delta_q x|| <= t/2 ||x||, so sigma_min(Delta_q) <= t;
     exact -- the smallest singular value of Delta_q, compared with t.
-    The screens and the reuse are skipped, leaving the exact route, wherever
-    their rounding error is not well below t (tiny tol, huge probes), so
-    every verdict equals that of the exact route. Probes with bit-identical
-    re q and |q|^2 share one exact computation.
+    The certificate, the screens and the reuse are skipped, leaving the exact
+    route, wherever their rounding error is not well below t (tiny tol, huge
+    probes), so every verdict equals that of the exact route. Probes with
+    bit-identical re q and |q|^2 share one exact computation.
 
     Reuse. With R = _ROUNDING_FACTOR, each rounding stage errs by less than
     t/R, so the exact route answers out when sigma_min(Delta) > (1 + 1/R) t
@@ -211,6 +237,36 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
         (1 - 1/R) t ||x|| when 2 |d| X + |d|^2 <= b t,
         b = 1 - _IN_MARGIN - 2/R, which |d| <= (b/2) t / (X + sqrt(t)),
         about 0.125 t / (X + sqrt(t)), guarantees.
+
+    Certificate (after Rump, "Verification methods", Acta Numerica 19,
+    2010). Q holds the eigenvectors from `eigh` of C = H + _BETA K (see
+    _BETA); for normal Z with no two eigenvalues colliding in C they nearly
+    diagonalize Z, but nothing below assumes it. With d_k = q_k* Z q_k,
+    the Rayleigh numerators, R = ZQ - Q diag(d) and every norm measured:
+        delta >= ||Q*Q - I||, rho_k >= ||r_k||, ||R|| <= ||rho||,
+    each the computed Frobenius norm plus the rounding of the products it
+    comes from. A product of inner size N errs by at most g |X||Y|
+    entrywise, g = (N + 2) eps, which gives g ||Q||_F^2 for Q*Q and
+    g (||Z||_F + |d_k|) ||q_k|| for column k of R; ||q_k||^2 <= 1 + delta.
+    The computed norms, the |d_k - lam| and the final comparisons err
+    relatively by far less than s = (N^2 + 8) eps, by which each is widened.
+    out: Q*(Z - lam)Q = diag(d - lam) + (Q*Q - I) diag(d - lam) + Q*R, so by
+        Weyl sigma_min(Q*(Z - lam)Q) >= min_k |d_k - lam| - e - |lam| delta
+        with e = sqrt(1 + delta) ||rho|| + delta max_k |d_k|, and
+        sigma_min(Q*(Z - lam)Q) <= ||Q||^2 sigma_min(Z - lam)
+        <= (1 + delta) sigma_min(Z - lam). The probe is out when
+        ((min_k |d_k - lam| - e - |lam| delta) / (1 + delta))^2 > (1 + 1/R) t.
+    in: (Z - conj lam)(Z - lam) q_k
+        = (d_k - lam)(d_k - conj lam) q_k + (d_k - lam) r_k + (Z - conj lam) r_k
+        and ||q_k|| >= sqrt(1 - delta), so for the k minimising
+        p_k = |d_k - lam| |d_k - conj lam| the probe is in when
+        p_k + (|d_k - lam| + ||Z||_F + |lam|) rho_k / sqrt(1 - delta)
+        <= (1 - 1/R) t; ||Z||_F >= ||A|| stands in for ||A|| because it
+        needs no eigensolver's rounding.
+    Non-normal Z, or colliding eigenvalues that mix the columns of Q, only
+    grow rho and leave probes to the routes after it; so do a failed `eigh`
+    and delta >= 1/2, which leave every probe to them. Under the gate,
+    g ||Z||_F^2 < t / R, so the rounding terms cost the bounds little.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
@@ -221,12 +277,27 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     z = qa.to_complex_adjoint(a.a)
     size = z.shape[0]
     zh = z.conj().T
-    gram = zh @ z
+    gram = _gram(z, zh)
+    for k, q in enumerate(probes):
+        if not math.isfinite(q.norm_sq()):
+            raise PreconditionError(f"probe {k} overflows: |q|^2 is not finite")
     norm = _gram_norm(gram)
     threshold = tol * (1.0 + norm) ** 2
     root_t = math.sqrt(threshold)
     fro = float(np.linalg.norm(z))
     rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
+    root_n = math.sqrt(size)
+    lams = [complex(q.re, q.im_norm()) for q in probes]
+    # f * f, not f ** 2, which raises OverflowError on a huge probe
+    gated = [
+        rounding * f * f < threshold for f in (fro + root_n * abs(lam) for lam in lams)
+    ]
+    out: list[bool | None] = [None] * len(probes)
+    if sum(gated) >= _CERTIFICATE_PROBES:
+        picked = [k for k, g in enumerate(gated) if g]
+        certified = _certificate(z, zh, fro, np.array([lams[k] for k in picked]), threshold)
+        for k, verdict in zip(picked, certified):
+            out[k] = verdict
     # right-hand side of the inverse-iteration step: unit entries whose
     # phases (1 rad apart) follow no pattern a kernel vector could cancel
     e = np.exp(1j * np.arange(size))
@@ -236,11 +307,11 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     screened: list[tuple[complex, float, bool | None]] = []
     exact: dict[tuple[str, str], bool] = {}
     z2 = None
-    out = []
-    for q in probes:
-        lam = complex(q.re, q.im_norm())
+    for k, (q, lam) in enumerate(zip(probes, lams)):
+        if out[k] is not None:
+            continue
         verdict = None
-        if rounding * (fro + math.sqrt(size) * abs(lam)) ** 2 < threshold:
+        if gated[k]:
             hit = next((s for s in screened if abs(lam - s[0]) <= s[1]), None)
             if hit is None:
                 verdict = _screen(z, zh, gram, lam, threshold, e, buf)
@@ -261,8 +332,47 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
                 dz = z2 - (2.0 * q.re) * z + q.norm_sq() * np.eye(size)
                 exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
             verdict = exact[dz_key]
-        out.append(verdict)
+        out[k] = verdict
     return out
+
+
+def _certificate(z, zh, fro, lams, t) -> list[bool | None]:
+    """The certificate verdicts of delta_oracle for the probes lams (a
+    complex array): True (in), False (out) or None (undecided)."""
+    eps = np.finfo(np.float64).eps
+    size = z.shape[0]
+    g = (size + 2) * eps
+    grow = 1.0 + (size * size + 8) * eps
+    r = 1.0 / _ROUNDING_FACTOR
+    undecided = [None] * len(lams)
+    c = 0.5 * (1.0 - 1j * _BETA)  # C = c Z + conj(c) Z*
+    try:
+        q = np.linalg.eigh(c * z + c.conjugate() * zh)[1]
+    except np.linalg.LinAlgError:
+        return undecided
+    w = z @ q
+    d = np.einsum("ij,ij->j", q.conj(), w)
+    gq = q.conj().T @ q
+    gq.flat[:: size + 1] -= 1.0
+    qf = float(np.linalg.norm(q))
+    delta = grow * float(np.linalg.norm(gq)) + g * qf * qf
+    if not delta < 0.5:
+        return undecided
+    abs_d = np.abs(d)
+    rho = grow * np.linalg.norm(w - q * d, axis=0) + g * (fro + abs_d) * math.sqrt(1.0 + delta)
+    e = grow * (math.sqrt(1.0 + delta) * float(np.linalg.norm(rho)) + delta * float(abs_d.max()))
+
+    up = np.abs(d[None, :] - lams[:, None])
+    down = np.abs(d[None, :] - lams.conj()[:, None])
+    mod = np.abs(lams)
+    low = up.min(axis=1) / grow - grow * (e + mod * delta)
+    is_out = (low > 0.0) & (low * low > grow * (1.0 + r) * t * (1.0 + delta) ** 2)
+    prod = up * down
+    k = prod.argmin(axis=1)
+    rows = np.arange(len(lams))
+    bound = grow * (prod[rows, k] + (up[rows, k] + fro + mod) * rho[k] / math.sqrt(1.0 - delta))
+    is_in = bound <= (1.0 - r) * t
+    return [True if i else False if o else None for i, o in zip(is_in.tolist(), is_out.tolist())]
 
 
 def _screen(z, zh, gram, lam, t, e, buf) -> bool | None:

@@ -251,6 +251,20 @@ class TestDeltaOracle:
         with pytest.raises(PreconditionError, match="oracle scale overflows"):
             oracle_scale(a)
 
+    @pytest.mark.parametrize("s", [1e160, 1e200])
+    def test_overflowing_probe_named(self, s, monkeypatch):
+        # |q|^2 = s^2 is past the largest double although q is finite
+        a = QMatrix.diag([I, Quaternion(2.0)])
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"probe 1 overflows"):
+            delta_oracle(a, [I, s * I], 1e-7)
+
+    @pytest.mark.parametrize("s", [1e100, 1.2e154])
+    def test_large_probe_below_overflow(self, s):
+        # at 1.2e154, |q|^2 is finite but the rounding gate's square of
+        # ||Z||_F + sqrt(N) |q| is not
+        assert delta_oracle(QMatrix.diag([I, Quaternion(2.0)]), [s * I], 1e-7) == [False]
+
     def test_large_scale_below_overflow(self):
         s = 1e150
         a = QMatrix.diag([s * I, Quaternion(2.0 * s)])
@@ -357,13 +371,25 @@ class TestDeltaOracle:
         assert reused > 0  # some second probes took the first one's verdict
 
     def test_orbit_call_screens_on_sphere_once(self, rng, monkeypatch):
-        # the 16 on-sphere probes of an orbit differ in |im q| by ulps; the
-        # first one's in verdict covers the others
+        # the 16 on-sphere probes of an orbit are at least
+        # _CERTIFICATE_PROBES, so one eigen-certificate decides them all
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
         orbit = sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).orbits[0]
-        counts = [count_calls(monkeypatch, name) for name in ("cholesky", "solve", "svd")]
+        names = ("eigh", "cholesky", "solve", "svd")
+        counts = [count_calls(monkeypatch, name) for name in names]
         assert delta_oracle(a, on_sphere_probes(orbit), 1e-7) == [True] * 16
-        assert [c[0] for c in counts] == [1, 1, 0]
+        assert [c[0] for c in counts] == [1, 0, 0, 0]
+
+    def test_orbit_call_makes_one_eigh(self, rng, monkeypatch):
+        a = gen.random_normal(rng, 16, STANDARD_FRAME)
+        spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        orbit = spectrum.orbits[0]
+        probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+        names = ("eigh", "eigvalsh", "cholesky", "solve", "svd")
+        counts = [count_calls(monkeypatch, name) for name in names]
+        assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
+        assert [c[0] for c in counts] == [1, 1, 0, 0, 0]
 
     def test_probe_at_eigenvalue_falls_back(self, monkeypatch):
         # Z - lam is exactly singular, so solve fails and the exact SVD decides
@@ -402,15 +428,120 @@ class TestDeltaOracle:
         assert (factored[0], calls[0]) == (screens, svds)
 
 
+class TestDeltaOracleCertificate:
+    """The eigen-certificate route: calls of at least _CERTIFICATE_PROBES
+    probes, against the oracle's own exact route."""
+
+    VALUES = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
+    STEPS = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
+    RATIOS = (0.2, 0.45, 0.55, 0.9, 1.1, 1.9, 2.1, 5.0)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_bisected_probes_on_conjugated_diagonals(self, scale, tol, monkeypatch):
+        # as test_bisected_probes_match_exact_route, with A = V D V* for a
+        # random unitary V, so that Q != I and e, delta > 0
+        values = [scale * v for v in self.VALUES]
+        v = gen.random_unitary(np.random.default_rng(16), len(values))
+        a = v @ QMatrix.diag(values) @ v.H
+        t = tol * oracle_scale(a)
+        probes = [
+            _bisect_diagonal(values, x, scale * w, ratio * t)
+            for x, w in zip(values, self.STEPS)
+            for ratio in self.RATIOS
+        ]
+        want = _oracle_exact_verdicts(a, probes, tol)
+        factored, screened = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "cholesky")
+        assert delta_oracle(a, probes, tol) == want
+        if tol == 1e-7:
+            assert factored[0] == 1
+            assert screened[0] < len(probes)  # the certificate decided some probes
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_colliding_eigenvalues_leave_probes_undecided(self, scale):
+        # i and the real _BETA are distinct eigenvalues of Z that both map
+        # to _BETA in C = H + _BETA K, so eigh mixes their eigenvectors
+        values = [scale * I, Quaternion(scale * spectral._BETA), Quaternion(-2.0 * scale)]
+        v = gen.random_unitary(np.random.default_rng(5), len(values))
+        a = v @ QMatrix.diag(values) @ v.H
+        t = 1e-7 * oracle_scale(a)
+        steps = [Quaternion(0.6, 0.8), Quaternion(-1), Quaternion(0, 0, 0.6, 0.8)]
+        probes = [
+            _bisect_diagonal(values, x, scale * w, ratio * t)
+            for x, w in zip(values, steps)
+            for ratio in self.RATIOS
+        ]
+        # and at the diagonal of Q*ZQ, where only the residuals of the mixed
+        # columns keep the in bound from holding
+        z = a.to_complex_adjoint()
+        c = 0.5 * (1.0 - 1j * spectral._BETA)
+        vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
+        d = np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs)
+        probes += [Quaternion(x.real, x.imag) for x in d if x.imag >= 0.0]
+        want = _oracle_exact_verdicts(a, probes, 1e-7)
+        lams = np.array([complex(q.re, q.im_norm()) for q in probes])
+        got = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
+        assert None in got
+        assert all(g is None or g == w for g, w in zip(got, want))
+        assert delta_oracle(a, probes, 1e-7) == want
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_non_normal(self, scale, tol, monkeypatch):
+        rng = np.random.default_rng(7)
+        base = QMatrix(rng.standard_normal((6, 6, 4)))
+        a = base * scale
+        probes = [scale * gen.random_quaternion(rng) for _ in range(16)]
+        if tol > 1e-16:
+            # below the rounding floor a probe at an eigenvalue has no
+            # verdict to compare (test_non_normal_matches_exact_route)
+            lams = np.linalg.eigvals(base.to_complex_adjoint())[:6] * scale
+            dirs = fibonacci_sphere(6)
+            probes += [Quaternion(lam.real, *(abs(lam.imag) * d)) for lam, d in zip(lams, dirs)]
+        want = _oracle_exact_verdicts(a, probes, tol)
+        factored = count_calls(monkeypatch, "eigh")
+        assert delta_oracle(a, probes, tol) == want
+        if tol == 1e-7:
+            assert factored[0] == 1
+
+
 def _exact_verdicts(a, probes, tol):
     threshold = tol * oracle_scale(a)
     return [delta(a, q).sigma_min() <= threshold for q in probes]
 
 
+def _oracle_exact_verdicts(a, probes, tol):
+    """The oracle's own exact route: sigma_min of Delta_q on the complex
+    adjoint, against t."""
+    z = a.to_complex_adjoint()
+    t = tol * oracle_scale(a)
+    z2, ident = z @ z, np.eye(z.shape[0])
+    return [
+        bool(np.linalg.svd(z2 - (2.0 * q.re) * z + q.norm_sq() * ident, compute_uv=False)[-1] <= t)
+        for q in probes
+    ]
+
+
 def _bisect_probe(a, v, w, target):
     """Probe v + s w with sigma_min(delta(a, .)) = target, by bisection on s."""
+    return _bisect(lambda q: delta(a, q).sigma_min(), v, w, target)
+
+
+def _bisect_diagonal(values, v, w, target):
+    """_bisect_probe for diag(values), whose sigma_min(Delta_q) is the
+    smallest |mu - lam| |mu - conj lam| over the standard values mu."""
+    mus = [complex(x.re, x.im_norm()) for x in values]
+
+    def sigma(q):
+        lam = complex(q.re, q.im_norm())
+        return min(abs(mu - lam) * abs(mu - lam.conjugate()) for mu in mus)
+
+    return _bisect(sigma, v, w, target)
+
+
+def _bisect(sigma, v, w, target):
     def above(s):
-        return delta(a, v + w * s).sigma_min() >= target
+        return sigma(v + w * s) >= target
 
     lo, hi = 0.0, 1.0
     while not above(hi):
@@ -429,7 +560,7 @@ def _forbid_lapack(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("LAPACK reached before the input check")
 
-    for name in ("svd", "eigvalsh", "cholesky", "solve"):
+    for name in ("svd", "eigvalsh", "eigh", "cholesky", "solve"):
         monkeypatch.setattr(np.linalg, name, fail)
 
 
