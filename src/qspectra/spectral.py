@@ -142,7 +142,8 @@ def oracle_scale(a: QMatrix) -> float:
 def _gram(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
     """Z*Z from Z and its conjugate transpose; raises PreconditionError,
     before any LAPACK call, when it overflows."""
-    gram = zh @ z
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = zh @ z
     if not np.all(np.isfinite(gram)):
         raise PreconditionError("oracle scale overflows: Z*Z has a non-finite entry")
     return gram
@@ -159,33 +160,18 @@ def _gram_norm(gram: np.ndarray) -> float:
     return norm
 
 
-# The screens of delta_oracle test sigma_min(Z - lam)^2 > _OUT_MARGIN * t and
-# ||Delta x|| <= _IN_MARGIN * t * ||x||. They decide a probe only when
+# The certificate of delta_oracle decides a probe only when
 # _ROUNDING_FACTOR * (N + 2) * eps * F^2 < t, with F = ||Z||_F + sqrt(N) |lam|
-# >= ||Z - lam||_F, so that each rounding stage -- forming
-# (Z - lam)*(Z - lam), its Cholesky factorization, the two matvecs, and the
-# exact route whose verdict the screens must reproduce -- errs by less than
-# t / _ROUNDING_FACTOR.
-_OUT_MARGIN = 2.0
-_IN_MARGIN = 0.5
+# >= ||Z - lam||_F. Then the rounding of the certificate's products and that
+# of the exact route -- forming Delta_q and its SVD -- each err by less than
+# t / _ROUNDING_FACTOR, so a certificate verdict, which keeps a margin of
+# t / _ROUNDING_FACTOR on its side of t, is the exact route's verdict. Every
+# other probe takes the exact route.
 _ROUNDING_FACTOR = 8.0
-# Reuse radii of a screened verdict, in units of sqrt(t) (out) and of
-# t / (||A|| + |lam| + sqrt(t)) (in); derived in delta_oracle's docstring.
-_OUT_RADIUS = math.sqrt(_OUT_MARGIN - 2.0 / _ROUNDING_FACTOR) - math.sqrt(
-    1.0 + 1.0 / _ROUNDING_FACTOR
-)
-_IN_RADIUS = (1.0 - _IN_MARGIN - 2.0 / _ROUNDING_FACTOR) / 2.0
 # The eigen-certificate of delta_oracle factors C = H + _BETA K, with
 # H = (Z + Z*)/2 and K = (Z - Z*)/(2i); an irrational weight keeps the
 # distinct eigenvalues of a normal Z apart in C but for measure-zero inputs.
 _BETA = 0.7549
-# Gated probes per call from which delta_oracle runs the certificate first:
-# one certificate costs about as much as 13 out screens (5 to 9 in screens).
-# Median of 50 runs, one BLAS thread, numpy 2.4 / OpenBLAS 0.3.31 on a
-# 2-vCPU Xeon VM, N = 32 / 64 / 128: certificate for 32 probes 0.30 / 1.0 /
-# 5.2 ms, out screen 0.029 / 0.074 / 0.39 ms, in screen 0.054 / 0.20 /
-# 0.70 ms.
-_CERTIFICATE_PROBES = 13
 
 
 def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
@@ -207,36 +193,18 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
 
         sigma_min(Z - lam)^2 <= sigma_min(Delta_q) <= ||Delta_q x|| / ||x||.
 
-    Each probe is decided by the first of these that applies:
-    certificate -- when at least _CERTIFICATE_PROBES probes pass the rounding
-            gate (see _ROUNDING_FACTOR), bounds read off one
-            eigendecomposition decide them in O(N) each (below);
-    reuse -- it lies within the radius of an earlier screened verdict (below);
-    out  -- a Cholesky factorization of (Z - lam)*(Z - lam) - 2t I succeeds,
-            so sigma_min(Delta_q) > 2t less rounding > t;
-    in   -- one inverse-iteration step x = (Z - lam)^-1 e gives
-            ||Delta_q x|| <= t/2 ||x||, so sigma_min(Delta_q) <= t;
+    Each probe is decided by the first of two routes that applies:
+    certificate -- for the probes inside the rounding gate (see
+            _ROUNDING_FACTOR), bounds read off one eigendecomposition decide
+            each in O(N) (below) or leave it undecided;
     exact -- the smallest singular value of Delta_q, compared with t.
-    The certificate, the screens and the reuse are skipped, leaving the exact
-    route, wherever their rounding error is not well below t (tiny tol, huge
-    probes), so every verdict equals that of the exact route. Probes with
+    With R = _ROUNDING_FACTOR, each rounding stage of a gated probe errs by
+    less than t/R, so the exact route answers out when
+    sigma_min(Delta_q) > (1 + 1/R) t and in when sigma_min(Delta_q)
+    <= (1 - 1/R) t, and the certificate decides only beyond those margins.
+    Outside the gate (tiny tol, huge probes) the exact route decides alone,
+    so every verdict equals that of the exact route. Probes with
     bit-identical re q and |q|^2 share one exact computation.
-
-    Reuse. With R = _ROUNDING_FACTOR, each rounding stage errs by less than
-    t/R, so the exact route answers out when sigma_min(Delta) > (1 + 1/R) t
-    and in when sigma_min(Delta) <= (1 - 1/R) t. Let lam' = lam + d be a
-    later probe that the rounding gate admits.
-    out at lam: the factorization proves sigma_min(Z - lam)^2
-        > (_OUT_MARGIN - 2/R) t (forming and factoring), and by Weyl
-        sigma_min(Z - lam') >= sigma_min(Z - lam) - |d|, so lam' is out too
-        when |d| <= (sqrt(_OUT_MARGIN - 2/R) - sqrt(1 + 1/R)) sqrt(t),
-        about 0.26 sqrt(t).
-    in at lam: Delta_lam' - Delta_lam = -d (Z - conj lam) - conj d (Z - lam)
-        + |d|^2, so ||Delta_lam' x|| <= (_IN_MARGIN + 1/R) t ||x||
-        + (2 |d| X + |d|^2) ||x||, X = ||A|| + |lam|. That stays within
-        (1 - 1/R) t ||x|| when 2 |d| X + |d|^2 <= b t,
-        b = 1 - _IN_MARGIN - 2/R, which |d| <= (b/2) t / (X + sqrt(t)),
-        about 0.125 t / (X + sqrt(t)), guarantees.
 
     Certificate (after Rump, "Verification methods", Acta Numerica 19,
     2010). Q holds the eigenvectors from `eigh` of C = H + _BETA K (see
@@ -264,8 +232,8 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
         <= (1 - 1/R) t; ||Z||_F >= ||A|| stands in for ||A|| because it
         needs no eigensolver's rounding.
     Non-normal Z, or colliding eigenvalues that mix the columns of Q, only
-    grow rho and leave probes to the routes after it; so do a failed `eigh`
-    and delta >= 1/2, which leave every probe to them. Under the gate,
+    grow rho and leave probes to the exact route; so do a failed `eigh` and
+    delta >= 1/2, which leave every probe to it. Under the gate,
     g ||Z||_F^2 < t / R, so the rounding terms cost the bounds little.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -281,58 +249,34 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     for k, q in enumerate(probes):
         if not math.isfinite(q.norm_sq()):
             raise PreconditionError(f"probe {k} overflows: |q|^2 is not finite")
-    norm = _gram_norm(gram)
-    threshold = tol * (1.0 + norm) ** 2
-    root_t = math.sqrt(threshold)
+    threshold = tol * (1.0 + _gram_norm(gram)) ** 2
     fro = float(np.linalg.norm(z))
     rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
     root_n = math.sqrt(size)
     lams = [complex(q.re, q.im_norm()) for q in probes]
     # f * f, not f ** 2, which raises OverflowError on a huge probe
     gated = [
-        rounding * f * f < threshold for f in (fro + root_n * abs(lam) for lam in lams)
+        k
+        for k, f in enumerate(fro + root_n * abs(lam) for lam in lams)
+        if rounding * f * f < threshold
     ]
     out: list[bool | None] = [None] * len(probes)
-    if sum(gated) >= _CERTIFICATE_PROBES:
-        picked = [k for k, g in enumerate(gated) if g]
-        certified = _certificate(z, zh, fro, np.array([lams[k] for k in picked]), threshold)
-        for k, verdict in zip(picked, certified):
+    if gated:
+        certified = _certificate(z, zh, fro, np.array([lams[k] for k in gated]), threshold)
+        for k, verdict in zip(gated, certified):
             out[k] = verdict
-    # right-hand side of the inverse-iteration step: unit entries whose
-    # phases (1 rad apart) follow no pattern a kernel vector could cancel
-    e = np.exp(1j * np.arange(size))
-    buf = np.empty_like(gram)
-    # (lam, radius, verdict) of each screen; a screen that decided nothing
-    # covers its own lam alone
-    screened: list[tuple[complex, float, bool | None]] = []
     exact: dict[tuple[str, str], bool] = {}
     z2 = None
-    for k, (q, lam) in enumerate(zip(probes, lams)):
+    for k, q in enumerate(probes):
         if out[k] is not None:
             continue
-        verdict = None
-        if gated[k]:
-            hit = next((s for s in screened if abs(lam - s[0]) <= s[1]), None)
-            if hit is None:
-                verdict = _screen(z, zh, gram, lam, threshold, e, buf)
-                if verdict is None:
-                    radius = 0.0
-                elif verdict:
-                    radius = _IN_RADIUS * threshold / (norm + abs(lam) + root_t)
-                else:
-                    radius = _OUT_RADIUS * root_t
-                screened.append((lam, radius, verdict))
-            else:
-                verdict = hit[2]
-        if verdict is None:
-            dz_key = (q.re.hex(), q.norm_sq().hex())
-            if dz_key not in exact:
-                if z2 is None:
-                    z2 = z @ z
-                dz = z2 - (2.0 * q.re) * z + q.norm_sq() * np.eye(size)
-                exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
-            verdict = exact[dz_key]
-        out[k] = verdict
+        dz_key = (q.re.hex(), q.norm_sq().hex())
+        if dz_key not in exact:
+            if z2 is None:
+                z2 = z @ z
+            dz = z2 - (2.0 * q.re) * z + q.norm_sq() * np.eye(size)
+            exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
+        out[k] = exact[dz_key]
     return out
 
 
@@ -373,33 +317,6 @@ def _certificate(z, zh, fro, lams, t) -> list[bool | None]:
     bound = grow * (prod[rows, k] + (up[rows, k] + fro + mod) * rho[k] / math.sqrt(1.0 - delta))
     is_in = bound <= (1.0 - r) * t
     return [True if i else False if o else None for i, o in zip(is_in.tolist(), is_out.tolist())]
-
-
-def _screen(z, zh, gram, lam, t, e, buf) -> bool | None:
-    """The out and in screens of delta_oracle, built in buf; None when
-    neither decides."""
-    step = z.shape[0] + 1  # stride of the diagonal in .flat
-    np.multiply(zh, -lam, out=buf)
-    buf += gram
-    buf -= lam.conjugate() * z
-    buf.flat[::step] += abs(lam) ** 2 - _OUT_MARGIN * t
-    try:
-        np.linalg.cholesky(buf)
-        return False
-    except np.linalg.LinAlgError:
-        pass
-    np.copyto(buf, z)
-    buf.flat[::step] -= lam
-    try:
-        x = np.linalg.solve(buf, e)
-    except np.linalg.LinAlgError:
-        return None
-    r = buf @ x
-    dx = buf @ r + (lam - lam.conjugate()) * r
-    nx, ndx = float(np.linalg.norm(x)), float(np.linalg.norm(dx))
-    if math.isfinite(nx) and ndx <= _IN_MARGIN * t * nx:
-        return True
-    return None
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

@@ -241,6 +241,7 @@ class TestDeltaOracle:
         with pytest.raises(PreconditionError, match=r"tol must be finite and >= 0"):
             delta_oracle(a, [I, J], tol)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s", [1e155, 1e160, 1e200])
     def test_overflowing_scale_named(self, s, monkeypatch):
         # Z*Z holds (2s)^2, past the largest double
@@ -277,7 +278,7 @@ class TestDeltaOracle:
     @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_non_normal_matches_exact_route(self, scale, tol):
-        # the screens bound sigma_min(Delta_q) without assuming normality
+        # the certificate bounds sigma_min(Delta_q) without assuming normality
         rng = np.random.default_rng(7)
         base = QMatrix(rng.standard_normal((6, 6, 4)))
         assert not base.is_normal()
@@ -295,7 +296,7 @@ class TestDeltaOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_below_rounding_floor_keeps_exact_verdicts(self, seed):
         # At ||A|| = 1e6 and tol 1e-16 the threshold lies below the rounding
-        # of both screens, so every probe must take the exact route unchanged.
+        # gate, so every probe must take the exact route unchanged.
         rng = np.random.default_rng(seed)
         a = gen.random_normal(rng, 8, STANDARD_FRAME, "real") * 1e6
         z = a.to_complex_adjoint()
@@ -316,7 +317,7 @@ class TestDeltaOracle:
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_bisected_probes_match_exact_route(self, scale, tol, monkeypatch):
         # probes placed at sigma_min(Delta_q) = ratio * t, on both sides of the
-        # screens' 2t and t/2 margins and of the threshold itself
+        # threshold and of the certificate's (1 +- 1/8) t margins
         values = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
         a = QMatrix.diag([scale * v for v in values])
         t = tol * oracle_scale(a)
@@ -330,15 +331,17 @@ class TestDeltaOracle:
         calls = _count_svd(monkeypatch)
         assert delta_oracle(a, probes, tol) == want
         if tol == 1e-7:
-            assert calls[0] < len(probes)  # the screens decided some probes
+            assert calls[0] < len(probes)  # the certificate decided some probes
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-13])
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
-    def test_reuse_radius_is_sound(self, scale, tol, monkeypatch):
+    def test_reuse_radius_is_sound(self, scale, tol):
         # a first probe at sigma_min(Delta_q) near t/2, t and 2t, then a
-        # second one just inside and just outside the in and the out radius
-        # of its verdict: toward the nearest eigenvalue, away from it, and
-        # along the imaginary axis
+        # second one just inside and just outside 0.125 t / (||A|| + |lam| +
+        # sqrt(t)) and 0.26221548 sqrt(t), the distances over which the Delta
+        # difference bound (in) and Weyl's inequality (out) carry a verdict
+        # at t/2 or 2t to the second probe: toward the nearest eigenvalue,
+        # away from it, and along the imaginary axis
         values = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
         steps = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
         a = QMatrix.diag([scale * v for v in values])
@@ -350,29 +353,20 @@ class TestDeltaOracle:
             for v, w in zip(values, steps)
             for ratio in (0.45, 0.55, 0.95, 1.05, 1.9, 2.1)
         ]
-        factored = count_calls(monkeypatch, "cholesky")
-        reused = 0
         for first in firsts:
             lam = complex(first.re, first.im_norm())
             toward = min(eigs, key=lambda d: abs(d - lam)) - lam
             toward /= abs(toward)
-            radii = (
-                spectral._IN_RADIUS * t / (norm + abs(lam) + math.sqrt(t)),
-                spectral._OUT_RADIUS * math.sqrt(t),
-            )
+            radii = (0.125 * t / (norm + abs(lam) + math.sqrt(t)), 0.26221548 * math.sqrt(t))
             for radius in radii:
                 for factor in (1.0 - 1e-6, 1.0 + 1e-6):
                     for direction in (toward, -toward, 1j):
                         p = lam + factor * radius * direction
                         probes = [first, Quaternion(p.real, p.imag)]
-                        factored[0] = 0
                         assert delta_oracle(a, probes, tol) == _exact_verdicts(a, probes, tol)
-                        reused += factored[0] == 1
-        assert reused > 0  # some second probes took the first one's verdict
 
     def test_orbit_call_screens_on_sphere_once(self, rng, monkeypatch):
-        # the 16 on-sphere probes of an orbit are at least
-        # _CERTIFICATE_PROBES, so one eigen-certificate decides them all
+        # one eigen-certificate decides the 16 on-sphere probes of an orbit
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
         orbit = sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).orbits[0]
         names = ("eigh", "cholesky", "solve", "svd")
@@ -392,10 +386,27 @@ class TestDeltaOracle:
         assert [c[0] for c in counts] == [1, 1, 0, 0, 0]
 
     def test_probe_at_eigenvalue_falls_back(self, monkeypatch):
-        # Z - lam is exactly singular, so solve fails and the exact SVD decides
+        # the probes at the diagonal of Q*ZQ that the certificate leaves
+        # undecided (test_colliding_eigenvalues_leave_probes_undecided), each
+        # also turned to a second imaginary direction: one exact SVD per
+        # distinct (re q, |q|^2) of the undecided probes decides them
+        values = [I, Quaternion(spectral._BETA), Quaternion(-2.0)]
+        v = gen.random_unitary(np.random.default_rng(5), len(values))
+        a = v @ QMatrix.diag(values) @ v.H
+        z = a.to_complex_adjoint()
+        c = 0.5 * (1.0 - 1j * spectral._BETA)
+        vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
+        d = [x for x in np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs) if x.imag >= 0.0]
+        probes = [Quaternion(x.real, x.imag) for x in d] + [Quaternion(x.real, 0, x.imag) for x in d]
+        lams = np.array([complex(q.re, q.im_norm()) for q in probes])
+        t = 1e-7 * oracle_scale(a)
+        got = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
+        keys = {(q.re, q.norm_sq()) for q, g in zip(probes, got) if g is None}
+        assert keys
+        want = _oracle_exact_verdicts(a, probes, 1e-7)
         calls = _count_svd(monkeypatch)
-        assert delta_oracle(QMatrix.diag([I]), [I], 1e-7) == [True]
-        assert calls[0] == 1  # the fallback
+        assert delta_oracle(a, probes, 1e-7) == want
+        assert calls[0] == len(keys)
 
     def test_clear_probes_need_one_svd(self, rng, monkeypatch):
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
@@ -407,30 +418,54 @@ class TestDeltaOracle:
         assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("tol, screens, svds", [(1e-7, 1, 0), (1e-30, 0, 2)], ids=["screen", "exact"])
-    def test_one_computation_per_key(self, rng, monkeypatch, tol, screens, svds):
+    @pytest.mark.parametrize(
+        "tol, eighs, svds", [(1e-7, 1, 0), (1e-30, 0, 2)], ids=["certificate", "exact"]
+    )
+    def test_one_computation_per_key(self, rng, monkeypatch, tol, eighs, svds):
         # (x, b, 0, 0), (x, 0, b, 0) and (x, 0, 0, b) have bit-identical
-        # re q, |im q| and |q|^2, so one screen (or, below the rounding gate,
-        # one exact SVD) decides all three; x = 0.0 and -0.0 share a screen
-        # but are two exact keys
+        # re q, |im q| and |q|^2; one certificate decides all six probes, and
+        # below the rounding gate one exact SVD per key does, x = 0.0 and
+        # -0.0 being two keys
         a = gen.random_normal(rng, 8, STANDARD_FRAME)
         probes = [Quaternion(x, *(0.7 * np.eye(3)[k])) for x in (0.0, -0.0) for k in range(3)]
         want = [delta_oracle(a, [q], tol)[0] for q in probes]
-        calls = _count_svd(monkeypatch)
-        cholesky, factored = np.linalg.cholesky, [0]
-
-        def counted(*args, **kwargs):
-            factored[0] += 1
-            return cholesky(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        calls = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
         assert delta_oracle(a, probes, tol) == want
-        assert (factored[0], calls[0]) == (screens, svds)
+        assert [c[0] for c in calls] == [eighs, svds]
+
+    @pytest.mark.parametrize(
+        "kind, n, scale, gap",
+        [
+            (kind, n, scale, None)
+            for kind in gen.MATRIX_CLASSES
+            for n in (8, 32)
+            for scale in (1e-12, 1.0, 1e12)
+        ]
+        + [("normal", 32, 1.0, 1e-9)],
+    )
+    def test_orbit_calls_take_the_certificate_alone(self, kind, n, scale, gap, monkeypatch):
+        # every orbit call of 16 on- and 16 off-sphere probes, as criterion 3,
+        # selftest and the oracle_probes benchmark make them, is decided by
+        # one certificate: one eigh, one eigvalsh for ||A|| and no SVD
+        rng = np.random.default_rng(17)
+        d = gen.random_standard_values(rng, n, STANDARD_FRAME, kind)
+        if gap is not None:
+            d[1] = d[0] + gap
+        v = gen.random_unitary(rng, n)
+        a = v @ QMatrix.diag([scale * q for q in d]) @ v.H
+        spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
+        for orbit in spectrum.orbits:
+            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+            for c in counts:
+                c[0] = 0
+            assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
+            assert [c[0] for c in counts] == [1, 1, 0]
 
 
 class TestDeltaOracleCertificate:
-    """The eigen-certificate route: calls of at least _CERTIFICATE_PROBES
-    probes, against the oracle's own exact route."""
+    """The eigen-certificate route, against the oracle's own exact route."""
 
     VALUES = [Quaternion(1, 2), Quaternion(0.3, 0, 0.4), Quaternion(-0.5), Quaternion(0)]
     STEPS = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
@@ -451,11 +486,11 @@ class TestDeltaOracleCertificate:
             for ratio in self.RATIOS
         ]
         want = _oracle_exact_verdicts(a, probes, tol)
-        factored, screened = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "cholesky")
+        factored, calls = count_calls(monkeypatch, "eigh"), _count_svd(monkeypatch)
         assert delta_oracle(a, probes, tol) == want
         if tol == 1e-7:
             assert factored[0] == 1
-            assert screened[0] < len(probes)  # the certificate decided some probes
+            assert calls[0] < len(probes)  # the certificate decided some probes
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_colliding_eigenvalues_leave_probes_undecided(self, scale):
@@ -560,7 +595,7 @@ def _forbid_lapack(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("LAPACK reached before the input check")
 
-    for name in ("svd", "eigvalsh", "eigh", "cholesky", "solve"):
+    for name in ("svd", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, fail)
 
 
