@@ -19,7 +19,7 @@ _EPS_FLOOR = 1e-300
 class QMatrix:
     """Quaternion matrix wrapping an (m, n, 4) float64 component array."""
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "__weakref__")
 
     def __init__(self, a):
         a = qa.qarr(a)

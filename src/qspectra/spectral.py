@@ -10,6 +10,7 @@ half slice.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,9 @@ _ROUNDING_FACTOR = 8.0
 # H = (Z + Z*)/2 and K = (Z - Z*)/(2i); an irrational weight keeps the
 # distinct eigenvalues of a normal Z apart in C but for measure-zero inputs.
 _BETA = 0.7549
+# The certificate's basis per live QMatrix: Q, delta and the residual ||rho||
+# measured when it was factored; see "Reuse" in delta_oracle.
+_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
@@ -235,6 +239,19 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     grow rho and leave probes to the exact route; so do a failed `eigh` and
     delta >= 1/2, which leave every probe to it. Under the gate,
     g ||Z||_F^2 < t / R, so the rounding terms cost the bounds little.
+
+    Reuse. delta depends on Q alone, so the first call on a matrix object
+    keeps Q, read-only, and delta for as long as the object lives (a failed
+    `eigh` or delta >= 1/2 is not kept), and later calls skip forming C, the
+    `eigh` and Q*Q. Every call still measures Z, Z*Z, ||A||, ||Z||_F, the
+    gate, W = ZQ, d, rho and e from the current entries. The bounds above
+    hold for any Q with ||Q*Q - I|| <= delta, so a kept Q that no longer
+    nearly diagonalizes Z (entries changed in place) only grows rho and
+    leaves probes undecided. When a probe is left undecided and ||rho|| has
+    grown since Q was factored, the call factors afresh once, keeps the new
+    basis and decides again. A kept basis of another size than Z is never
+    used. On an unchanged matrix the kept Q is the one `eigh` returned for
+    the same C, so every verdict and route is that of a fresh call.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
@@ -262,7 +279,7 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     ]
     out: list[bool | None] = [None] * len(probes)
     if gated:
-        certified = _certificate(z, zh, fro, np.array([lams[k] for k in gated]), threshold)
+        certified = _certificate(z, zh, fro, np.array([lams[k] for k in gated]), threshold, a)
         for k, verdict in zip(gated, certified):
             out[k] = verdict
     exact: dict[tuple[str, str], bool] = {}
@@ -280,31 +297,66 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     return out
 
 
-def _certificate(z, zh, fro, lams, t) -> list[bool | None]:
+def _certificate(z, zh, fro, lams, t, a=None) -> list[bool | None]:
     """The certificate verdicts of delta_oracle for the probes lams (a
-    complex array): True (in), False (out) or None (undecided)."""
+    complex array): True (in), False (out) or None (undecided).
+
+    With a, on the basis kept for a, unless it has another size than Z or
+    leaves a probe undecided with a larger residual ||rho|| than it had when
+    factored (entries changed since); a fresh basis then replaces it. On an
+    unchanged matrix the residual repeats bit for bit, so undecided probes
+    there cost no second `eigh`."""
+    kept = None if a is None else _BASES.get(a)
+    if kept is not None and kept[0].shape[0] == z.shape[0]:
+        q, delta, factored = kept
+        verdicts, residual = _decide(z, fro, lams, t, q, delta)
+        if None not in verdicts or residual <= factored:
+            return verdicts
+    basis = _basis(z, zh)
+    if basis is None:
+        return [None] * len(lams)
+    verdicts, residual = _decide(z, fro, lams, t, *basis)
+    if a is not None:
+        _BASES[a] = (*basis, residual)
+    return verdicts
+
+
+def _basis(z, zh) -> tuple[np.ndarray, float] | None:
+    """The certificate's basis: Q, read-only, from `eigh` of C and
+    delta >= ||Q*Q - I||; None when `eigh` fails or delta >= 1/2."""
     eps = np.finfo(np.float64).eps
     size = z.shape[0]
     g = (size + 2) * eps
     grow = 1.0 + (size * size + 8) * eps
-    r = 1.0 / _ROUNDING_FACTOR
-    undecided = [None] * len(lams)
     c = 0.5 * (1.0 - 1j * _BETA)  # C = c Z + conj(c) Z*
     try:
         q = np.linalg.eigh(c * z + c.conjugate() * zh)[1]
     except np.linalg.LinAlgError:
-        return undecided
-    w = z @ q
-    d = np.einsum("ij,ij->j", q.conj(), w)
+        return None
     gq = q.conj().T @ q
     gq.flat[:: size + 1] -= 1.0
     qf = float(np.linalg.norm(q))
     delta = grow * float(np.linalg.norm(gq)) + g * qf * qf
     if not delta < 0.5:
-        return undecided
+        return None
+    q.flags.writeable = False
+    return q, delta
+
+
+def _decide(z, fro, lams, t, q, delta) -> tuple[list[bool | None], float]:
+    """The certificate's verdicts on basis (Q, delta) from the current Z,
+    and the residual ||rho|| they were decided with."""
+    eps = np.finfo(np.float64).eps
+    size = z.shape[0]
+    g = (size + 2) * eps
+    grow = 1.0 + (size * size + 8) * eps
+    r = 1.0 / _ROUNDING_FACTOR
+    w = z @ q
+    d = np.einsum("ij,ij->j", q.conj(), w)
     abs_d = np.abs(d)
     rho = grow * np.linalg.norm(w - q * d, axis=0) + g * (fro + abs_d) * math.sqrt(1.0 + delta)
-    e = grow * (math.sqrt(1.0 + delta) * float(np.linalg.norm(rho)) + delta * float(abs_d.max()))
+    residual = float(np.linalg.norm(rho))
+    e = grow * (math.sqrt(1.0 + delta) * residual + delta * float(abs_d.max()))
 
     up = np.abs(d[None, :] - lams[:, None])
     down = np.abs(d[None, :] - lams.conj()[:, None])
@@ -316,7 +368,8 @@ def _certificate(z, zh, fro, lams, t) -> list[bool | None]:
     rows = np.arange(len(lams))
     bound = grow * (prod[rows, k] + (up[rows, k] + fro + mod) * rho[k] / math.sqrt(1.0 - delta))
     is_in = bound <= (1.0 - r) * t
-    return [True if i else False if o else None for i, o in zip(is_in.tolist(), is_out.tolist())]
+    verdicts = [True if i else False if o else None for i, o in zip(is_in.tolist(), is_out.tolist())]
+    return verdicts, residual
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

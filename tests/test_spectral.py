@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -369,10 +371,9 @@ class TestDeltaOracle:
         # one eigen-certificate decides the 16 on-sphere probes of an orbit
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
         orbit = sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).orbits[0]
-        names = ("eigh", "cholesky", "solve", "svd")
-        counts = [count_calls(monkeypatch, name) for name in names]
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
         assert delta_oracle(a, on_sphere_probes(orbit), 1e-7) == [True] * 16
-        assert [c[0] for c in counts] == [1, 0, 0, 0]
+        assert [c[0] for c in counts] == [1, 0]
 
     def test_orbit_call_makes_one_eigh(self, rng, monkeypatch):
         a = gen.random_normal(rng, 16, STANDARD_FRAME)
@@ -380,10 +381,9 @@ class TestDeltaOracle:
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
         orbit = spectrum.orbits[0]
         probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
-        names = ("eigh", "eigvalsh", "cholesky", "solve", "svd")
-        counts = [count_calls(monkeypatch, name) for name in names]
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
         assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
-        assert [c[0] for c in counts] == [1, 1, 0, 0, 0]
+        assert [c[0] for c in counts] == [1, 1, 0]
 
     def test_probe_at_eigenvalue_falls_back(self, monkeypatch):
         # the probes at the diagonal of Q*ZQ that the certificate leaves
@@ -428,7 +428,8 @@ class TestDeltaOracle:
         # -0.0 being two keys
         a = gen.random_normal(rng, 8, STANDARD_FRAME)
         probes = [Quaternion(x, *(0.7 * np.eye(3)[k])) for x in (0.0, -0.0) for k in range(3)]
-        want = [delta_oracle(a, [q], tol)[0] for q in probes]
+        # on a copy, so that the counted call is the first on a and factors
+        want = [delta_oracle(QMatrix(a.a.copy()), [q], tol)[0] for q in probes]
         calls = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
         assert delta_oracle(a, probes, tol) == want
         assert [c[0] for c in calls] == [eighs, svds]
@@ -446,7 +447,8 @@ class TestDeltaOracle:
     def test_orbit_calls_take_the_certificate_alone(self, kind, n, scale, gap, monkeypatch):
         # every orbit call of 16 on- and 16 off-sphere probes, as criterion 3,
         # selftest and the oracle_probes benchmark make them, is decided by
-        # one certificate: one eigh, one eigvalsh for ||A|| and no SVD
+        # the certificate: one eigvalsh for ||A|| and no SVD, and one eigh on
+        # the first call on the matrix, whose basis every later call reuses
         rng = np.random.default_rng(17)
         d = gen.random_standard_values(rng, n, STANDARD_FRAME, kind)
         if gap is not None:
@@ -456,12 +458,71 @@ class TestDeltaOracle:
         spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
         counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
-        for orbit in spectrum.orbits:
+        for k, orbit in enumerate(spectrum.orbits):
             probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
             for c in counts:
                 c[0] = 0
             assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
-            assert [c[0] for c in counts] == [1, 1, 0]
+            assert [c[0] for c in counts] == [int(k == 0), 1, 0]
+
+    @pytest.mark.parametrize(
+        "case, scale, tol",
+        [
+            (case, scale, tol)
+            for case in ("conjugated_diagonal", "non_normal")
+            for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12)
+            for tol in (1e-7, 1e-13, 1e-16)
+        ]
+        + [("colliding", scale, 1e-7) for scale in (1e-12, 1.0, 1e12)],
+    )
+    def test_reused_basis_gives_fresh_verdicts(self, case, scale, tol, monkeypatch):
+        # a second call on the same matrix object reuses the first call's
+        # basis, and makes no eigh even where probes are left undecided
+        a, probes = getattr(TestDeltaOracleCertificate, case)(scale, tol)
+        want = _oracle_exact_verdicts(a, probes, tol)
+        first = delta_oracle(a, probes, tol)
+        factored = count_calls(monkeypatch, "eigh")
+        assert delta_oracle(a, probes, tol) == first == want
+        assert factored[0] == 0
+
+    def test_stale_basis_is_refactored(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        a = gen.random_normal(rng, 8, STANDARD_FRAME)
+        delta_oracle(a, self._orbit_probes(a)[0], 1e-7)
+        # entries overwritten in place: the kept Q leaves the new orbits'
+        # probes undecided, so the first call factors afresh, and every call
+        # decides its probes without an SVD
+        a.a[...] = gen.random_normal(rng, 8, STANDARD_FRAME).a
+        calls = [(p, _oracle_exact_verdicts(a, p, 1e-7)) for p in self._orbit_probes(a)]
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
+        for probes, want in calls:
+            assert delta_oracle(a, probes, 1e-7) == want
+        assert [c[0] for c in counts] == [1, 0]
+        # a.a reassigned to another size: the kept basis is not used
+        a.a = gen.random_normal(rng, 12, STANDARD_FRAME).a
+        probes = self._orbit_probes(a)[0]
+        want = _oracle_exact_verdicts(a, probes, 1e-7)
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
+        assert delta_oracle(a, probes, 1e-7) == want
+        assert [c[0] for c in counts] == [1, 0]
+
+    def test_basis_lives_as_long_as_its_matrix(self, rng):
+        a = gen.random_normal(rng, 8, STANDARD_FRAME)
+        delta_oracle(a, self._orbit_probes(a)[0], 1e-7)
+        matrix, basis = weakref.ref(a), weakref.ref(spectral._BASES[a][0])
+        del a
+        gc.collect()
+        assert matrix() is None and basis() is None
+
+    @staticmethod
+    def _orbit_probes(a):
+        """The 16 on- and 16 off-sphere probes of each orbit of a."""
+        spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        return [
+            on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+            for orbit in spectrum.orbits
+        ]
 
 
 class TestDeltaOracleCertificate:
@@ -471,20 +532,63 @@ class TestDeltaOracleCertificate:
     STEPS = [Quaternion(0.6, 0.8), Quaternion(0, 0, 0, 1), Quaternion(-1), Quaternion(0, 0.6, 0.8)]
     RATIOS = (0.2, 0.45, 0.55, 0.9, 1.1, 1.9, 2.1, 5.0)
 
-    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
-    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
-    def test_bisected_probes_on_conjugated_diagonals(self, scale, tol, monkeypatch):
-        # as test_bisected_probes_match_exact_route, with A = V D V* for a
-        # random unitary V, so that Q != I and e, delta > 0
-        values = [scale * v for v in self.VALUES]
+    @classmethod
+    def conjugated_diagonal(cls, scale, tol):
+        """A = V D V* for a random unitary V, so that Q != I and e, delta > 0,
+        and probes bisected to sigma_min(Delta_q) = ratio * t next to each
+        value, as in test_bisected_probes_match_exact_route."""
+        values = [scale * v for v in cls.VALUES]
         v = gen.random_unitary(np.random.default_rng(16), len(values))
         a = v @ QMatrix.diag(values) @ v.H
         t = tol * oracle_scale(a)
         probes = [
             _bisect_diagonal(values, x, scale * w, ratio * t)
-            for x, w in zip(values, self.STEPS)
-            for ratio in self.RATIOS
+            for x, w in zip(values, cls.STEPS)
+            for ratio in cls.RATIOS
         ]
+        return a, probes
+
+    @classmethod
+    def colliding(cls, scale, tol):
+        """i and the real _BETA are distinct eigenvalues of Z that both map to
+        _BETA in C = H + _BETA K, so eigh mixes their eigenvectors. Probes are
+        bisected next to each value, and at the diagonal of Q*ZQ, where only
+        the residuals of the mixed columns keep the in bound from holding."""
+        values = [scale * I, Quaternion(scale * spectral._BETA), Quaternion(-2.0 * scale)]
+        v = gen.random_unitary(np.random.default_rng(5), len(values))
+        a = v @ QMatrix.diag(values) @ v.H
+        t = tol * oracle_scale(a)
+        steps = [Quaternion(0.6, 0.8), Quaternion(-1), Quaternion(0, 0, 0.6, 0.8)]
+        probes = [
+            _bisect_diagonal(values, x, scale * w, ratio * t)
+            for x, w in zip(values, steps)
+            for ratio in cls.RATIOS
+        ]
+        z = a.to_complex_adjoint()
+        c = 0.5 * (1.0 - 1j * spectral._BETA)
+        vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
+        d = np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs)
+        probes += [Quaternion(x.real, x.imag) for x in d if x.imag >= 0.0]
+        return a, probes
+
+    @classmethod
+    def non_normal(cls, scale, tol):
+        """A non-normal 6x6, random probes and, above tol 1e-16, probes at
+        its eigenvalues: below the rounding floor a probe at an eigenvalue
+        has no verdict to compare (test_non_normal_matches_exact_route)."""
+        rng = np.random.default_rng(7)
+        base = QMatrix(rng.standard_normal((6, 6, 4)))
+        probes = [scale * gen.random_quaternion(rng) for _ in range(16)]
+        if tol > 1e-16:
+            lams = np.linalg.eigvals(base.to_complex_adjoint())[:6] * scale
+            dirs = fibonacci_sphere(6)
+            probes += [Quaternion(lam.real, *(abs(lam.imag) * d)) for lam, d in zip(lams, dirs)]
+        return base * scale, probes
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_bisected_probes_on_conjugated_diagonals(self, scale, tol, monkeypatch):
+        a, probes = self.conjugated_diagonal(scale, tol)
         want = _oracle_exact_verdicts(a, probes, tol)
         factored, calls = count_calls(monkeypatch, "eigh"), _count_svd(monkeypatch)
         assert delta_oracle(a, probes, tol) == want
@@ -494,25 +598,9 @@ class TestDeltaOracleCertificate:
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_colliding_eigenvalues_leave_probes_undecided(self, scale):
-        # i and the real _BETA are distinct eigenvalues of Z that both map
-        # to _BETA in C = H + _BETA K, so eigh mixes their eigenvectors
-        values = [scale * I, Quaternion(scale * spectral._BETA), Quaternion(-2.0 * scale)]
-        v = gen.random_unitary(np.random.default_rng(5), len(values))
-        a = v @ QMatrix.diag(values) @ v.H
+        a, probes = self.colliding(scale, 1e-7)
         t = 1e-7 * oracle_scale(a)
-        steps = [Quaternion(0.6, 0.8), Quaternion(-1), Quaternion(0, 0, 0.6, 0.8)]
-        probes = [
-            _bisect_diagonal(values, x, scale * w, ratio * t)
-            for x, w in zip(values, steps)
-            for ratio in self.RATIOS
-        ]
-        # and at the diagonal of Q*ZQ, where only the residuals of the mixed
-        # columns keep the in bound from holding
         z = a.to_complex_adjoint()
-        c = 0.5 * (1.0 - 1j * spectral._BETA)
-        vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
-        d = np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs)
-        probes += [Quaternion(x.real, x.imag) for x in d if x.imag >= 0.0]
         want = _oracle_exact_verdicts(a, probes, 1e-7)
         lams = np.array([complex(q.re, q.im_norm()) for q in probes])
         got = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
@@ -523,16 +611,7 @@ class TestDeltaOracleCertificate:
     @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_non_normal(self, scale, tol, monkeypatch):
-        rng = np.random.default_rng(7)
-        base = QMatrix(rng.standard_normal((6, 6, 4)))
-        a = base * scale
-        probes = [scale * gen.random_quaternion(rng) for _ in range(16)]
-        if tol > 1e-16:
-            # below the rounding floor a probe at an eigenvalue has no
-            # verdict to compare (test_non_normal_matches_exact_route)
-            lams = np.linalg.eigvals(base.to_complex_adjoint())[:6] * scale
-            dirs = fibonacci_sphere(6)
-            probes += [Quaternion(lam.real, *(abs(lam.imag) * d)) for lam, d in zip(lams, dirs)]
+        a, probes = self.non_normal(scale, tol)
         want = _oracle_exact_verdicts(a, probes, tol)
         factored = count_calls(monkeypatch, "eigh")
         assert delta_oracle(a, probes, tol) == want
