@@ -47,11 +47,10 @@ from .errors import (
 )
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame
+from .report import Check, check_from, require
 
 NORMAL_TOL = 1e-10
 DECOMP_RESIDUAL_TOL = 1e-9
-
-_TINY = 1e-300
 
 
 class CMatrix:
@@ -113,13 +112,13 @@ class CMatrix:
 class SpectralDecomposition:
     """Unitary V and standard eigenvalues d in C_m+ (an (n, 4) array, values)
     with A V_k = V_k d_k, the chi images z = chi(A), w = chi(V) and rec =
-    chi(V D V*), and ||AV - VD||_F (residual) and ||V*V - I||_F (unitarity) on them."""
+    chi(V D V*), and the checks ||AV - VD||_F (decompose.eigen_residual) and
+    ||V*V - I||_F (decompose.unitary) measured on them."""
 
     V: QMatrix
     values: np.ndarray
     frame: SliceFrame
-    residual: float
-    unitarity: float
+    checks: list[Check]
     z: np.ndarray
     w: np.ndarray
     rec: np.ndarray
@@ -136,7 +135,9 @@ def chi(a: QMatrix, frame: SliceFrame) -> np.ndarray:
 
 
 def iota(x: np.ndarray, frame: SliceFrame) -> np.ndarray:
-    """Coordinates of a quaternion vector in the doubled complex space."""
+    """Coordinates of a quaternion vector in the doubled complex space: the
+    map with iota(A x) = chi(A) iota(x) that reduces the theorem to the
+    complex case."""
     c0, c1, c2, c3 = qa.frame_coords(qa.qarr(x), frame)
     return np.concatenate([c0 + 1j * c1, c2 - 1j * c3])
 
@@ -165,7 +166,7 @@ def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
         raise ShapeError("eigendecomposition needs a square matrix")
     scale = qa.fro(z)
     defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z)) / k
-    bound = NORMAL_TOL * max((scale / k) * (scale / k), _TINY)
+    bound = NORMAL_TOL * max((scale / k) * (scale / k), qa.TINY)
     if not (np.isfinite(bound) and np.isfinite(defect)):
         raise PreconditionError(
             f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"
@@ -231,7 +232,6 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     n = a.n
     z = chi(a, frame)
     fro = _normal_scale(z, np.sqrt(2.0))
-    scale = max(fro / np.sqrt(2.0), _TINY)  # ||A||_F
 
     # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
     # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
@@ -253,15 +253,17 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     order = np.lexsort((-lam.imag, -lam.real))
     cols, lam = cols[:, order], lam[order]
     w, diag = np.concatenate([cols, _j(cols)], axis=1), np.concatenate([lam, np.conj(lam)])
-    residual = qa.chi_fro(z @ w - w * diag)
-    unitarity = qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n))
-    if residual > DECOMP_RESIDUAL_TOL * scale or unitarity > 1e-10 * max(1.0, np.sqrt(n)):
-        raise EigenResidualError(
-            f"decomposition residual {residual:.3e} (unitarity {unitarity:.3e}) "
-            f"exceeds contract at scale {scale:.3e}"
-        )
+    residual = check_from(
+        "decompose.eigen_residual",
+        qa.chi_fro(z @ w - w * diag),
+        DECOMP_RESIDUAL_TOL * max(fro / np.sqrt(2.0), qa.TINY),  # ||A||_F
+    )
+    unitary = check_from(
+        "decompose.unitary",
+        qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n)),
+        1e-10 * max(1.0, np.sqrt(n)),
+    )
+    checks = [require(residual, EigenResidualError), require(unitary, EigenResidualError)]
     rec = (w * diag) @ np.conj(w.T)
     values = qa.cm_values(lam, frame)
-    return SpectralDecomposition(
-        QMatrix(iota_inv(cols, frame)), values, frame, residual, unitarity, z, w, rec
-    )
+    return SpectralDecomposition(QMatrix(iota_inv(cols, frame)), values, frame, checks, z, w, rec)

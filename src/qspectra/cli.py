@@ -6,9 +6,11 @@ transform (bounded transform checks of a matrix file). Only decompose and
 transform take a slice axis, --m.
 
 Each check compares a residual with a fixed bound; no flag overrides one.
-decompose and transform report the residuals and norms that
-multiplication_form and bounded_transform measured, against bounds relative
-to the input's scale, named by the library's constant where it has one.
+A check that a library routine enforces is reported as the routine built
+it, with the bound it raised against: decompose reports the checks of
+multiplication_form and slice_spectrum_check, and transform the contraction
+check of bounded_transform. The other transform checks compare the residuals
+the transforms' SVDs give with bounds relative to the input's scale.
 
 Exit codes: 0 pass, 1 check failure, 2 precondition violation, 3 input
 error. Reports are emitted as versioned JSON; reruns with identical flags
@@ -34,7 +36,7 @@ from .example import run_example
 from .measure import ess_sup
 from .operators import QMatrix
 from .quaternion import SliceFrame
-from .report import VerificationReport, check_from, flag_check
+from .report import VerificationReport, check_from
 from .selftest import run_selftest
 from .serialize import (
     load_json,
@@ -43,19 +45,8 @@ from .serialize import (
     save_json,
 )
 from .slices import build_J
-from .spectral import (
-    FORM_RESIDUAL_TOL,
-    SLICE_SPECTRUM_TOL,
-    multiplication_form,
-    slice_spectrum_check,
-    sphere_spectrum,
-)
-from .transform import (
-    CONTRACTION_BOUND,
-    INVERSE_GUARD,
-    bounded_transform,
-    inverse_adjoint,
-)
+from .spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
+from .transform import INVERSE_GUARD, bounded_transform, inverse_adjoint
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -135,37 +126,23 @@ def _cmd_decompose(args) -> int:
     frame = _parse_frame(args.m)
     a = matrix_from_json(load_json(args.matrix))
     start = time.perf_counter()
-    # multiplication_form checks normality first, then asserts the
-    # reconstruction and norm identity that the first two checks report
+    # multiplication_form checks normality first, then requires the checks
+    # it returns; the slice spectrum checks are reported pass or fail
     form = multiplication_form(a, frame)
     spectrum = sphere_spectrum(form)
     slice_report = slice_spectrum_check(a, build_J(form.decomposition), spectrum=spectrum)
-
-    sup = ess_sup(form.phi)
-    slice_tol = SLICE_SPECTRUM_TOL * max(form.op_norm, 1.0)
-    checks = [
-        check_from(
-            "decompose.reconstruction",
-            form.reconstruction,
-            FORM_RESIDUAL_TOL * max(a.frobenius(), 1e-300),
-        ),
-        check_from(
-            "decompose.norm_identity",
-            form.norm_gap,
-            FORM_RESIDUAL_TOL * max(form.op_norm, 1.0),
-        ),
-        check_from("decompose.unitary", form.decomposition.unitarity, 1e-9 * a.n),
-        check_from("decompose.slice_spectrum_plus", slice_report.plus_deviation, slice_tol),
-        check_from("decompose.slice_spectrum_conjugate", slice_report.conj_deviation, slice_tol),
-    ]
     report = VerificationReport(
         "decompose",
-        checks,
+        [*form.checks, *slice_report.checks],
         extra={
             "phi": form.phi.values.tolist(),
             "orbits": [[o.re, o.im_norm] for o in spectrum.orbits],
             "residual": form.residual,
-            "normCheck": {"opNorm": form.op_norm, "essSup": sup, "gap": form.norm_gap},
+            "normCheck": {
+                "opNorm": form.op_norm,
+                "essSup": ess_sup(form.phi),
+                "gap": form.checks[1].residual,  # decompose.norm_identity
+            },
         },
     )
     return _emit(report, start, args.out)
@@ -195,7 +172,7 @@ def _cmd_transform(args) -> int:
         z = bt.adjoint
         a_fro = a.frobenius()
         checks = [
-            flag_check("transform.contraction", bt.z_norm <= CONTRACTION_BOUND),
+            bt.contraction,
             check_from("transform.defining_residual", bt.residual, 1e-9 * max(a_fro, 1.0)),
             check_from(
                 "transform.star_compatible",
@@ -203,7 +180,7 @@ def _cmd_transform(args) -> int:
                 1e-10 * max(1.0, a_fro),
             ),
         ]
-        if bt.z_norm < 1.0 - INVERSE_GUARD:
+        if bt.contraction.residual < 1.0 - INVERSE_GUARD:
             checks.append(
                 check_from(
                     "transform.round_trip",
@@ -219,7 +196,7 @@ def _cmd_transform(args) -> int:
                     1e-10 * max(qa.chi_fro(z) ** 2, 1.0),
                 )
             )
-        report = VerificationReport("transform", checks, extra={"zNorm": bt.z_norm})
+        report = VerificationReport("transform", checks, extra={"zNorm": bt.contraction.residual})
     return _emit(report, start, args.out)
 
 

@@ -83,11 +83,3 @@ def random_normal(
     d = random_standard_values(rng, n, frame, kind, scale, min_modulus)
     v = random_unitary(rng, n)
     return v @ QMatrix.diag(d) @ v.H
-
-
-def random_complex_normal(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    """Random complex normal matrix W diag(vals) W^H."""
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    w, _ = np.linalg.qr(g)
-    vals = rng.uniform(-scale, scale, size=n) + 1j * rng.uniform(-scale, scale, size=n)
-    return (w * vals) @ np.conj(w.T)

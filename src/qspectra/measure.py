@@ -138,7 +138,8 @@ class Symbol:
 
 
 def l2_inner(f: L2Element, g: L2Element) -> Quaternion:
-    """<f|g> = sum_i w_i conj(f_i) g_i."""
+    """<f|g> = sum_i w_i conj(f_i) g_i, the inner product of L2(Omega; H; mu)
+    in which the theorem's U is unitary."""
     _check_space(f.space, g.space)
     prods = qa.qmul(qa.qconj(f.values), g.values)
     return qa.to_quaternion(np.sum(f.space.weights[:, None] * prods, axis=0))

@@ -13,8 +13,6 @@ from . import qarray as qa
 from .errors import NotNormalError, PreconditionError, ShapeError
 from .quaternion import DEFAULT_TOL, Quaternion
 
-_EPS_FLOOR = 1e-300
-
 
 class QMatrix:
     """Quaternion matrix wrapping an (m, n, 4) float64 component array."""
@@ -60,6 +58,7 @@ class QMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
+        """Matrix from rows of Quaternion entries, the API-boundary constructor."""
         data = np.stack(
             [np.stack([q.to_array() for q in row], axis=0) for row in rows], axis=0
         )
@@ -82,10 +81,8 @@ class QMatrix:
         return rows
 
     def entry(self, i: int, j: int) -> Quaternion:
+        """Entry (i, j) as a Quaternion, the API-boundary accessor."""
         return Quaternion.from_array(self.a[i, j])
-
-    def col(self, k: int) -> np.ndarray:
-        return self.a[:, k].copy()
 
     @property
     def H(self) -> "QMatrix":
@@ -130,9 +127,6 @@ class QMatrix:
         """Largest singular value; equals sup ||Ax|| / ||x||."""
         return float(self.singular_values()[0])
 
-    def sigma_min(self) -> float:
-        return float(self.singular_values()[-1])
-
     def commutator_defect(self) -> float:
         """Frobenius norm of A*A - AA*, taken on the complex adjoint."""
         return qa.chi_commutator(self.to_complex_adjoint())
@@ -141,7 +135,7 @@ class QMatrix:
         if tol < 0.0:
             raise ValueError("tolerance must be >= 0")
         scale = self.frobenius() ** 2
-        return self.commutator_defect() <= tol * max(scale, _EPS_FLOOR)
+        return self.commutator_defect() <= tol * max(scale, qa.TINY)
 
     def check_finite(self) -> None:
         bad = np.argwhere(~np.all(np.isfinite(self.a), axis=-1))

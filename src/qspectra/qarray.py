@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ShapeError, SliceMembershipError
 from .quaternion import CM_MEMBERSHIP_TOL, Quaternion
 
+# Floor of a scale that may be 0, so that a bound relative to it stays positive.
+TINY = 1e-300
+
 
 def qarr(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)

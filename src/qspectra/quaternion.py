@@ -251,11 +251,9 @@ class SimilarityOrbit:
         return math.hypot(p.re - self.re, p.im_norm() - self.im_norm)
 
     def representative(self, frame: SliceFrame) -> Quaternion:
-        """The unique representative in the closed upper half slice C_m+."""
+        """The unique representative in the closed upper half slice C_m+, where
+        the theorem's phi takes its values."""
         return Quaternion(self.re) + frame.m * self.im_norm
-
-    def is_point(self) -> bool:
-        return self.im_norm == 0.0
 
     def __eq__(self, other):
         if not isinstance(other, SimilarityOrbit):

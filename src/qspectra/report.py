@@ -83,6 +83,14 @@ def check_from(name: str, residual: float, tol: float) -> Check:
     return Check(name, float(residual), float(tol), bool(residual <= tol < math.inf))
 
 
+def require(check: Check, error: type[Exception]) -> Check:
+    """The check, or error naming its residual and bound, each to the last
+    digit (||Z|| and its bound 1 + 1e-12 differ past the 12th), if it failed."""
+    if not check.passed:
+        raise error(f"{check.name}: residual {check.residual!r} not within {check.tol!r}")
+    return check
+
+
 def flag_check(name: str, passed: bool) -> Check:
     """Boolean check carried as residual 0/1 against tolerance 0."""
     return Check(name, 0.0 if passed else 1.0, 0.0, passed)

@@ -38,7 +38,6 @@ from .spectral import (
     sphere_spectrum,
 )
 from .transform import (
-    CONTRACTION_BOUND,
     UnboundedSim,
     bounded_transform,
     inverse_transform,
@@ -286,11 +285,9 @@ def _spectral_corpus(rng, n):
 def _group_form(rng, n) -> list[Check]:
     worst_rec, worst_norm = 0.0, 0.0
     for kind, f, a, form in _spectral_corpus(rng, n):
-        scale = max(a.frobenius(), 1e-30)
-        worst_rec = max(worst_rec, (a - form.reconstruct()).frobenius() / scale)
-        worst_norm = max(
-            worst_norm, abs(form.op_norm - ess_sup(form.phi)) / max(form.op_norm, 1.0)
-        )
+        reconstruction, norm_identity, _ = form.checks
+        worst_rec = max(worst_rec, reconstruction.residual / max(a.frobenius(), 1e-30))
+        worst_norm = max(worst_norm, norm_identity.residual / max(form.op_norm, 1.0))
     return [
         check_from("form.reconstruction_relative", worst_rec, 1e-9),
         check_from("form.norm_identity_relative", worst_norm, 1e-9),
@@ -331,8 +328,7 @@ def _group_corollaries(rng, n) -> list[Check]:
 
 
 def _group_transform(rng, n) -> list[Check]:
-    worst_xi, worst_round, worst_star = 0.0, 0.0, 0.0
-    norm_bound_ok = True
+    worst_xi, worst_z, worst_round, worst_star = 0.0, 0.0, 0.0, 0.0
     f = gen.random_frame(rng)
     for _ in range(20):
         p = gen.random_quaternion(rng, scale=100.0)
@@ -341,13 +337,13 @@ def _group_transform(rng, n) -> list[Check]:
     for scale in (1.0, 40.0, 1000.0):
         a = gen.random_normal(rng, n, f, scale=scale)
         bt = bounded_transform(a)
-        norm_bound_ok = norm_bound_ok and bt.z_norm <= CONTRACTION_BOUND
+        worst_z = max(worst_z, bt.contraction.residual)
         back = inverse_transform(bt.Z)
         worst_round = max(worst_round, (back - a).frobenius() / (1.0 + a.op_norm() ** 2))
         worst_star = max(worst_star, (bounded_transform(a.H).Z - bt.Z.H).frobenius())
     return [
         check_from("transform.xi_round_trip_relative", worst_xi, 1e-12),
-        flag_check("transform.contraction_norm_bounded", norm_bound_ok),
+        check_from("transform.contraction_norm_bounded", worst_z, bt.contraction.tol),
         check_from("transform.inverse_round_trip_scaled", worst_round, 1e-8),
         check_from("transform.star_compatible", worst_star, 1e-10),
     ]

@@ -33,10 +33,6 @@ def quaternion_from_list(data) -> Quaternion:
     return q
 
 
-def quaternion_to_text(q: Quaternion) -> str:
-    return ",".join(repr(c) for c in (q.w, q.x, q.y, q.z))
-
-
 def quaternion_from_text(text: str) -> Quaternion:
     parts = text.split(",")
     if len(parts) != 4:

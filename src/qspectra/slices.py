@@ -29,8 +29,6 @@ from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm, sl
 
 COMMUTE_TOL = 1e-9
 
-_TINY = 1e-300
-
 
 @dataclass
 class SliceStructure:
@@ -118,7 +116,9 @@ def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
 
 
 def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatrix:
-    """Extension across two spaces; verifies J2 U~ = U~ J1 and norm equality."""
+    """Extension across two spaces; verifies J2 U~ = U~ J1 and norm equality.
+    This lifts the complex unitary of the reduction to the map onto
+    L2(Omega; H; mu)."""
     rows, cols = u.shape
     if cols != s1.n or rows != s2.n:
         raise ShapeError(
@@ -196,7 +196,8 @@ class QuaternionifiedSpace:
         return tuple(0.5 * (a - b) for a, b in zip(u, self.scale(self.j_map(u), self.frame.m)))
 
     def embed(self, u) -> np.ndarray:
-        """The quaternion vector x + y * n this pair stands for."""
+        """The quaternion vector x + y * n this pair stands for: the pair
+        identification by which a complex Hilbert space is a slice space."""
         x, y = u
         return qa.from_frame_coords(x.real, x.imag, y.real, y.imag, self.frame)
 

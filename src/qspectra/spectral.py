@@ -21,6 +21,7 @@ from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
 from .quaternion import Quaternion, SimilarityOrbit, SliceFrame
+from .report import Check, check_from, require
 from .slices import SliceStructure, restrict_pair
 
 FORM_RESIDUAL_TOL = 1e-9
@@ -31,25 +32,26 @@ PROBES_PER_ORBIT = 16
 # orbits (plus) or the conjugates of the plus eigenvalues (minus).
 SLICE_SPECTRUM_TOL = 1e-8
 
-_TINY = 1e-300
-
 
 @dataclass
 class MultiplicationForm:
     """A = U* M_phi U with unitary U onto an atomic L2 space, the
-    decomposition it was read from, and the two invariants it was checked
-    with: ||A - U* M_phi U||_F (reconstruction) and | ||A|| - ess sup |phi| |
-    (norm_gap)."""
+    decomposition it was read from, ||A||, and the checks it passed:
+    ||A - U* M_phi U||_F (decompose.reconstruction), | ||A|| - ess sup |phi| |
+    (decompose.norm_identity) and the decomposition's decompose.unitary."""
 
     U: QMatrix
     space: AtomicMeasureSpace
     phi: Symbol
     frame: SliceFrame
-    residual: float
     decomposition: SpectralDecomposition
-    reconstruction: float = 0.0
-    op_norm: float = 0.0
-    norm_gap: float = 0.0
+    op_norm: float
+    checks: list[Check]
+
+    @property
+    def residual(self) -> float:
+        """max(||AV - VD||_F, ||A - U* M_phi U||_F)."""
+        return max(self.decomposition.checks[0].residual, self.checks[0].residual)
 
     def reconstruct(self) -> QMatrix:
         return self.U.H @ QMatrix(qa.left_diag_entries(self.phi.values)) @ self.U
@@ -89,28 +91,30 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
     The emitted measure space is counting measure on eigenvalue indices so
     that U stays square; the symbol repeats a value per multiplicity. Both
-    invariants are asserted and kept on the form: reconstruction to
-    FORM_RESIDUAL_TOL * ||A||_F and | ||A|| - ess sup |phi| | to
-    FORM_RESIDUAL_TOL * max(||A||, 1).
+    invariants are required and kept on the form as checks: reconstruction
+    to FORM_RESIDUAL_TOL * ||A||_F and | ||A|| - ess sup |phi| | to
+    FORM_RESIDUAL_TOL * max(||A||, 1); CrossCheckError names a failed one.
     """
     dec = spectral_decompose(a, frame)
     space = AtomicMeasureSpace.counting(a.n)
     phi = Symbol(space, dec.values, frame)
-    form = MultiplicationForm(dec.V.H, space, phi, frame, dec.residual, dec)
 
     # on chi(A), as in spectral_decompose: U* M_phi U = V D V*
     z = dec.z
-    form.reconstruction = qa.chi_fro(z - dec.rec)
-    if form.reconstruction > FORM_RESIDUAL_TOL * max(qa.chi_fro(z), _TINY):
-        raise CrossCheckError(
-            f"multiplication form reconstruction off by {form.reconstruction:.3e}"
-        )
-    form.op_norm = float(np.linalg.svd(z, compute_uv=False)[0])
-    form.norm_gap = abs(form.op_norm - ess_sup(phi))
-    if form.norm_gap > FORM_RESIDUAL_TOL * max(form.op_norm, 1.0):
-        raise CrossCheckError(f"norm identity off by {form.norm_gap:.3e}")
-    form.residual = max(dec.residual, form.reconstruction)
-    return form
+    reconstruction = check_from(
+        "decompose.reconstruction",
+        qa.chi_fro(z - dec.rec),
+        FORM_RESIDUAL_TOL * max(qa.chi_fro(z), qa.TINY),
+    )
+    require(reconstruction, CrossCheckError)
+    op_norm = float(np.linalg.svd(z, compute_uv=False)[0])
+    norm_identity = check_from(
+        "decompose.norm_identity",
+        abs(op_norm - ess_sup(phi)),
+        FORM_RESIDUAL_TOL * max(op_norm, 1.0),
+    )
+    checks = [reconstruction, require(norm_identity, CrossCheckError), dec.checks[1]]
+    return MultiplicationForm(dec.V.H, space, phi, frame, dec, op_norm, checks)
 
 
 def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
@@ -478,14 +482,17 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
 @dataclass
 class SliceSpectrumReport:
     """Eigenvalues of the plus/minus restrictions, as complex coordinates
-    against {1, m}, and how far they are from the orbit set and from each
-    other's conjugates."""
+    against {1, m}, and the checks of how far they are from the orbit set
+    (decompose.slice_spectrum_plus) and from each other's conjugates
+    (decompose.slice_spectrum_conjugate)."""
 
     plus: np.ndarray
     minus: np.ndarray
-    plus_deviation: float
-    conj_deviation: float
-    passed: bool
+    checks: list[Check]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def _multiset_deviation(x: np.ndarray, y: np.ndarray) -> float:
@@ -520,7 +527,13 @@ def slice_spectrum_check(
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     dist = np.abs(plus_c[:, None] - reps_c[None, :])
     plus_dev = max(float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
-    conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
     bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, 1.0)
-    passed = plus_dev <= bound and conj_dev <= bound
-    return SliceSpectrumReport(plus_c, minus_c, plus_dev, conj_dev, passed)
+    checks = [
+        check_from("decompose.slice_spectrum_plus", plus_dev, bound),
+        check_from(
+            "decompose.slice_spectrum_conjugate",
+            _multiset_deviation(plus_c, np.conj(minus_c)),
+            bound,
+        ),
+    ]
+    return SliceSpectrumReport(plus_c, minus_c, checks)

@@ -37,6 +37,7 @@ from .errors import (
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen
 from .operators import QMatrix
 from .quaternion import STANDARD_FRAME, Quaternion, SliceFrame
+from .report import Check, check_from, require
 from .slices import SliceStructure, build_J, extend
 
 INVERSE_GUARD = 1e-8
@@ -50,12 +51,12 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 
 @dataclass
 class BoundedTransform:
-    """Z = A (I + A*A)^(-1/2), the ||Z|| <= CONTRACTION_BOUND it was checked
-    against, ||Z (I + A*A)^(1/2) - A||_F, Z's complex adjoint as the SVD of
-    A's gave it, and ||A|| = s[0] of that SVD."""
+    """Z = A (I + A*A)^(-1/2), the check ||Z|| <= CONTRACTION_BOUND it passed
+    (transform.contraction), ||Z (I + A*A)^(1/2) - A||_F, Z's complex adjoint
+    as the SVD of A's gave it, and ||A|| = s[0] of that SVD."""
 
     Z: QMatrix
-    z_norm: float
+    contraction: Check
     residual: float
     adjoint: np.ndarray
     a_norm: float
@@ -94,11 +95,12 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     z = (u * (s / root)) @ vh
     half = (np.conj(vh.T) * root) @ vh
 
-    norm_z = float(np.linalg.svd(z, compute_uv=False)[0])
-    if norm_z > CONTRACTION_BOUND:
-        raise TransformDomainError(f"transform norm {norm_z} exceeds {CONTRACTION_BOUND}")
+    contraction = check_from(
+        "transform.contraction", np.linalg.svd(z, compute_uv=False)[0], CONTRACTION_BOUND
+    )
+    require(contraction, TransformDomainError)
     return BoundedTransform(
-        QMatrix.from_complex_adjoint(z), norm_z, qa.chi_fro(z @ half - x), z, float(s[0])
+        QMatrix.from_complex_adjoint(z), contraction, qa.chi_fro(z @ half - x), z, float(s[0])
     )
 
 

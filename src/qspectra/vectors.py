@@ -47,12 +47,6 @@ def scale_right(x, q: Quaternion) -> np.ndarray:
     return qa.qscale_right(x, q)
 
 
-def basis_vector(n: int, k: int) -> np.ndarray:
-    out = np.zeros((n, 4), dtype=np.float64)
-    out[k, 0] = 1.0
-    return out
-
-
 def gram_schmidt(vectors) -> list[np.ndarray]:
     """Orthonormalize in input order: z_k is the residual of x_k after
     v <- v - z * <z|v> over the earlier z, divided by its norm.
@@ -77,14 +71,6 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
         raise RankDeficiencyError(int(low[0]), float(residual[low[0]]))
     z = q[:, ::2] * (diag / residual)
     return list(qa.from_pair(z[:n].T, np.conj(z[n:].T)))
-
-
-def orthonormality_defect(basis) -> float:
-    """max |<z|z'> - delta| over all pairs."""
-    z = _columns(basis)
-    gram = qa.qmatmul(qa.qconj(z.transpose(1, 0, 2)), z)
-    gram[..., 0] -= np.eye(z.shape[1])
-    return float(np.max(qa.qabs(gram), initial=0.0))
 
 
 def expand(x, basis) -> list[Quaternion]:

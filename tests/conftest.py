@@ -9,6 +9,14 @@ def assert_qclose(a: Quaternion, b: Quaternion, tol: float = 1e-12):
     assert abs(a - b) <= tol, f"{a} != {b} (|diff| = {abs(a - b):.3e})"
 
 
+def random_complex_normal(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    """Random complex normal matrix W diag(vals) W^H."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w, _ = np.linalg.qr(g)
+    vals = rng.uniform(-scale, scale, size=n) + 1j * rng.uniform(-scale, scale, size=n)
+    return (w * vals) @ np.conj(w.T)
+
+
 def count_calls(monkeypatch, name):
     """A one-element list counting the calls to np.linalg.<name> from now on."""
     calls = [0]

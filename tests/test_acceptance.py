@@ -42,6 +42,8 @@ from qspectra.transform import (
     z_extension_check,
 )
 
+from conftest import random_complex_normal
+
 MASTER_SEED = 1108
 SIZES = (2, 4, 8, 16, 32)
 PER_SIZE = 20
@@ -154,8 +156,9 @@ def test_criterion_4_slice_spectrum(corpus):
         structure = build_J(dec)
         report = slice_spectrum_check(a, structure, spectrum=sphere_spectrum(form))
         scale = max(a.op_norm(), 1.0)
-        worst_plus = max(worst_plus, report.plus_deviation / scale)
-        worst_conj = max(worst_conj, report.conj_deviation / scale)
+        plus, conj = report.checks
+        worst_plus = max(worst_plus, plus.residual / scale)
+        worst_conj = max(worst_conj, conj.residual / scale)
     ok = worst_plus <= 1e-8 and worst_conj <= 1e-8
     _announce(
         4,
@@ -174,7 +177,7 @@ def test_criterion_5_extension_algebra():
         anchor = gen.random_normal(rng, n, frame)
         structure = build_J(spectral_decompose(anchor, frame))
 
-        zt = gen.random_complex_normal(rng, n)
+        zt = random_complex_normal(rng, n)
         zs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         t_plus = CMatrix.from_complex(zt, frame)
         s_plus = CMatrix.from_complex(zs, frame)
@@ -232,7 +235,7 @@ def test_criterion_6_bounded_transform():
         )
         anchor = gen.random_normal(rng, n, frame)
         s2 = build_J(spectral_decompose(anchor, frame))
-        t_plus = CMatrix.from_complex(gen.random_complex_normal(rng, n), frame)
+        t_plus = CMatrix.from_complex(random_complex_normal(rng, n), frame)
         worst_zext = max(worst_zext, z_extension_check(t_plus, s2))
     ok = (
         norm_ok

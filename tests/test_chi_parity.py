@@ -154,10 +154,11 @@ def _check_decompose(a, frame):
     assert old["j_commute"] <= COMMUTE_TOL * max(old["rec_fro"], 1.0)
     assert max(old["a_commute"], old["off"]) <= COMMUTE_TOL * max(fro, 1.0)
 
-    _assert_close(old["residual"], dec.residual, n, fro, "residual")
-    _assert_close(old["unitarity"], dec.unitarity, n, 1.0, "unitarity")
-    _assert_close(old["cli_unitary"], dec.unitarity, n, 1.0, "U*U - I")
-    _assert_close(old["reconstruction"], form.reconstruction, n, fro, "reconstruction")
+    eigen, unitary = dec.checks
+    _assert_close(old["residual"], eigen.residual, n, fro, "residual")
+    _assert_close(old["unitarity"], unitary.residual, n, 1.0, "unitarity")
+    _assert_close(old["cli_unitary"], unitary.residual, n, 1.0, "U*U - I")
+    _assert_close(old["reconstruction"], form.checks[0].residual, n, fro, "reconstruction")
     _assert_close(a.op_norm(), form.op_norm, n, form.op_norm, "||A||")
     _assert_close(a.op_norm(), sphere_spectrum(form).op_norm, n, form.op_norm, "spectrum ||A||")
     _assert_close(old["J"].frobenius(), s.J.frobenius(), n, 1.0, "||J||")

@@ -12,7 +12,9 @@ from qspectra import J, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra import cli, qarray, selftest
 from qspectra.cli import main
-from qspectra.serialize import matrix_to_json, save_json
+from qspectra.serialize import load_json, matrix_from_json, matrix_to_json, save_json
+from qspectra.slices import build_J
+from qspectra.spectral import multiplication_form, slice_spectrum_check
 
 
 @pytest.fixture
@@ -141,6 +143,17 @@ class TestDecompose:
         phi = sorted(tuple(v) for v in rep["phi"])
         assert phi[0] == pytest.approx((0.0, 1.0, 0.0, 0.0), abs=1e-9)
         assert phi[1] == pytest.approx((1.0, 2.0, 0.0, 0.0), abs=1e-9)
+
+    def test_checks_are_the_library_checks(self, normal_matrix_file, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["decompose", str(normal_matrix_file), "--out", str(out)]) == 0
+        a = matrix_from_json(load_json(normal_matrix_file))
+        form = multiplication_form(a, STANDARD_FRAME)
+        slice_report = slice_spectrum_check(a, build_J(form.decomposition))
+        checks = read_report(out)["checks"]
+        assert checks[:3] == [c.to_dict() for c in form.checks]
+        assert checks[3:] == [c.to_dict() for c in slice_report.checks]
+        assert checks[2]["tol"] == 1e-10 * np.sqrt(8)  # what spectral_decompose enforces
 
     def test_report_deterministic(self, tmp_path, j_matrix_file):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -325,10 +338,16 @@ class TestLapackCalls:
         assert calls == {"svd": 3, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
 
     def test_selftest_form_group(self, monkeypatch):
-        # four matrices, one SVD each: the group reads ||A|| off the form
+        # four matrices, one SVD each; the group reads ||A|| and both
+        # residuals off the form, with no SVD or quaternion product of its own
         calls = self.counters(monkeypatch)
-        selftest._group_form(np.random.default_rng([0, 0]), 8)
+        corpus = list(selftest._spectral_corpus(np.random.default_rng([0, 0]), 8))
         assert calls["svd"] == 4
+        monkeypatch.setattr(selftest, "_spectral_corpus", lambda rng, n: iter(corpus))
+        calls.update(dict.fromkeys(calls, 0))
+        selftest._group_form(np.random.default_rng([0, 0]), 8)
+        assert calls["svd"] == 0
+        assert calls["qmatmul"] == 0
 
 
 class TestQuaternionCount:

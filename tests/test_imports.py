@@ -1,13 +1,29 @@
 """Every module of the package, bar its __init__, uses each name it imports,
-and the package reads every private name it defines at module level."""
+the package reads every private name it defines at module level, and every
+public function, class and method has a reader outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qspectra"
+from qspectra import __all__ as EXPORTED
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qspectra"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Read by the tests alone, each kept for a claim its docstring names.
+KEEP_UNREAD = {
+    "commuting_J_unbounded",
+    "embed",
+    "entry",
+    "extend_between",
+    "from_rows",
+    "iota",
+    "l2_inner",
+    "representative",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,3 +80,43 @@ def test_finds_unused_private_names():
 def test_no_unused_private_name():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_names(sources) == []
+
+
+def unread_public_names(
+    defining: list[str], reading: list[str], exported: set[str], named: str
+) -> list[str]:
+    """Public module-level functions and classes, and public methods, of the
+    defining sources that are not exported, that no Name or Attribute node
+    of the reading sources reads, and that the text `named` does not name."""
+    defined = set()
+    for tree in (ast.parse(source) for source in defining):
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *body):
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                    defined.add(d.name)
+    read = set()
+    for node in (node for source in reading for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return sorted(defined - exported - read - set(re.findall(r"\w+", named)))
+
+
+def test_finds_unread_public_names():
+    defining = [
+        "def f(): pass\ndef g(): pass\ndef _h(): pass\ndef api(): pass\ndef ci(): pass\n"
+        "class C:\n    def m(self): pass\n    def n(self): pass\n    def _p(self): pass\n"
+        "def outer():\n    def inner(): pass\n    return inner\n"
+    ]
+    reading = ["import x\nx.m()\nf()\nouter()\n", "g = 1\n"]
+    assert unread_public_names(defining, reading, {"api"}, "run: ci --size 4") == ["C", "g", "n"]
+
+
+def test_no_unread_public_name():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    workflow = "".join(p.read_text(encoding="utf-8") for p in (ROOT / ".github").rglob("*.yml"))
+    unread = unread_public_names(package, package + bench, set(EXPORTED), workflow)
+    assert sorted(set(unread) - KEEP_UNREAD) == []

@@ -86,17 +86,17 @@ class TestOperatorNorm:
     def test_identity(self):
         a = QMatrix.identity(3)
         assert a.op_norm() == pytest.approx(1.0, abs=1e-14)
-        assert a.sigma_min() == pytest.approx(1.0, abs=1e-14)
+        assert a.singular_values()[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_left_multiplication(self):
         a = QMatrix.from_rows([[J]])
         assert a.op_norm() == pytest.approx(1.0, abs=1e-14)
-        assert a.sigma_min() == pytest.approx(1.0, abs=1e-14)
+        assert a.singular_values()[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_moduli(self):
         a = QMatrix.diag([I, 2 * J])
         assert a.op_norm() == pytest.approx(2.0, abs=1e-14)
-        assert a.sigma_min() == pytest.approx(1.0, abs=1e-14)
+        assert a.singular_values()[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_bounds_vector_action(self, rng):
         a = rand_matrix(rng, 6)

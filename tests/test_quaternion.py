@@ -195,7 +195,6 @@ class TestOrbits:
         orbit = orbit_of(Quaternion(5))
         assert orbit == SimilarityOrbit(5.0, 0.0)
         assert orbit.contains(Quaternion(5), 0.0)
-        assert orbit.is_point()
 
     def test_wrong_radius_excluded(self):
         assert not SimilarityOrbit(0.0, 1.0).contains(2 * I, 1e-12)

@@ -1,16 +1,26 @@
 import decimal
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from qspectra.errors import ReportSchemaError
+from qspectra import STANDARD_FRAME, bridge, spectral, transform
+from qspectra import generate as gen
+from qspectra.errors import (
+    CrossCheckError,
+    EigenResidualError,
+    ReportSchemaError,
+    TransformDomainError,
+)
 from qspectra.report import (
     SCHEMA,
     Check,
     VerificationReport,
     check_from,
     flag_check,
+    require,
     validate_payload,
 )
 
@@ -29,6 +39,59 @@ class TestChecks:
     def test_flag_check(self):
         assert flag_check("x", True).passed
         assert not flag_check("x", False).passed
+
+    def test_require_returns_a_passed_check(self):
+        check = check_from("x", 1e-12, 1e-10)
+        assert require(check, ValueError) is check
+
+    @pytest.mark.parametrize(
+        "residual, tol, shown",
+        [(2e-8, 1e-10, "2e-08 not within 1e-10"), (np.nan, 1.0, "nan not within 1.0")],
+    )
+    def test_require_names_check_residual_and_bound(self, residual, tol, shown):
+        # NaN fails as check_from decides it, not as a `residual > tol` test would
+        with pytest.raises(ValueError, match=f"^{re.escape(f'x.y: residual {shown}')}$"):
+            require(check_from("x.y", residual, tol), ValueError)
+
+
+def _decompose(a):
+    return bridge.spectral_decompose(a, STANDARD_FRAME)
+
+
+def _form(a):
+    return spectral.multiplication_form(a, STANDARD_FRAME)
+
+
+# module that builds the check, its name, the error raised from it, the routine
+CONTRACTS = [
+    (bridge, "decompose.eigen_residual", EigenResidualError, _decompose),
+    (bridge, "decompose.unitary", EigenResidualError, _decompose),
+    (spectral, "decompose.reconstruction", CrossCheckError, _form),
+    (spectral, "decompose.norm_identity", CrossCheckError, _form),
+    (transform, "transform.contraction", TransformDomainError, transform.bounded_transform),
+]
+
+
+@pytest.mark.parametrize("forced", ["over", "nan"])
+@pytest.mark.parametrize("module, name, error, routine", CONTRACTS, ids=[c[1] for c in CONTRACTS])
+def test_forced_contract_failure_names_its_check(monkeypatch, module, name, error, routine, forced):
+    # the named residual is forced past its bound, or to NaN; the routine
+    # raises from the check it built, naming the check, residual and bound
+    built = []
+
+    def forcing(check_name, residual, tol):
+        if check_name == name:
+            residual = 2.0 * tol if forced == "over" else math.nan
+        built.append(check_from(check_name, residual, tol))
+        return built[-1]
+
+    monkeypatch.setattr(module, "check_from", forcing)
+    a = gen.random_normal(np.random.default_rng(4), 4, STANDARD_FRAME)
+    with pytest.raises(error) as err:
+        routine(a)
+    check = next(c for c in built if c.name == name)
+    assert not check.passed
+    assert str(err.value) == f"{name}: residual {check.residual!r} not within {check.tol!r}"
 
 
 class TestReport:

@@ -54,7 +54,7 @@ class TestBuildJ:
         a = gen.random_normal(rng, 5, frame)
         s = structure_for(a, frame)
         for k in range(s.n):
-            z = s.plus_basis.col(k)
+            z = s.plus_basis.a[:, k]
             np.testing.assert_allclose(
                 s.J.apply(z), scale_right(z, frame.m), atol=1e-12
             )

@@ -38,7 +38,7 @@ from qspectra.transform import (
     z_extension_check,
 )
 
-from conftest import assert_qclose
+from conftest import assert_qclose, random_complex_normal
 
 
 class TestBoundedTransform:
@@ -169,7 +169,7 @@ class TestZExtension:
     def test_random_slice_normal(self, frame, rng):
         a = gen.random_normal(rng, 4, frame)
         s = build_J(spectral_decompose(a, frame))
-        z = gen.random_complex_normal(rng, 4)
+        z = random_complex_normal(rng, 4)
         assert z_extension_check(CMatrix.from_complex(z, frame), s) <= 1e-9
 
 

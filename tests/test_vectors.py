@@ -21,13 +21,29 @@ from qspectra.errors import (
     RankDeficiencyError,
     ShapeError,
 )
-from qspectra.vectors import RANK_TOL, basis_vector, orthonormality_defect
+from qspectra.vectors import RANK_TOL
 
 from conftest import assert_qclose
 
 
 def qvec(*qs):
     return np.stack([q.to_array() for q in qs], axis=0)
+
+
+def basis_vector(n, k):
+    """The k-th standard basis vector of H^n."""
+    out = np.zeros((n, 4))
+    out[k, 0] = 1.0
+    return out
+
+
+def orthonormality_defect(basis):
+    """max |<z|z'> - delta| over all pairs."""
+    return max(
+        abs(inner(z, w) - Quaternion(float(i == j)))
+        for i, z in enumerate(basis)
+        for j, w in enumerate(basis)
+    )
 
 
 def mgs_reference(vectors):
