@@ -41,7 +41,6 @@ from . import qarray as qa
 from .errors import (
     EigenResidualError,
     NotNormalError,
-    PreconditionError,
     ShapeError,
     SliceMembershipError,
 )
@@ -49,7 +48,6 @@ from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame
 from .report import Check, check_from, require
 
-NORMAL_TOL = 1e-10
 DECOMP_RESIDUAL_TOL = 1e-9
 
 
@@ -84,11 +82,10 @@ class CMatrix:
     def from_chi_row(cls, row: np.ndarray, frame: SliceFrame, max_off: float) -> "CMatrix":
         """The slice part X1 of the X whose chi image has top block row
         [X1, -X2]; X2 is dropped if its coordinates are within max_off
-        (eigenvector rounding), rejected otherwise."""
+        (eigenvector rounding), rejected otherwise (slices.off_slice)."""
         n = row.shape[1] // 2
         off = np.max(np.abs(np.stack([row[:, n:].real, row[:, n:].imag])), initial=0.0)
-        if off > max_off:
-            raise SliceMembershipError(f"off-slice mass {off:.3e} exceeds {max_off:.3e}")
+        require(check_from("slices.off_slice", off, max_off), SliceMembershipError)
         return cls.from_complex(row[:, :n], frame)
 
     @property
@@ -158,29 +155,11 @@ def _j(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
 
 
-def _normal_scale(z: np.ndarray, k: float = 1.0) -> float:
-    """||z||_F; NotNormalError if ||z z* - z* z||_F / k > NORMAL_TOL (||z||_F / k)^2.
-    k = sqrt 2 on z = chi(A) makes this ||AA* - A*A||_F <= NORMAL_TOL ||A||_F^2."""
-    rows, cols = z.shape
-    if rows != cols:
-        raise ShapeError("eigendecomposition needs a square matrix")
-    scale = qa.fro(z)
-    defect = float(np.linalg.norm(z @ np.conj(z.T) - np.conj(z.T) @ z)) / k
-    bound = NORMAL_TOL * max((scale / k) * (scale / k), qa.TINY)
-    if not (np.isfinite(bound) and np.isfinite(defect)):
-        raise PreconditionError(
-            f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"
-        )
-    if defect > bound:
-        raise NotNormalError(defect, bound)
-    return scale
-
-
 def eigvals_normal(z: np.ndarray) -> np.ndarray:
     """Eigenvalues of a normal complex matrix, ordered lexicographically by
     (real part, imaginary part), descending; its eigenvectors are unitary, so
     Bauer-Fike bounds their error by eig's backward error."""
-    _normal_scale(z)
+    require(qa.normality(z), NotNormalError)
     vals = np.linalg.eigvals(z)
     return vals[np.lexsort((-vals.imag, -vals.real))]
 
@@ -231,7 +210,8 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     a.check_finite()
     n = a.n
     z = chi(a, frame)
-    fro = _normal_scale(z, np.sqrt(2.0))
+    require(qa.normality(z, np.sqrt(2.0)), NotNormalError)
+    fro = qa.fro(z)
 
     # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
     # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors

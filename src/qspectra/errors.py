@@ -33,11 +33,6 @@ class IncompleteBasisError(PreconditionError):
 class NotNormalError(PreconditionError):
     """Operator is not normal within tolerance."""
 
-    def __init__(self, defect, tol):
-        super().__init__(f"operator is not normal: commutator defect {defect:.3e} > {tol:.3e}")
-        self.defect = defect
-        self.tol = tol
-
 
 class SliceCommutationError(PreconditionError):
     """Operator does not commute with the slice structure's J."""

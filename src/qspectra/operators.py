@@ -11,7 +11,8 @@ import numpy as np
 
 from . import qarray as qa
 from .errors import NotNormalError, PreconditionError, ShapeError
-from .quaternion import DEFAULT_TOL, Quaternion
+from .quaternion import Quaternion
+from .report import Check, require
 
 
 class QMatrix:
@@ -127,15 +128,12 @@ class QMatrix:
         """Largest singular value; equals sup ||Ax|| / ||x||."""
         return float(self.singular_values()[0])
 
-    def commutator_defect(self) -> float:
-        """Frobenius norm of A*A - AA*, taken on the complex adjoint."""
-        return qa.chi_commutator(self.to_complex_adjoint())
-
-    def is_normal(self, tol: float = DEFAULT_TOL) -> bool:
-        if tol < 0.0:
-            raise ValueError("tolerance must be >= 0")
-        scale = self.frobenius() ** 2
-        return self.commutator_defect() <= tol * max(scale, qa.TINY)
+    def is_normal(self) -> bool:
+        """Whether A passes qa.normality; False, not an error, if it overflows."""
+        try:
+            return qa.normality(self.to_complex_adjoint(), np.sqrt(2.0)).passed
+        except PreconditionError:
+            return False
 
     def check_finite(self) -> None:
         bad = np.argwhere(~np.all(np.isfinite(self.a), axis=-1))
@@ -143,10 +141,10 @@ class QMatrix:
             i, j = bad[0]
             raise PreconditionError(f"matrix entry ({i}, {j}) is not finite")
 
-    def check_normal(self, tol: float = DEFAULT_TOL) -> None:
+    def check_normal(self) -> Check:
+        """The passed qa.normality check of A; NotNormalError if it failed."""
         self.check_finite()
-        if not self.is_normal(tol):
-            raise NotNormalError(self.commutator_defect(), tol * self.frobenius() ** 2)
+        return require(qa.normality(self.to_complex_adjoint(), np.sqrt(2.0)), NotNormalError)
 
     def __repr__(self):
         rows, cols = self.shape

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, SliceMembershipError
+from .errors import PreconditionError, ShapeError, SliceMembershipError
 from .quaternion import CM_MEMBERSHIP_TOL, Quaternion
+from .report import Check, check_from
 
 # Floor of a scale that may be 0, so that a bound relative to it stays positive.
 TINY = 1e-300
+NORMAL_TOL = 1e-10
 
 
 def qarr(a) -> np.ndarray:
@@ -122,10 +124,25 @@ def chi_fro(x: np.ndarray) -> float:
     return fro(x) / np.sqrt(2.0)
 
 
-def chi_commutator(x: np.ndarray) -> float:
-    """||X*X - XX*||_F from the complex adjoint or chi image x of X."""
-    xh = np.conj(x.T)
-    return chi_fro(xh @ x - x @ xh)
+def normality(z: np.ndarray, k: float = 1.0) -> Check:
+    """The check normal.commutator, ||z z* - z* z||_F / k against
+    NORMAL_TOL max((||z||_F / k)^2, TINY): k = 1 for a plain complex matrix
+    such as T+, and k = sqrt 2 for chi(A) or A's complex adjoint, where it
+    reads ||AA* - A*A||_F <= NORMAL_TOL ||A||_F^2. PreconditionError, named,
+    if the defect or the bound overflows; that is no defect of the input."""
+    rows, cols = z.shape
+    if rows != cols:
+        raise ShapeError("normality check needs a square matrix")
+    zh = np.conj(z.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = fro(z)
+        defect = float(np.linalg.norm(z @ zh - zh @ z)) / k
+        bound = NORMAL_TOL * max((scale / k) * (scale / k), TINY)
+    if not (np.isfinite(bound) and np.isfinite(defect)):
+        raise PreconditionError(
+            f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"
+        )
+    return check_from("normal.commutator", defect, bound)
 
 
 def to_complex_adjoint(a) -> np.ndarray:

@@ -26,6 +26,7 @@ from .bridge import CMatrix, SpectralDecomposition, chi, iota_inv
 from .errors import ShapeError, SliceCommutationError
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm, slice_split
+from .report import check_from, require
 
 COMMUTE_TOL = 1e-9
 
@@ -59,10 +60,11 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
     n = w.shape[1] // 2
     cj = (w * np.repeat([1j, -1j], n)) @ np.conj(w.T)
     anti, square = qa.chi_fro(np.conj(cj.T) + cj), qa.chi_fro(cj @ cj + np.eye(2 * n))
-    if anti > 1e-10 * n or square > 1e-10 * n:
-        raise SliceCommutationError("constructed J is not anti-self-adjoint unitary")
-    if qa.chi_fro(cj @ dec.rec - dec.rec @ cj) > COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0):
-        raise SliceCommutationError("constructed J fails to commute with its operator")
+    require(check_from("slices.J_anti_self_adjoint", anti, 1e-10 * n), SliceCommutationError)
+    require(check_from("slices.J_unitary", square, 1e-10 * n), SliceCommutationError)
+    defect = qa.chi_fro(cj @ dec.rec - dec.rec @ cj)
+    bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0)
+    require(check_from("slices.J_commutes", defect, bound), SliceCommutationError)
     # the first n columns of chi(J) are iota(J e_k)
     return SliceStructure(QMatrix(iota_inv(cj[:, :n], dec.frame)), dec.frame, dec.V)
 
@@ -79,19 +81,17 @@ def project_minus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
 def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     """Matrices of A on the plus basis, (T+)_kl = <z_k | A z_l>, and on the
     minus basis {z_k * n}, entries in C_m, after one check that
-    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, 1).
+    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, 1) (slices.restrict_commutes).
 
     Components off the slice up to the same bound are eigenvector rounding
     and are projected away; anything larger means A does not truly preserve
     the slice. Each matrix takes its own product with chi(A), so that T- is
-    the conjugate of T+ stays a check.
+    the conjugate of T+ stays a check. A non-finite entry of A is named first.
     """
+    a.check_finite()
     z, cj, w = chi(a, s.frame), chi(s.J, s.frame), chi(s.plus_basis, s.frame)
     defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), 1.0)
-    if defect > bound:
-        raise SliceCommutationError(
-            f"operator does not preserve the slice: ||AJ - JA|| = {defect:.3e} > {bound:.3e}"
-        )
+    require(check_from("slices.restrict_commutes", defect, bound), SliceCommutationError)
     n = s.n
     bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))
     plus, minus = (np.conj(b[:, :n].T) @ z @ b for b in bases)
@@ -107,30 +107,35 @@ def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
     """Unique right-linear extension of a slice operator to the whole space.
 
     Satisfies ||extend(T)|| = ||T||, extend(T*) = extend(T)*, and
-    extend(S T) = extend(S) extend(T).
+    extend(S T) = extend(S) extend(T). A non-finite entry of T is named first.
     """
     rows, cols = t_plus.shape
     if rows != cols or rows != s.n:
         raise ShapeError(f"operator shape {t_plus.shape} does not fit space of dim {s.n}")
-    return s.plus_basis @ t_plus.as_qmatrix() @ s.plus_basis.H
+    t = t_plus.as_qmatrix()
+    t.check_finite()
+    return s.plus_basis @ t @ s.plus_basis.H
 
 
 def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatrix:
-    """Extension across two spaces; verifies J2 U~ = U~ J1 and norm equality.
-    This lifts the complex unitary of the reduction to the map onto
-    L2(Omega; H; mu)."""
+    """Extension across two spaces; verifies J2 U~ = U~ J1 and norm equality
+    (slices.extend_commutes, slices.extend_norm), after naming any non-finite
+    entry of U. This lifts the complex unitary of the reduction to the map
+    onto L2(Omega; H; mu)."""
     rows, cols = u.shape
     if cols != s1.n or rows != s2.n:
         raise ShapeError(
             f"operator shape {u.shape} does not map dim {s1.n} into dim {s2.n}"
         )
-    lifted = s2.plus_basis @ u.as_qmatrix() @ s1.plus_basis.H
+    m = u.as_qmatrix()
+    m.check_finite()
+    lifted = s2.plus_basis @ m @ s1.plus_basis.H
     defect = ((s2.J @ lifted) - (lifted @ s1.J)).frobenius()
-    if defect > COMMUTE_TOL * max(lifted.frobenius(), 1.0):
-        raise SliceCommutationError(f"extension fails J2 U = U J1 by {defect:.3e}")
-    norm_gap = abs(lifted.op_norm() - u.as_qmatrix().op_norm())
-    if norm_gap > COMMUTE_TOL * max(lifted.op_norm(), 1.0):
-        raise SliceCommutationError(f"extension norm deviates by {norm_gap:.3e}")
+    bound = COMMUTE_TOL * max(lifted.frobenius(), 1.0)
+    require(check_from("slices.extend_commutes", defect, bound), SliceCommutationError)
+    norm = lifted.op_norm()
+    gap, bound = abs(norm - m.op_norm()), COMMUTE_TOL * max(norm, 1.0)
+    require(check_from("slices.extend_norm", gap, bound), SliceCommutationError)
     return lifted
 
 

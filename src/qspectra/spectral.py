@@ -468,14 +468,12 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
     ]
     w = form.U.H @ QMatrix.diag(rho) @ form.U
 
-    rec = form.reconstruct()
-    scale = max(rec.frobenius(), 1.0)
     unit_err = ((w.H @ w) - QMatrix.identity(w.n)).frobenius()
+    require(check_from("spectral.conjugate_unitary", unit_err, 1e-9 * w.n), CrossCheckError)
+    rec = form.reconstruct()
     conj_err = (rec - (w.H @ rec.H @ w)).frobenius()
-    if unit_err > 1e-9 * w.n or conj_err > FORM_RESIDUAL_TOL * scale:
-        raise CrossCheckError(
-            f"conjugate equivalence failed: unitarity {unit_err:.3e}, residual {conj_err:.3e}"
-        )
+    bound = FORM_RESIDUAL_TOL * max(rec.frobenius(), 1.0)
+    require(check_from("spectral.conjugate_residual", conj_err, bound), CrossCheckError)
     return w
 
 

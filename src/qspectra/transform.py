@@ -52,12 +52,14 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 @dataclass
 class BoundedTransform:
     """Z = A (I + A*A)^(-1/2), the check ||Z|| <= CONTRACTION_BOUND it passed
-    (transform.contraction), ||Z (I + A*A)^(1/2) - A||_F, Z's complex adjoint
-    as the SVD of A's gave it, and ||A|| = s[0] of that SVD."""
+    (transform.contraction), the check ||Z (I + A*A)^(1/2) - A||_F <=
+    1e-9 max(||A||_F, 1) it reports but does not enforce
+    (transform.defining_residual), Z's complex adjoint as the SVD of A's
+    gave it, and ||A|| = s[0] of that SVD."""
 
     Z: QMatrix
     contraction: Check
-    residual: float
+    residual: Check
     adjoint: np.ndarray
     a_norm: float
 
@@ -99,9 +101,10 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
         "transform.contraction", np.linalg.svd(z, compute_uv=False)[0], CONTRACTION_BOUND
     )
     require(contraction, TransformDomainError)
-    return BoundedTransform(
-        QMatrix.from_complex_adjoint(z), contraction, qa.chi_fro(z @ half - x), z, float(s[0])
+    residual = check_from(
+        "transform.defining_residual", qa.chi_fro(z @ half - x), 1e-9 * max(a.frobenius(), 1.0)
     )
+    return BoundedTransform(QMatrix.from_complex_adjoint(z), contraction, residual, z, float(s[0]))
 
 
 def inverse_adjoint(z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -135,10 +138,7 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
     structure = build_J(dec)
     defect = ((structure.J @ a) - (a @ structure.J)).frobenius()
     bound = 1e-9 * max(a.frobenius(), 1.0)
-    if defect > bound:
-        raise TransformDomainError(
-            f"J from the transform fails to commute: {defect:.3e} > {bound:.3e}"
-        )
+    require(check_from("transform.J_commutes", defect, bound), TransformDomainError)
     return structure
 
 
@@ -262,8 +262,5 @@ def unbounded_multiplication_form(
 
     resid = float(np.max(qa.qabs(eta_points - sim.psi.values)))
     bound = 1e-10 * (1.0 + float(np.max(qa.qabs(sim.psi.values))))
-    if resid > bound:
-        raise TransformDomainError(
-            f"xi round trip misses the symbol by {resid:.3e} (bound {bound:.3e})"
-        )
+    require(check_from("transform.xi_round_trip", resid, bound), TransformDomainError)
     return v, new_space, eta

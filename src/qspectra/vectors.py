@@ -15,6 +15,7 @@ import numpy as np
 from . import qarray as qa
 from .errors import IncompleteBasisError, PreconditionError, RankDeficiencyError, ShapeError
 from .quaternion import Quaternion
+from .report import check_from, require
 
 RANK_TOL = 1e-12
 EXPAND_TOL = 1e-10  # share of 1 + ||x|| by which an expansion may miss x
@@ -85,9 +86,8 @@ def expand(x, basis) -> list[Quaternion]:
     if not np.all(np.isfinite(both)):
         raise PreconditionError("vector to expand or its basis has a non-finite entry")
     coeffs = qa.qmatmul(qa.qconj(z.transpose(1, 0, 2)), x[:, None])
-    miss = norm(x - qa.qmatmul(z, coeffs)[:, 0])
-    if miss > EXPAND_TOL * (1.0 + norm(x)):
-        raise IncompleteBasisError(f"basis reconstruction misses by {miss:.3e}")
+    miss, bound = norm(x - qa.qmatmul(z, coeffs)[:, 0]), EXPAND_TOL * (1.0 + norm(x))
+    require(check_from("vectors.expand_reconstruction", miss, bound), IncompleteBasisError)
     return [Quaternion.from_array(c) for c in coeffs[:, 0]]
 
 

@@ -11,7 +11,8 @@ import pytest
 from qspectra import Quaternion, QMatrix
 from qspectra import generate as gen
 from qspectra import qarray as qa
-from qspectra.bridge import DECOMP_RESIDUAL_TOL, NORMAL_TOL, spectral_decompose
+from qspectra.qarray import NORMAL_TOL
+from qspectra.bridge import DECOMP_RESIDUAL_TOL, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import NotNormalError
 from qspectra.serialize import matrix_to_json, save_json
@@ -139,6 +140,7 @@ def _run(argv, tmp_path):
 def _check_decompose(a, frame):
     n, fro = a.n, a.frobenius()
     normal = _commutator(a) <= NORMAL_TOL * max(fro**2, 1e-300)
+    assert a.is_normal() == normal
     if not normal:
         with pytest.raises(NotNormalError):
             spectral_decompose(a, frame)

@@ -15,6 +15,7 @@ from qspectra.cli import main
 from qspectra.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form, slice_spectrum_check
+from qspectra.transform import bounded_transform
 
 
 @pytest.fixture
@@ -171,6 +172,15 @@ class TestTransform:
         rep = read_report(out)
         assert rep["status"] == "pass"
         assert rep["zNorm"] == pytest.approx(2.0 ** -0.5, abs=1e-12)
+
+    def test_checks_are_the_library_checks(self, normal_matrix_file, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["transform", str(normal_matrix_file), "--out", str(out)]) == 0
+        a = matrix_from_json(load_json(normal_matrix_file))
+        bt = bounded_transform(a)
+        checks = read_report(out)["checks"]
+        assert checks[:2] == [bt.contraction.to_dict(), bt.residual.to_dict()]
+        assert checks[1]["tol"] == 1e-9 * max(a.frobenius(), 1.0)
 
     def test_inverse_mode(self, tmp_path):
         z = QMatrix.from_rows([[J * (2.0 ** -0.5)]])

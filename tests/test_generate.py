@@ -25,7 +25,7 @@ class TestScenario:
 
     @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
     def test_all_classes_normal(self, kind):
-        assert seeded_normal(5, 5, kind).is_normal(1e-10)
+        assert seeded_normal(5, 5, kind).is_normal()
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):

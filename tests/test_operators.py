@@ -3,7 +3,7 @@ import pytest
 
 from qspectra import I, J, QMatrix, Quaternion, delta, inner, norm
 from qspectra import generate as gen
-from qspectra.errors import NotNormalError, ShapeError
+from qspectra.errors import NotNormalError, PreconditionError, ShapeError
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose
@@ -41,17 +41,29 @@ class TestAdjoint:
 
 class TestNormality:
     def test_left_multiplication_is_normal(self):
-        assert QMatrix.from_rows([[J]]).is_normal(1e-12)
+        a = QMatrix.from_rows([[J]])
+        assert a.is_normal()
+        assert a.check_normal().residual <= 1e-12 * a.frobenius() ** 2
 
     def test_nilpotent_shift_is_not(self):
         arr = np.zeros((2, 2, 4))
         arr[0, 1, 0] = 1.0
-        assert not QMatrix(arr).is_normal(1e-10)
+        assert not QMatrix(arr).is_normal()
 
     def test_anti_self_adjoint_is_normal(self, rng):
         b = rand_matrix(rng, 5)
         a = b - b.H
-        assert a.is_normal(1e-12)
+        assert a.is_normal()
+        assert a.check_normal().residual <= 1e-12 * a.frobenius() ** 2
+
+    def test_overflow_is_no_verdict(self):
+        # normal, but the commutator and the bound overflow: is_normal says
+        # no, and check_normal names the overflow instead of a defect
+        a = 1e160 * QMatrix.from_rows([[J]])
+        assert not a.is_normal()
+        with pytest.raises(PreconditionError, match="normality check overflows") as err:
+            a.check_normal()
+        assert not isinstance(err.value, NotNormalError)
 
     def test_check_normal_raises(self):
         arr = np.zeros((2, 2, 4))

@@ -6,12 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from qspectra import STANDARD_FRAME, bridge, spectral, transform
+from qspectra import STANDARD_FRAME, bridge, slices, spectral, transform, vectors
 from qspectra import generate as gen
+from qspectra import qarray as qa
 from qspectra.errors import (
     CrossCheckError,
     EigenResidualError,
+    IncompleteBasisError,
+    NotNormalError,
     ReportSchemaError,
+    SliceCommutationError,
+    SliceMembershipError,
     TransformDomainError,
 )
 from qspectra.report import (
@@ -62,13 +67,52 @@ def _form(a):
     return spectral.multiplication_form(a, STANDARD_FRAME)
 
 
+def _build_J(a):
+    return slices.build_J(_decompose(a))
+
+
+def _restrict(a):
+    return slices.restrict_pair(a, _build_J(a))
+
+
+def _extend_between(a):
+    s = _build_J(a)
+    return slices.extend_between(slices.restrict_plus(a, s), s, s)
+
+
+def _conjugate(a):
+    return spectral.conjugate_equivalence(_form(a))
+
+
+def _unbounded(a):
+    sim = transform.UnboundedSim.from_symbol(_form(a).phi)
+    return transform.unbounded_multiplication_form(sim, STANDARD_FRAME)
+
+
+def _expand(a):
+    return vectors.expand(a.a[:, 0], vectors.gram_schmidt(list(a.a.transpose(1, 0, 2))))
+
+
 # module that builds the check, its name, the error raised from it, the routine
 CONTRACTS = [
+    (qa, "normal.commutator", NotNormalError, _decompose),
     (bridge, "decompose.eigen_residual", EigenResidualError, _decompose),
     (bridge, "decompose.unitary", EigenResidualError, _decompose),
     (spectral, "decompose.reconstruction", CrossCheckError, _form),
     (spectral, "decompose.norm_identity", CrossCheckError, _form),
     (transform, "transform.contraction", TransformDomainError, transform.bounded_transform),
+    (bridge, "slices.off_slice", SliceMembershipError, _restrict),
+    (slices, "slices.J_anti_self_adjoint", SliceCommutationError, _build_J),
+    (slices, "slices.J_unitary", SliceCommutationError, _build_J),
+    (slices, "slices.J_commutes", SliceCommutationError, _build_J),
+    (slices, "slices.restrict_commutes", SliceCommutationError, _restrict),
+    (slices, "slices.extend_commutes", SliceCommutationError, _extend_between),
+    (slices, "slices.extend_norm", SliceCommutationError, _extend_between),
+    (spectral, "spectral.conjugate_unitary", CrossCheckError, _conjugate),
+    (spectral, "spectral.conjugate_residual", CrossCheckError, _conjugate),
+    (transform, "transform.J_commutes", TransformDomainError, transform.commuting_J_unbounded),
+    (transform, "transform.xi_round_trip", TransformDomainError, _unbounded),
+    (vectors, "vectors.expand_reconstruction", IncompleteBasisError, _expand),
 ]
 
 

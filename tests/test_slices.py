@@ -4,7 +4,7 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, STANDARD_FRAME, inner
 from qspectra import generate as gen
 from qspectra.bridge import CMatrix, spectral_decompose
-from qspectra.errors import ShapeError, SliceCommutationError
+from qspectra.errors import PreconditionError, ShapeError, SliceCommutationError
 from qspectra.operators import delta
 from qspectra.slices import (
     SliceStructure,
@@ -17,6 +17,7 @@ from qspectra.slices import (
     restrict_pair,
     restrict_plus,
 )
+from qspectra.spectral import slice_spectrum_check
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose
@@ -252,6 +253,30 @@ class TestExtendBetween:
         s2 = structure_for(gen.random_normal(rng, 4, frame), frame)
         with pytest.raises(ShapeError):
             extend_between(random_slice_matrix(rng, 3, frame), s1, s2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "routine",
+    [
+        lambda a, t, s: restrict_pair(a, s),
+        lambda a, t, s: restrict_plus(a, s),
+        lambda a, t, s: slice_spectrum_check(a, s),
+        lambda a, t, s: extend(t, s),
+        lambda a, t, s: extend_between(t, s, s),
+    ],
+    ids=["restrict_pair", "restrict_plus", "slice_spectrum_check", "extend", "extend_between"],
+)
+def test_non_finite_entry_is_named(routine, value):
+    # the matrix (for the restrictions) or the slice operator (for the
+    # extensions) has one bad entry; it is named before any product
+    a = gen.random_normal(np.random.default_rng(3), 4, STANDARD_FRAME)
+    s = structure_for(a, STANDARD_FRAME)
+    t = restrict_plus(a, s)
+    a.a[1, 2, 3] = t.z[1, 2] = value
+    with pytest.raises(PreconditionError, match=r"^matrix entry \(1, 2\) is not finite$") as err:
+        routine(a, t, s)
+    assert type(err.value) is PreconditionError
 
 
 class TestQuaternionify:
