@@ -29,6 +29,9 @@ chi(X) chi(Y), chi(X*) = chi(X)* and ||chi(X)||_F = sqrt(2) ||X||_F
 and JC their partners (-conj v; conj u), W = [C, JC] = chi(V), so
 ||AV - VD||_F = ||chi(A) W - W diag(lam, conj lam)||_F / sqrt 2 and
 ||V*V - I||_F = ||W*W - I||_F / sqrt 2; no quaternion product is formed.
+The decomposition keeps chi(A), W and chi(V D V*); slice structures, the
+extensions, the corollaries and the commuting J work on these images and
+read a quaternion matrix back (iota_inv) only to return one.
 """
 
 from __future__ import annotations
@@ -96,9 +99,6 @@ class CMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.z.shape
-
-    def as_qmatrix(self) -> QMatrix:
-        return QMatrix(self.data)
 
     def __repr__(self):
         rows, cols = self.shape

@@ -55,7 +55,12 @@ class QMatrix:
     def diag(cls, values) -> "QMatrix":
         if isinstance(values, (list, tuple)) and values and isinstance(values[0], Quaternion):
             values = np.stack([q.to_array() for q in values], axis=0)
-        return cls(qa.left_diag_entries(values))
+        values = qa.qarr(values)
+        if values.ndim != 2:
+            raise ShapeError("diagonal expects an (n, 4) array of values")
+        out = np.zeros((len(values), *values.shape))
+        out[np.arange(len(values)), np.arange(len(values))] = values
+        return cls(out)
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":

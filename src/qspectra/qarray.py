@@ -93,22 +93,12 @@ def qscale_right(x, q: Quaternion) -> np.ndarray:
     return qmul(x, q.to_array())
 
 
-def left_diag_entries(values) -> np.ndarray:
-    """Diagonal matrix with quaternion entries (entries left-multiply)."""
-    vals = qarr(values)
-    if vals.ndim != 2:
-        raise ShapeError("diagonal expects an (n, 4) array of values")
-    n = vals.shape[0]
-    out = np.zeros((n, n, 4), dtype=np.float64)
-    out[np.arange(n), np.arange(n)] = vals
-    return out
-
-
 def fro(x: np.ndarray) -> float:
     """||x||_F. np.linalg.norm sums unscaled squares, which underflow below
     about 1e-154 and overflow above about 1e154, so outside [1e-140, 1e140]
     x is first scaled by a power of two near its largest entry."""
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
     if 1e-140 < norm < 1e140:
         return norm
     peak = float(np.max(np.abs(x), initial=0.0))

@@ -190,17 +190,13 @@ def _group_extension(rng, n) -> list[Check]:
             worst_orth = max(worst_orth, abs(vec.inner(xp, xm) + vec.inner(xm, xp)))
         tp = restrict_plus(a, s)
         tq = restrict_plus(a @ a, s)
-        ext = extend(tp, s)
-        worst_norm = max(worst_norm, abs(ext.op_norm() - tp.as_qmatrix().op_norm()))
-        worst_star = max(
-            worst_star, (extend(CMatrix(tp.as_qmatrix().H.a, f), s) - ext.H).frobenius()
-        )
+        ext, tpq = extend(tp, s), QMatrix(tp.data)
+        worst_norm = max(worst_norm, abs(ext.op_norm() - tpq.op_norm()))
+        worst_star = max(worst_star, (extend(CMatrix(tpq.H.a, f), s) - ext.H).frobenius())
         worst_mult = max(worst_mult, (extend(tq, s) - (ext @ ext)).frobenius())
         q = gen.random_quaternion(rng)
-        d_ext = delta(ext, q)
-        tpq = tp.as_qmatrix()
-        d_plus = (tpq @ tpq) - (2.0 * q.re) * tpq + q.norm_sq() * QMatrix.identity(n)
-        worst_delta = max(worst_delta, (d_ext - extend(CMatrix(d_plus.a, f), s)).frobenius())
+        d_plus = CMatrix(delta(tpq, q).a, f)
+        worst_delta = max(worst_delta, (delta(ext, q) - extend(d_plus, s)).frobenius())
     return [
         check_from("extension.plus_minus_orthogonality", worst_orth, 1e-10),
         check_from("extension.norm_equality", worst_norm, 1e-9),
@@ -299,11 +295,11 @@ def _group_oracle(rng, n) -> list[Check]:
     for kind, f, a, form in _spectral_corpus(rng, n):
         spec = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        probes = []
         for orbit in spec.orbits:
-            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spec, margin)
-            verdicts = delta_oracle(a, probes, 1e-7)
-            member = [spec.contains(q, 1e-9) for q in probes]
-            oracle_ok = oracle_ok and verdicts == member
+            probes += on_sphere_probes(orbit) + off_sphere_probes(orbit, spec, margin)
+        member = [spec.contains(q, 1e-9) for q in probes]
+        oracle_ok = oracle_ok and delta_oracle(a, probes, 1e-7) == member
     return [flag_check("oracle.delta_kernel_agrees_with_orbits", oracle_ok)]
 
 

@@ -7,11 +7,12 @@ the plus subspace is {x : Jx = x * m} and carries a C_m-linear calculus.
 Extension is exact at desk scale: with plus basis V, a slice matrix M extends
 to V M V*, the unique right-linear operator restricting to M.
 
-J and the restrictions are built and checked on chi images (bridge), with
-||X||_F = ||chi(X)||_F / sqrt 2: for W = chi(V), chi(J) = W diag(iI, -iI) W*,
-and the matrix B* A B of A on a basis B is the top-left block of
-chi(B)* chi(A) chi(B), whose top-right block is minus its off-slice part;
-the minus basis V n has chi(V n) = [W2, -W1] for W = [W1, W2].
+A structure holds only chi images (bridge), cj = chi(J) = W diag(iI, -iI) W*
+and w = W = chi(V) = [W1, W2], and every product below is taken on them, with
+||X||_F = ||chi(X)||_F / sqrt 2: the matrix B* A B of A on a basis B is the
+top-left block of chi(B)* chi(A) chi(B), whose top-right block is minus its
+off-slice part; the minus basis V n has chi(V n) = [W2, -W1]; and a slice
+matrix U has chi(U) = diag(U, conj U), so chi(V2 U V1*) = W2 chi(U) W1*.
 """
 
 from __future__ import annotations
@@ -33,20 +34,24 @@ COMMUTE_TOL = 1e-9
 
 @dataclass
 class SliceStructure:
-    """J (anti-self-adjoint, unitary), its frame, and a plus-subspace basis.
+    """J (anti-self-adjoint, unitary) and a plus-subspace basis V, held as
+    cj = chi(J) and w = chi(V); J is read back from iota(J e_k) = cj e_k.
 
-    The columns z of plus_basis satisfy J z = z * m, so they form a right
-    C_m basis of the plus subspace and simultaneously a Hilbert basis of the
-    whole space.
+    The columns z of V satisfy J z = z * m, so they form a right C_m basis of
+    the plus subspace and simultaneously a Hilbert basis of the whole space.
     """
 
-    J: QMatrix
+    cj: np.ndarray
     frame: SliceFrame
-    plus_basis: QMatrix
+    w: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.J.n
+        return self.cj.shape[0] // 2
+
+    @property
+    def J(self) -> QMatrix:
+        return QMatrix(iota_inv(self.cj[:, : self.n], self.frame))
 
 
 def build_J(dec: SpectralDecomposition) -> SliceStructure:
@@ -65,8 +70,7 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
     defect = qa.chi_fro(cj @ dec.rec - dec.rec @ cj)
     bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0)
     require(check_from("slices.J_commutes", defect, bound), SliceCommutationError)
-    # the first n columns of chi(J) are iota(J e_k)
-    return SliceStructure(QMatrix(iota_inv(cj[:, :n], dec.frame)), dec.frame, dec.V)
+    return SliceStructure(cj, dec.frame, w)
 
 
 def project_plus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
@@ -89,7 +93,7 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     the conjugate of T+ stays a check. A non-finite entry of A is named first.
     """
     a.check_finite()
-    z, cj, w = chi(a, s.frame), chi(s.J, s.frame), chi(s.plus_basis, s.frame)
+    z, cj, w = chi(a, s.frame), s.cj, s.w
     defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), 1.0)
     require(check_from("slices.restrict_commutes", defect, bound), SliceCommutationError)
     n = s.n
@@ -103,6 +107,16 @@ def restrict_plus(a: QMatrix, s: SliceStructure) -> CMatrix:
     return restrict_pair(a, s)[0]
 
 
+def _lift(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> np.ndarray:
+    """chi(V2 U V1*) = W2 diag(U, conj U) W1*, after naming any non-finite
+    entry of U; ShapeError unless U and both structures share one frame."""
+    QMatrix(u.data).check_finite()
+    if not u.frame == s1.frame == s2.frame:
+        raise ShapeError("operator and slice structures are not in one frame")
+    w2, n2 = s2.w, s2.n
+    return np.concatenate([w2[:, :n2] @ u.z, w2[:, n2:] @ np.conj(u.z)], axis=1) @ np.conj(s1.w.T)
+
+
 def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
     """Unique right-linear extension of a slice operator to the whole space.
 
@@ -112,9 +126,7 @@ def extend(t_plus: CMatrix, s: SliceStructure) -> QMatrix:
     rows, cols = t_plus.shape
     if rows != cols or rows != s.n:
         raise ShapeError(f"operator shape {t_plus.shape} does not fit space of dim {s.n}")
-    t = t_plus.as_qmatrix()
-    t.check_finite()
-    return s.plus_basis @ t @ s.plus_basis.H
+    return QMatrix(iota_inv(_lift(t_plus, s, s)[:, :cols], s.frame))
 
 
 def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatrix:
@@ -127,16 +139,14 @@ def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatri
         raise ShapeError(
             f"operator shape {u.shape} does not map dim {s1.n} into dim {s2.n}"
         )
-    m = u.as_qmatrix()
-    m.check_finite()
-    lifted = s2.plus_basis @ m @ s1.plus_basis.H
-    defect = ((s2.J @ lifted) - (lifted @ s1.J)).frobenius()
-    bound = COMMUTE_TOL * max(lifted.frobenius(), 1.0)
+    lifted = _lift(u, s1, s2)
+    defect = qa.chi_fro(s2.cj @ lifted - lifted @ s1.cj)
+    bound = COMMUTE_TOL * max(qa.chi_fro(lifted), 1.0)
     require(check_from("slices.extend_commutes", defect, bound), SliceCommutationError)
-    norm = lifted.op_norm()
-    gap, bound = abs(norm - m.op_norm()), COMMUTE_TOL * max(norm, 1.0)
+    norm = np.linalg.norm(lifted, 2)
+    gap, bound = abs(norm - np.linalg.norm(u.z, 2)), COMMUTE_TOL * max(norm, 1.0)
     require(check_from("slices.extend_norm", gap, bound), SliceCommutationError)
-    return lifted
+    return QMatrix(iota_inv(lifted[:, :cols], s1.frame))
 
 
 class QuaternionifiedSpace:

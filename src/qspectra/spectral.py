@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import SpectralDecomposition, eigvals_normal, spectral_decompose
+from .bridge import SpectralDecomposition, eigvals_normal, iota_inv, spectral_decompose
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
@@ -54,7 +54,8 @@ class MultiplicationForm:
         return max(self.decomposition.checks[0].residual, self.checks[0].residual)
 
     def reconstruct(self) -> QMatrix:
-        return self.U.H @ QMatrix(qa.left_diag_entries(self.phi.values)) @ self.U
+        """U* M_phi U = V D V*, read back off the decomposition's chi image."""
+        return QMatrix(iota_inv(self.decomposition.rec[:, : self.U.n], self.frame))
 
 
 @dataclass
@@ -429,8 +430,8 @@ def classify(form: MultiplicationForm, tol: float) -> dict[str, bool]:
 
     anti_self_adjoint iff every positive-weight value has |re| <= tol;
     unitary iff every | |value| - 1 | <= tol. Both verdicts are cross-checked
-    against ||A + A*|| and ||A*A - I|| on the reconstructed operator and a
-    CrossCheckError is raised if the two routes disagree.
+    against ||A + A*|| and ||A*A - I|| on the chi image of the reconstructed
+    operator, and a CrossCheckError is raised if the two routes disagree.
     """
     pos = form.space.positive()
     values = form.phi.values[pos]
@@ -438,11 +439,10 @@ def classify(form: MultiplicationForm, tol: float) -> dict[str, bool]:
     anti_sym = bool(np.all(np.abs(values[:, 0]) <= tol))
     unit_sym = bool(np.all(np.abs(moduli - 1.0) <= tol))
 
-    rec = form.reconstruct()
-    ident = QMatrix.identity(rec.n)
-    slack = 1e-12 * (1.0 + rec.op_norm())
-    anti_op = (rec + rec.H).op_norm() <= 2.0 * tol + slack
-    unit_op = ((rec.H @ rec) - ident).op_norm() <= 3.0 * tol + slack
+    rec = form.decomposition.rec
+    rec_h, slack = np.conj(rec.T), 1e-12 * (1.0 + form.op_norm)
+    anti_op = np.linalg.norm(rec + rec_h, 2) <= 2.0 * tol + slack
+    unit_op = np.linalg.norm(rec_h @ rec - np.eye(len(rec)), 2) <= 3.0 * tol + slack
     if anti_sym != anti_op or unit_sym != unit_op:
         raise CrossCheckError(
             f"symbol/operator classification disagrees: "
@@ -454,7 +454,9 @@ def classify(form: MultiplicationForm, tol: float) -> dict[str, bool]:
 def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
     """Unitary W with A = W* A* W, built as U* M_rho U, rho = phi * n / |phi|.
 
-    Requires the symbol to be nonzero on every positive-weight atom.
+    Requires the symbol to be nonzero on every positive-weight atom. Built
+    and checked on chi images: with chi(V) = [W1, W2] and C = diag(phi / |phi|),
+    chi(rho) = [[0, -C], [conj C, 0]], so chi(W) = W2 conj(C) W1* - W1 C W2*.
     """
     moduli = form.phi.moduli()
     floor = 1e-12 * (1.0 + float(np.max(moduli)))
@@ -462,19 +464,18 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
     if len(low):
         raise SymbolZeroError(f"symbol vanishes on positive-weight atom {low[0]}")
 
-    rho = [
-        (form.phi.value(int(i)) / moduli[int(i)]) * form.frame.n
-        for i in range(form.space.n_atoms)
-    ]
-    w = form.U.H @ QMatrix.diag(rho) @ form.U
+    n, rec = len(moduli), form.decomposition.rec
+    c = qa.slice_coords(form.phi.values, form.frame) / moduli
+    w1, w2 = np.split(form.decomposition.w, 2, axis=1)
+    cw = (w2 * np.conj(c)) @ np.conj(w1.T) - (w1 * c) @ np.conj(w2.T)
+    cw_h = np.conj(cw.T)
 
-    unit_err = ((w.H @ w) - QMatrix.identity(w.n)).frobenius()
-    require(check_from("spectral.conjugate_unitary", unit_err, 1e-9 * w.n), CrossCheckError)
-    rec = form.reconstruct()
-    conj_err = (rec - (w.H @ rec.H @ w)).frobenius()
-    bound = FORM_RESIDUAL_TOL * max(rec.frobenius(), 1.0)
+    unit_err = qa.chi_fro(cw_h @ cw - np.eye(2 * n))
+    require(check_from("spectral.conjugate_unitary", unit_err, 1e-9 * n), CrossCheckError)
+    conj_err = qa.chi_fro(rec - cw_h @ np.conj(rec.T) @ cw)
+    bound = FORM_RESIDUAL_TOL * max(qa.chi_fro(rec), 1.0)
     require(check_from("spectral.conjugate_residual", conj_err, bound), CrossCheckError)
-    return w
+    return QMatrix(iota_inv(cw[:, :n], form.frame))
 
 
 @dataclass

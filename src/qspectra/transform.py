@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import CMatrix, spectral_decompose
+from .bridge import CMatrix, chi, spectral_decompose
 from .errors import (
     DuplicateSymbolError,
     PreconditionError,
@@ -131,12 +131,12 @@ def inverse_transform(z: QMatrix) -> QMatrix:
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:
     """Slice structure commuting with a normal matrix, built from its
-    bounded transform's eigenbasis (the transform shares eigenvectors)."""
+    bounded transform's eigenbasis (the transform shares eigenvectors); the
+    commutation is checked on chi images."""
     a.check_normal()
-    z = bounded_transform(a).Z
-    dec = spectral_decompose(z, frame)
-    structure = build_J(dec)
-    defect = ((structure.J @ a) - (a @ structure.J)).frobenius()
+    structure = build_J(spectral_decompose(bounded_transform(a).Z, frame))
+    z, cj = chi(a, frame), structure.cj
+    defect = qa.chi_fro(cj @ z - z @ cj)
     bound = 1e-9 * max(a.frobenius(), 1.0)
     require(check_from("transform.J_commutes", defect, bound), TransformDomainError)
     return structure
@@ -144,10 +144,8 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
 
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:
     """Residual between the two orders of transform and extension."""
-    z_plus = CMatrix(bounded_transform(t_plus.as_qmatrix()).Z.a, s.frame)
-    transform_of_extension = bounded_transform(extend(t_plus, s)).Z
-    extension_of_transform = extend(z_plus, s)
-    return (transform_of_extension - extension_of_transform).frobenius()
+    z_plus = CMatrix(bounded_transform(QMatrix(t_plus.data)).Z.a, s.frame)
+    return (bounded_transform(extend(t_plus, s)).Z - extend(z_plus, s)).frobenius()
 
 
 def _two_sum(a, b):

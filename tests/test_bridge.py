@@ -84,6 +84,7 @@ class TestChi:
         assert np.linalg.norm(z, 2) == pytest.approx(a.op_norm(), rel=1e-12)
 
 
+    @pytest.mark.filterwarnings("error")
     def test_fro_where_squares_underflow_or_overflow(self, rng):
         z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         ref = float(np.linalg.norm(z))

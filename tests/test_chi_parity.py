@@ -1,24 +1,50 @@
-"""The verification of decompose and transform runs on complex adjoints
-(chi images); the quaternion-product formulas it replaced are kept here as
-references. On a seeded corpus, every residual agrees with its reference
-to rounding and every raise or pass verdict is the same."""
+"""The verification of decompose and transform, and the corollaries and
+extensions, run on complex adjoints (chi images); the quaternion-product
+formulas they replaced are kept here as references. On a seeded corpus,
+every residual agrees with its reference to rounding and every raise or
+pass verdict is the same."""
 
 import json
 
 import numpy as np
 import pytest
 
-from qspectra import Quaternion, QMatrix
+from qspectra import STANDARD_FRAME, Quaternion, QMatrix, slices, spectral, transform
 from qspectra import generate as gen
 from qspectra import qarray as qa
 from qspectra.qarray import NORMAL_TOL
-from qspectra.bridge import DECOMP_RESIDUAL_TOL, spectral_decompose
+from qspectra.bridge import DECOMP_RESIDUAL_TOL, CMatrix, spectral_decompose
 from qspectra.cli import main
-from qspectra.errors import NotNormalError
+from qspectra.errors import (
+    CrossCheckError,
+    NotNormalError,
+    QSpectraError,
+    SymbolZeroError,
+    TransformDomainError,
+)
+from qspectra.report import check_from
 from qspectra.serialize import matrix_to_json, save_json
-from qspectra.slices import COMMUTE_TOL, build_J, restrict_pair
-from qspectra.spectral import FORM_RESIDUAL_TOL, multiplication_form, sphere_spectrum
-from qspectra.transform import INVERSE_GUARD
+from qspectra.slices import (
+    COMMUTE_TOL,
+    build_J,
+    extend,
+    extend_between,
+    restrict_pair,
+    restrict_plus,
+)
+from qspectra.spectral import (
+    FORM_RESIDUAL_TOL,
+    classify,
+    conjugate_equivalence,
+    multiplication_form,
+    sphere_spectrum,
+)
+from qspectra.transform import (
+    INVERSE_GUARD,
+    bounded_transform,
+    commuting_J_unbounded,
+    z_extension_check,
+)
 
 EPS = np.finfo(np.float64).eps
 SIZES = (1, 2, 5, 16)
@@ -208,3 +234,170 @@ def test_parity_with_quaternion_products(frame, tmp_path):
             _check_transform(a, tmp_path)
         except AssertionError as exc:
             raise AssertionError(f"{label}: {exc}") from exc
+
+
+def _recording(monkeypatch):
+    """The checks slices, spectral and transform build from now on, by name."""
+    built = {}
+
+    def recorded(name, residual, tol):
+        built[name] = check_from(name, residual, tol)
+        return built[name]
+
+    for module in (slices, spectral, transform):
+        monkeypatch.setattr(module, "check_from", recorded)
+    return built
+
+
+def _verdict(routine, *args):
+    """The routine's result, or the type of the error it raised."""
+    try:
+        return routine(*args)
+    except QSpectraError as exc:
+        return type(exc)
+
+
+def _old_classify(form, tol):
+    pos = form.space.positive()
+    anti_sym = bool(np.all(np.abs(form.phi.values[pos][:, 0]) <= tol))
+    unit_sym = bool(np.all(np.abs(form.phi.moduli()[pos] - 1.0) <= tol))
+    rec = form.U.H @ QMatrix.diag(form.phi.values) @ form.U
+    slack = 1e-12 * (1.0 + rec.op_norm())
+    anti_op = (rec + rec.H).op_norm() <= 2.0 * tol + slack
+    unit_op = ((rec.H @ rec) - QMatrix.identity(rec.n)).op_norm() <= 3.0 * tol + slack
+    if anti_sym != anti_op or unit_sym != unit_op:
+        return CrossCheckError
+    return {"anti_self_adjoint": anti_sym, "unitary": unit_sym}
+
+
+def _old_conjugate(form):
+    """W = U* M_rho U and the residuals of its two checks, or the error."""
+    moduli = form.phi.moduli()
+    if np.any(form.space.positive() & (moduli <= 1e-12 * (1.0 + np.max(moduli)))):
+        return SymbolZeroError, None
+    rho = [(form.phi.value(i) / moduli[i]) * form.frame.n for i in range(len(moduli))]
+    w = form.U.H @ QMatrix.diag(rho) @ form.U
+    rec = form.U.H @ QMatrix.diag(form.phi.values) @ form.U
+    return w, {
+        "spectral.conjugate_unitary": ((w.H @ w) - QMatrix.identity(w.n)).frobenius(),
+        "spectral.conjugate_residual": (rec - (w.H @ rec.H @ w)).frobenius(),
+    }
+
+
+def _old_extend_between(u, v1, j1, v2, j2):
+    """V2 U V1* and the residuals of extend_between's two checks."""
+    m = QMatrix(u.data)
+    lifted = v2 @ m @ v1.H
+    return lifted, {
+        "slices.extend_commutes": ((j2 @ lifted) - (lifted @ j1)).frobenius(),
+        "slices.extend_norm": abs(lifted.op_norm() - m.op_norm()),
+    }
+
+
+def _old_z_extension(t, v):
+    z_plus = QMatrix(CMatrix(bounded_transform(QMatrix(t.data)).Z.a, t.frame).data)
+    ext = v @ QMatrix(t.data) @ v.H
+    return (bounded_transform(ext).Z - (v @ z_plus @ v.H)).frobenius()
+
+
+def _check_lifts(a, frame, previous, rng, built):
+    """Every routine that lifts through chi(XY) = chi(X) chi(Y) against its
+    quaternion-product reference: the same result or error, each result and
+    each check residual within _assert_close's slack, each verdict the same."""
+    n, fro = a.n, a.frobenius()
+    form = multiplication_form(a, frame)
+    s, v = build_J(form.decomposition), form.U.H
+    old_rec = v @ QMatrix.diag(form.phi.values) @ v.H
+    _assert_close((old_rec - form.reconstruct()).frobenius(), 0.0, n, fro, "reconstruct")
+    for tol in (1e-8, 1e-3):
+        assert _verdict(classify, form, tol) == _old_classify(form, tol)
+
+    old_w, old_res = _old_conjugate(form)
+    built.clear()
+    w = _verdict(conjugate_equivalence, form)
+    if old_res is None:
+        assert w is old_w
+    else:
+        _assert_close((old_w - w).frobenius(), 0.0, n, 1.0, "conjugate W")
+        for name, scale in (("spectral.conjugate_unitary", 1.0), ("spectral.conjugate_residual", fro)):
+            _assert_close(old_res[name], built[name].residual, n, scale, name)
+            assert built[name].passed == (old_res[name] <= built[name].tol)
+
+    t = restrict_plus(a, s)
+    _assert_close((v @ QMatrix(t.data) @ v.H - extend(t, s)).frobenius(), 0.0, n, fro, "extend")
+    _assert_close(_old_z_extension(t, v), z_extension_check(t, s), n, 1.0, "z extension")
+
+    # between this structure and the previous matrix's, of another size
+    s1, v1 = previous
+    u = CMatrix.from_complex(rng.normal(size=(n, s1.n)) + 1j * rng.normal(size=(n, s1.n)), frame)
+    old_lifted, old_res = _old_extend_between(u, v1, s1.J, v, s.J)
+    built.clear()
+    lifted = extend_between(u, s1, s)
+    scale = np.linalg.norm(u.z)
+    _assert_close((old_lifted - lifted).frobenius(), 0.0, n, scale, "extend_between")
+    for name in old_res:
+        _assert_close(old_res[name], built[name].residual, n, scale, name)
+        assert built[name].passed == (old_res[name] <= built[name].tol)
+
+    # the real class at 1e12 fails the check on both routes
+    j = build_J(spectral_decompose(bounded_transform(a).Z, frame)).J
+    built.clear()
+    raised = _verdict(commuting_J_unbounded, a, frame) is TransformDomainError
+    old_defect = ((j @ a) - (a @ j)).frobenius()
+    check = built["transform.J_commutes"]
+    _assert_close(old_defect, check.residual, n, fro, "transform.J_commutes")
+    assert check.passed == (old_defect <= check.tol) != raised
+    return s, v
+
+
+def test_lift_parity_with_quaternion_products(frame, monkeypatch):
+    built = _recording(monkeypatch)
+    rng = np.random.default_rng(20261019)
+    previous = None
+    for label, a in _corpus(frame):
+        if not a.is_normal():
+            continue
+        if previous is None:
+            dec = spectral_decompose(a, frame)
+            previous = build_J(dec), dec.V
+            continue
+        try:
+            previous = _check_lifts(a, frame, previous, rng, built)
+        except AssertionError as exc:
+            raise AssertionError(f"{label}: {exc}") from exc
+
+
+def test_lifts_make_no_quaternion_product(monkeypatch):
+    # the corollaries and extensions take their products on chi images, and
+    # build as many Quaternion objects at n = 16 as at n = 4
+    counts = []
+    for n in (4, 16):
+        rng = np.random.default_rng(n)
+        a = gen.random_normal(rng, n, STANDARD_FRAME)
+        form = multiplication_form(a, STANDARD_FRAME)
+        s = build_J(form.decomposition)
+        t = restrict_plus(a, s)
+        calls = [0, 0]
+        qmatmul, init = qa.qmatmul, Quaternion.__init__
+
+        def counted_qmatmul(*args):
+            calls[0] += 1
+            return qmatmul(*args)
+
+        def counted_init(self, *args):
+            calls[1] += 1
+            init(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qa, "qmatmul", counted_qmatmul)
+            patch.setattr(Quaternion, "__init__", counted_init)
+            form.reconstruct()
+            classify(form, 1e-8)
+            conjugate_equivalence(form)
+            extend(t, s)
+            extend_between(t, s, s)
+            z_extension_check(t, s)
+            commuting_J_unbounded(a, STANDARD_FRAME)
+        assert calls[0] == 0
+        counts.append(calls[1])
+    assert counts[0] == counts[1]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qspectra import I, J, K, ONE, QMatrix, STANDARD_FRAME, inner
+from qspectra import I, J, K, ONE, QMatrix, STANDARD_FRAME, SliceFrame, inner
 from qspectra import generate as gen
-from qspectra.bridge import CMatrix, spectral_decompose
+from qspectra.bridge import CMatrix, iota_inv, spectral_decompose
 from qspectra.errors import PreconditionError, ShapeError, SliceCommutationError
 from qspectra.operators import delta
 from qspectra.slices import (
@@ -54,8 +54,9 @@ class TestBuildJ:
     def test_plus_basis_eigenproperty(self, frame, rng):
         a = gen.random_normal(rng, 5, frame)
         s = structure_for(a, frame)
+        plus_basis = iota_inv(s.w[:, : s.n], frame)
         for k in range(s.n):
-            z = s.plus_basis.a[:, k]
+            z = plus_basis[:, k]
             np.testing.assert_allclose(
                 s.J.apply(z), scale_right(z, frame.m), atol=1e-12
             )
@@ -63,7 +64,7 @@ class TestBuildJ:
 
 class TestProjections:
     def test_scalar_slice_projection(self):
-        s = SliceStructure(QMatrix.from_rows([[I]]), STANDARD_FRAME, QMatrix.identity(1))
+        s = SliceStructure(np.diag([1j, -1j]), STANDARD_FRAME, np.eye(2))
         one = ONE.to_array()[None, :]
         jv = J.to_array()[None, :]
         np.testing.assert_allclose(project_plus(one, s), one, atol=1e-15)
@@ -114,7 +115,7 @@ class TestRestrict:
         )
 
     def test_non_commuting_rejected(self):
-        s = SliceStructure(QMatrix.from_rows([[I]]), STANDARD_FRAME, QMatrix.identity(1))
+        s = SliceStructure(np.diag([1j, -1j]), STANDARD_FRAME, np.eye(2))
         with pytest.raises(SliceCommutationError):
             restrict_plus(QMatrix.from_rows([[K]]), s)
 
@@ -127,7 +128,7 @@ class TestRestrict:
 
 class TestExtend:
     def test_scalar_example(self):
-        s = SliceStructure(QMatrix.from_rows([[I]]), STANDARD_FRAME, QMatrix.identity(1))
+        s = SliceStructure(np.diag([1j, -1j]), STANDARD_FRAME, np.eye(2))
         t_plus = CMatrix.from_complex(np.array([[1j]]), STANDARD_FRAME)
         ext = extend(t_plus, s)
         assert_qclose(ext.entry(0, 0), I, 0.0)
@@ -156,9 +157,11 @@ class TestExtend:
         t_plus = random_slice_matrix(rng, 6, frame)
         ext = extend(t_plus, s)
 
+        plus_basis = QMatrix(iota_inv(s.w[:, :6], frame))
+
         def apply_plus(h):
-            coords = s.plus_basis.H.apply(h)
-            return s.plus_basis.apply(QMatrix(t_plus.data).apply(coords))
+            coords = plus_basis.H.apply(h)
+            return plus_basis.apply(QMatrix(t_plus.data).apply(coords))
 
         for _ in range(10):
             x = gen.random_qvector(rng, 6)
@@ -253,6 +256,20 @@ class TestExtendBetween:
         s2 = structure_for(gen.random_normal(rng, 4, frame), frame)
         with pytest.raises(ShapeError):
             extend_between(random_slice_matrix(rng, 3, frame), s1, s2)
+
+    def test_frame_mismatch(self, rng):
+        # the lift multiplies chi images, which only one frame relates
+        other = SliceFrame.from_m(J)
+        s = structure_for(gen.random_normal(rng, 3, STANDARD_FRAME), STANDARD_FRAME)
+        s_other = structure_for(gen.random_normal(rng, 3, other), other)
+        for u, s1, s2 in [
+            (random_slice_matrix(rng, 3, other), s, s),
+            (random_slice_matrix(rng, 3, STANDARD_FRAME), s, s_other),
+        ]:
+            with pytest.raises(ShapeError, match="not in one frame"):
+                extend_between(u, s1, s2)
+        with pytest.raises(ShapeError, match="not in one frame"):
+            extend(random_slice_matrix(rng, 3, other), s)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
