@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("selftest", parents=[common], help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=8, help="matrix dimension (1..64)")
+    p.add_argument("--n", type=int, default=8, help="matrix dimension (1..128)")
 
     p = sub.add_parser("example", parents=[common], help="verify the golden multiplier scenario")
     p.add_argument("--grid", type=int, default=64, help="number of grid atoms (>= 2)")
@@ -110,8 +110,8 @@ def _emit(report: VerificationReport, start: float, out_path) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.n < 1 or args.n > 64:
-        raise InputFormatError(f"--n must be in 1..64, got {args.n}")
+    if args.n < 1 or args.n > 128:
+        raise InputFormatError(f"--n must be in 1..128, got {args.n}")
     start = time.perf_counter()
     return _emit(run_selftest(args.seed, args.n), start, args.out)
 
@@ -137,7 +137,7 @@ def _cmd_decompose(args) -> int:
         [*form.checks, *slice_report.checks],
         extra={
             "phi": form.phi.values.tolist(),
-            "orbits": [[o.re, o.im_norm] for o in spectrum.orbits],
+            "orbits": spectrum.points.tolist(),
             "residual": form.residual,
             "normCheck": {
                 "opNorm": form.op_norm,

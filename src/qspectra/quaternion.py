@@ -246,10 +246,6 @@ class SimilarityOrbit:
             raise ValueError("tolerance must be >= 0")
         return abs(p.re - self.re) <= tol and abs(p.im_norm() - self.im_norm) <= tol
 
-    def distance(self, p: Quaternion) -> float:
-        """Euclidean distance in the (re, |im|) half plane."""
-        return math.hypot(p.re - self.re, p.im_norm() - self.im_norm)
-
     def representative(self, frame: SliceFrame) -> Quaternion:
         """The unique representative in the closed upper half slice C_m+, where
         the theorem's phi takes its values."""

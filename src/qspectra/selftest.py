@@ -32,9 +32,8 @@ from .spectral import (
     conjugate_equivalence,
     delta_oracle,
     multiplication_form,
-    off_sphere_probes,
-    on_sphere_probes,
     oracle_scale,
+    sphere_probes,
     sphere_spectrum,
 )
 from .transform import (
@@ -295,10 +294,8 @@ def _group_oracle(rng, n) -> list[Check]:
     for kind, f, a, form in _spectral_corpus(rng, n):
         spec = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-        probes = []
-        for orbit in spec.orbits:
-            probes += on_sphere_probes(orbit) + off_sphere_probes(orbit, spec, margin)
-        member = [spec.contains(q, 1e-9) for q in probes]
+        probes = sphere_probes(spec, margin)
+        member = spec.contains(probes, 1e-9).tolist()
         oracle_ok = oracle_ok and delta_oracle(a, probes, 1e-7) == member
     return [flag_check("oracle.delta_kernel_agrees_with_orbits", oracle_ok)]
 

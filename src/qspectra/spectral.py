@@ -20,7 +20,7 @@ from .bridge import SpectralDecomposition, eigvals_normal, iota_inv, spectral_de
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
-from .quaternion import Quaternion, SimilarityOrbit, SliceFrame
+from .quaternion import SliceFrame
 from .report import Check, check_from, require
 from .slices import SliceStructure, restrict_pair
 
@@ -60,31 +60,29 @@ class MultiplicationForm:
 
 @dataclass
 class SphereSpectrum:
-    """Union of similarity orbits; the spherical spectrum at desk scale, and
-    the norm ||A|| that the form it was read from measured."""
+    """Union of similarity orbits, the spherical spectrum at desk scale, as a
+    (K, 2) array of orbit points (re, |im|), and the norm ||A|| that the form
+    it was read from measured."""
 
-    orbits: list[SimilarityOrbit]
+    points: np.ndarray
     op_norm: float
 
-    def __post_init__(self):
-        self._points = [(o.re, o.im_norm) for o in self.orbits]
-
-    def contains(self, q: Quaternion, tol: float) -> bool:
-        """Whether some orbit contains q, by SimilarityOrbit.contains's
-        comparisons, with |im q| taken at most once."""
+    def contains(self, probes: np.ndarray, tol: float) -> np.ndarray:
+        """Whether some orbit contains each row of a (M, 4) array of probes,
+        as a bool array, by SimilarityOrbit.contains's comparisons:
+        |re q - re| <= tol and | |im q| - |im| | <= tol."""
         if tol < 0.0:
             raise ValueError("tolerance must be >= 0")
-        re, im_norm = q.re, None
-        for o_re, o_im_norm in self._points:
-            if abs(re - o_re) <= tol:
-                if im_norm is None:
-                    im_norm = q.im_norm()
-                if abs(im_norm - o_im_norm) <= tol:
-                    return True
-        return False
+        re, im_norm = _re_im_norm(probes)
+        near_re = np.abs(re[:, None] - self.points[:, 0]) <= tol
+        near_im = np.abs(im_norm[:, None] - self.points[:, 1]) <= tol
+        return (near_re & near_im).any(axis=1)
 
-    def distance(self, q: Quaternion) -> float:
-        return min(o.distance(q) for o in self.orbits)
+
+def _re_im_norm(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """re q and |im q| of each row, bit-equal to Quaternion.re and im_norm."""
+    x, y, z = probes[:, 1], probes[:, 2], probes[:, 3]
+    return probes[:, 0], np.sqrt(x * x + y * y + z * z)
 
 
 def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
@@ -127,12 +125,10 @@ def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
     """
     rows = form.phi.values[form.phi.space.positive()]
     rows = rows[_first_seen(rows, MERGE_TOL)[0]]
-    x, y, z = rows[:, 1], rows[:, 2], rows[:, 3]
     points = np.zeros_like(rows)
-    points[:, 0] = rows[:, 0]
-    points[:, 1] = np.sqrt(x * x + y * y + z * z)  # bit-equal to Quaternion.im_norm
+    points[:, 0], points[:, 1] = _re_im_norm(rows)
     kept, _ = _first_seen(points, ORBIT_DEDUP_TOL)
-    return SphereSpectrum([SimilarityOrbit(*p) for p in points[kept, :2].tolist()], form.op_norm)
+    return SphereSpectrum(points[kept, :2], form.op_norm)
 
 
 def oracle_scale(a: QMatrix) -> float:
@@ -183,9 +179,11 @@ _BETA = 0.7549
 _BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]:
+def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool]:
     """Mark each probe q whose Delta_q(A) has a numerical kernel.
 
+    probes is a (M, 4) array of quaternions (w, x, y, z), as sphere_probes
+    places them; the API also takes a list of Quaternions, converted once.
     In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2, with
     ||A|| as oracle_scale takes it; tol must be finite and >= 0, and every
     probe and its |q|^2 finite. This route never calls the bridge's
@@ -261,50 +259,50 @@ def delta_oracle(a: QMatrix, probes: list[Quaternion], tol: float) -> list[bool]
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
     a.check_finite()
-    for k, q in enumerate(probes):
-        if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
-            raise PreconditionError(f"probe {k} is not finite")
+    if not isinstance(probes, np.ndarray):
+        probes = np.array([(q.w, q.x, q.y, q.z) for q in probes])
+    probes = probes.reshape(len(probes), 4)
+    bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
+    if len(bad):
+        raise PreconditionError(f"probe {bad[0]} is not finite")
     z = qa.to_complex_adjoint(a.a)
     size = z.shape[0]
     zh = z.conj().T
     gram = _gram(z, zh)
-    for k, q in enumerate(probes):
-        if not math.isfinite(q.norm_sq()):
-            raise PreconditionError(f"probe {k} overflows: |q|^2 is not finite")
-    threshold = tol * (1.0 + _gram_norm(gram)) ** 2
-    fro = float(np.linalg.norm(z))
-    rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
-    root_n = math.sqrt(size)
-    lams = [complex(q.re, q.im_norm()) for q in probes]
-    # f * f, not f ** 2, which raises OverflowError on a huge probe
-    gated = [
-        k
-        for k, f in enumerate(fro + root_n * abs(lam) for lam in lams)
-        if rounding * f * f < threshold
-    ]
-    out: list[bool | None] = [None] * len(probes)
-    if gated:
-        certified = _certificate(z, zh, fro, np.array([lams[k] for k in gated]), threshold, a)
-        for k, verdict in zip(gated, certified):
-            out[k] = verdict
+    with np.errstate(over="ignore"):  # |q|^2 may overflow, and the gate's F^2
+        sq = probes * probes
+        norm_sq = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]  # as Quaternion.norm_sq
+        bad = np.flatnonzero(~np.isfinite(norm_sq))
+        if len(bad):
+            raise PreconditionError(f"probe {bad[0]} overflows: |q|^2 is not finite")
+        threshold = tol * (1.0 + _gram_norm(gram)) ** 2
+        fro = float(np.linalg.norm(z))
+        rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
+        re, im_norm = _re_im_norm(probes)
+        lams = re.astype(complex)
+        lams.imag = im_norm
+        f = fro + math.sqrt(size) * np.abs(lams)
+        gated = rounding * f * f < threshold
+    verdict = np.zeros(len(probes), dtype=bool)
+    decided = gated.copy()
+    if gated.any():
+        verdict[gated], decided[gated] = _certificate(z, zh, fro, lams[gated], threshold, a)
     exact: dict[tuple[str, str], bool] = {}
-    z2 = None
-    for k, q in enumerate(probes):
-        if out[k] is not None:
-            continue
-        dz_key = (q.re.hex(), q.norm_sq().hex())
-        if dz_key not in exact:
-            if z2 is None:
-                z2 = z @ z
-            dz = z2 - (2.0 * q.re) * z + q.norm_sq() * np.eye(size)
-            exact[dz_key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
-        out[k] = exact[dz_key]
-    return out
+    undecided = np.flatnonzero(~decided)
+    if len(undecided):
+        z2, ident = z @ z, np.eye(size)
+    for k, q_re, q_sq in zip(undecided, re[undecided].tolist(), norm_sq[undecided].tolist()):
+        key = (q_re.hex(), q_sq.hex())
+        if key not in exact:
+            dz = z2 - (2.0 * q_re) * z + q_sq * ident
+            exact[key] = bool(np.linalg.svd(dz, compute_uv=False)[-1] <= threshold)
+        verdict[k] = exact[key]
+    return verdict.tolist()
 
 
-def _certificate(z, zh, fro, lams, t, a=None) -> list[bool | None]:
+def _certificate(z, zh, fro, lams, t, a=None) -> tuple[np.ndarray, np.ndarray]:
     """The certificate verdicts of delta_oracle for the probes lams (a
-    complex array): True (in), False (out) or None (undecided).
+    complex array), as two bool arrays: in, and decided (in or out).
 
     With a, on the basis kept for a, unless it has another size than Z or
     leaves a probe undecided with a larger residual ||rho|| than it had when
@@ -314,16 +312,17 @@ def _certificate(z, zh, fro, lams, t, a=None) -> list[bool | None]:
     kept = None if a is None else _BASES.get(a)
     if kept is not None and kept[0].shape[0] == z.shape[0]:
         q, delta, factored = kept
-        verdicts, residual = _decide(z, fro, lams, t, q, delta)
-        if None not in verdicts or residual <= factored:
-            return verdicts
+        is_in, decided, residual = _decide(z, fro, lams, t, q, delta)
+        if decided.all() or residual <= factored:
+            return is_in, decided
     basis = _basis(z, zh)
     if basis is None:
-        return [None] * len(lams)
-    verdicts, residual = _decide(z, fro, lams, t, *basis)
+        none = np.zeros(len(lams), dtype=bool)
+        return none, none
+    is_in, decided, residual = _decide(z, fro, lams, t, *basis)
     if a is not None:
         _BASES[a] = (*basis, residual)
-    return verdicts
+    return is_in, decided
 
 
 def _basis(z, zh) -> tuple[np.ndarray, float] | None:
@@ -348,9 +347,10 @@ def _basis(z, zh) -> tuple[np.ndarray, float] | None:
     return q, delta
 
 
-def _decide(z, fro, lams, t, q, delta) -> tuple[list[bool | None], float]:
-    """The certificate's verdicts on basis (Q, delta) from the current Z,
-    and the residual ||rho|| they were decided with."""
+def _decide(z, fro, lams, t, q, delta) -> tuple[np.ndarray, np.ndarray, float]:
+    """The certificate's verdicts on basis (Q, delta) from the current Z, as
+    _certificate returns them, and the residual ||rho|| they were decided
+    with."""
     eps = np.finfo(np.float64).eps
     size = z.shape[0]
     g = (size + 2) * eps
@@ -373,8 +373,7 @@ def _decide(z, fro, lams, t, q, delta) -> tuple[list[bool | None], float]:
     rows = np.arange(len(lams))
     bound = grow * (prod[rows, k] + (up[rows, k] + fro + mod) * rho[k] / math.sqrt(1.0 - delta))
     is_in = bound <= (1.0 - r) * t
-    verdicts = [True if i else False if o else None for i, o in zip(is_in.tolist(), is_out.tolist())]
-    return verdicts, residual
+    return is_in, is_in | is_out, residual
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -386,43 +385,45 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(golden * t), r * np.sin(golden * t), z], axis=1)
 
 
-def on_sphere_probes(orbit: SimilarityOrbit) -> list[Quaternion]:
-    """PROBES_PER_ORBIT probes exactly on the orbit sphere via a Fibonacci lattice."""
-    return [Quaternion(orbit.re, *(orbit.im_norm * d)) for d in fibonacci_sphere(PROBES_PER_ORBIT)]
+def sphere_probes(spectrum: SphereSpectrum, margin: float) -> np.ndarray:
+    """For each orbit point of spectrum in turn, PROBES_PER_ORBIT probes on
+    its sphere, then PROBES_PER_ORBIT near it but at distance >= margin from
+    every orbit point in the (re, |im|) half plane: a (2 PROBES_PER_ORBIT K,
+    4) array.
 
-
-def off_sphere_probes(
-    orbit: SimilarityOrbit, spectrum: SphereSpectrum, margin: float
-) -> list[Quaternion]:
-    """PROBES_PER_ORBIT probes near the orbit but at distance >= margin from
-    every orbit.
-
-    Candidates circle the orbit point in the (re, |im|) half plane at growing
-    radii until clear of the whole spectrum; a far-field fallback guarantees
-    termination. Probe directions reuse the Fibonacci lattice so the oracle
-    also sees varying imaginary directions.
+    Probe t of each half takes direction t of a Fibonacci lattice, so the
+    oracle also sees varying imaginary directions. Off-sphere probe t tries
+    the points at angle 2 pi (t + 1/2) / PROBES_PER_ORBIT around the orbit
+    point, at radii 1.5 margin 1.3^k for k < 40, and takes the first one
+    clear of the whole spectrum; a far-field point stands in when none is.
     """
+    points = spectrum.points
     dirs = fibonacci_sphere(PROBES_PER_ORBIT)
-    far = max(abs(o.re) + o.im_norm for o in spectrum.orbits) + 1.0
-    out = []
-    for t in range(PROBES_PER_ORBIT):
-        angle = 2.0 * math.pi * (t + 0.5) / PROBES_PER_ORBIT
-        placed = None
-        for attempt in range(40):
-            r = margin * (1.3**attempt) * 1.5
-            re = orbit.re + r * math.cos(angle)
-            beta = abs(orbit.im_norm + r * math.sin(angle))
-            cand = SimilarityOrbit(re, beta)
-            if all(
-                math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) >= margin
-                for o in spectrum.orbits
-            ):
-                placed = cand
+    angles = [2.0 * math.pi * (t + 0.5) / PROBES_PER_ORBIT for t in range(PROBES_PER_ORBIT)]
+    cos = np.array([math.cos(x) for x in angles])
+    sin = np.array([math.sin(x) for x in angles])
+    # Python's power, which np.power does not match bit for bit
+    radii = margin * np.array([1.3**k for k in range(40)]) * 1.5
+    far = float(np.max(np.abs(points[:, 0]) + points[:, 1], initial=0.0)) + 1.0
+    placed = np.empty((len(points), 2, PROBES_PER_ORBIT, 2))
+    placed[:, 0] = points[:, None, :]
+    placed[:, 1, :, 0] = far + np.arange(1, PROBES_PER_ORBIT + 1) * margin
+    placed[:, 1, :, 1] = far
+    for k, (re, im_norm) in enumerate(points.tolist()):
+        pending = np.arange(PROBES_PER_ORBIT)
+        for r in radii:
+            cand_re = re + r * cos[pending]
+            cand_im = np.abs(im_norm + r * sin[pending])
+            dist = np.hypot(cand_re[:, None] - points[:, 0], cand_im[:, None] - points[:, 1])
+            clear = (dist >= margin).all(axis=1)
+            placed[k, 1, pending[clear]] = np.stack([cand_re[clear], cand_im[clear]], axis=1)
+            pending = pending[~clear]
+            if not len(pending):
                 break
-        if placed is None:
-            placed = SimilarityOrbit(far + (t + 1) * margin, far)
-        out.append(Quaternion(placed.re, *(placed.im_norm * dirs[t])))
-    return out
+    probes = np.empty((len(points), 2, PROBES_PER_ORBIT, 4))
+    probes[..., 0] = placed[..., 0]
+    probes[..., 1:] = placed[..., 1, None] * dirs
+    return probes.reshape(-1, 4)
 
 
 def classify(form: MultiplicationForm, tol: float) -> dict[str, bool]:
@@ -521,7 +522,7 @@ def slice_spectrum_check(
 
     if spectrum is None:
         spectrum = sphere_spectrum(multiplication_form(a, s.frame))
-    reps_c = np.array([complex(o.re, o.im_norm) for o in spectrum.orbits])
+    reps_c = spectrum.points[:, 0] + 1j * spectrum.points[:, 1]
 
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     dist = np.abs(plus_c[:, None] - reps_c[None, :])

@@ -6,13 +6,15 @@ matrices, 20 per dimension in {2, 4, 8, 16, 32}; the slice-operator corpus
 All tolerances are pinned here, not configurable.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from qspectra import J, K, QMatrix, STANDARD_FRAME, inner
+from qspectra import J, K, QMatrix, Quaternion, STANDARD_FRAME, SimilarityOrbit, inner
 from qspectra import generate as gen
+from qspectra import selftest
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.example import run_example
 from qspectra.measure import ess_sup
@@ -26,13 +28,15 @@ from qspectra.slices import (
     restrict_plus,
 )
 from qspectra.spectral import (
+    PROBES_PER_ORBIT,
+    SphereSpectrum,
     conjugate_equivalence,
     delta_oracle,
+    fibonacci_sphere,
     multiplication_form,
-    off_sphere_probes,
-    on_sphere_probes,
     oracle_scale,
     slice_spectrum_check,
+    sphere_probes,
     sphere_spectrum,
 )
 from qspectra.transform import (
@@ -119,12 +123,11 @@ def test_criterion_3_oracle_equivalence(corpus):
     for a, frame, form in matrices:
         spectrum = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-        for orbit in spectrum.orbits:
-            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
-            verdicts = delta_oracle(a, probes, 1e-7)
-            member = [spectrum.contains(q, 1e-9) for q in probes]
-            probes_run += len(probes)
-            disagreements += sum(v != m for v, m in zip(verdicts, member))
+        probes = sphere_probes(spectrum, margin)
+        verdicts = delta_oracle(a, probes, 1e-7)
+        member = spectrum.contains(probes, 1e-9).tolist()
+        probes_run += len(probes)
+        disagreements += sum(v != m for v, m in zip(verdicts, member))
     _announce(
         3,
         disagreements == 0,
@@ -133,19 +136,100 @@ def test_criterion_3_oracle_equivalence(corpus):
     )
 
 
-def test_sphere_contains_matches_orbit_loop(corpus):
-    # SphereSpectrum.contains against the per-orbit loop it replaced, on the
-    # probes of criterion 3
+# The per-orbit loops that sphere_probes and SphereSpectrum.contains replaced,
+# kept as references: probes as Quaternion objects, orbits as SimilarityOrbit
+# objects.
+
+
+def _reference_on_sphere_probes(orbit):
+    return [Quaternion(orbit.re, *(orbit.im_norm * d)) for d in fibonacci_sphere(PROBES_PER_ORBIT)]
+
+
+def _reference_off_sphere_probes(orbit, orbits, margin):
+    dirs = fibonacci_sphere(PROBES_PER_ORBIT)
+    far = max(abs(o.re) + o.im_norm for o in orbits) + 1.0
+    out = []
+    for t in range(PROBES_PER_ORBIT):
+        angle = 2.0 * math.pi * (t + 0.5) / PROBES_PER_ORBIT
+        placed = None
+        for attempt in range(40):
+            r = margin * (1.3**attempt) * 1.5
+            re = orbit.re + r * math.cos(angle)
+            beta = abs(orbit.im_norm + r * math.sin(angle))
+            cand = SimilarityOrbit(re, beta)
+            if all(
+                math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) >= margin for o in orbits
+            ):
+                placed = cand
+                break
+        if placed is None:
+            placed = SimilarityOrbit(far + (t + 1) * margin, far)
+        out.append(Quaternion(placed.re, *(placed.im_norm * dirs[t])))
+    return out
+
+
+def _reference_contains(orbits, q, tol):
+    re, im_norm = q.re, None
+    for o in orbits:
+        if abs(re - o.re) <= tol:
+            if im_norm is None:
+                im_norm = q.im_norm()
+            if abs(im_norm - o.im_norm) <= tol:
+                return True
+    return False
+
+
+def _assert_probes_match_reference(spectrum, margin, orbit_count=None):
+    """sphere_probes and SphereSpectrum.contains against the loops, bit for
+    bit, on the first orbit_count orbits (all by default); returns those
+    orbits' probes."""
+    orbits = [SimilarityOrbit(re, im_norm) for re, im_norm in spectrum.points.tolist()]
+    want = [
+        q
+        for o in orbits[:orbit_count]
+        for q in _reference_on_sphere_probes(o) + _reference_off_sphere_probes(o, orbits, margin)
+    ]
+    probes = sphere_probes(spectrum, margin)[: len(want)]
+    assert probes.shape == (len(want), 4)
+    bits = np.array([q.to_array() for q in want]).view(np.int64)
+    assert np.array_equal(probes.view(np.int64), bits)
+    for tol in (0.0, 1e-9):
+        member = [_reference_contains(orbits, q, tol) for q in want]
+        assert spectrum.contains(probes, tol).tolist() == member
+    return probes
+
+
+def test_sphere_probes_match_orbit_loops(corpus):
+    # criterion 3's probes and membership verdicts
     matrices, _ = corpus
     for a, frame, form in matrices:
-        spectrum = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-        for orbit in spectrum.orbits:
-            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
-            for tol in (0.0, 1e-9):
-                member = [spectrum.contains(q, tol) for q in probes]
-                loop = [any(o.contains(q, tol) for o in spectrum.orbits) for q in probes]
-                assert member == loop
+        _assert_probes_match_reference(sphere_spectrum(form), margin)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 128])
+def test_selftest_probes_match_orbit_loops(n):
+    # the probes of selftest's oracle group at seed 0
+    rng = np.random.default_rng([0, selftest.GROUPS.index(selftest._group_oracle)])
+    for kind, f, a, form in selftest._spectral_corpus(rng, n):
+        margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
+        _assert_probes_match_reference(sphere_spectrum(form), margin)
+
+
+def test_far_field_probes_match_orbit_loop():
+    # an orbit point on each of the 40 candidates of every off-sphere probe of
+    # orbit 0, so that all 16 take the far-field fallback
+    margin, (re, im_norm) = 0.01, (0.3, 0.5)
+    points = [(re, im_norm)]
+    for t in range(PROBES_PER_ORBIT):
+        angle = 2.0 * math.pi * (t + 0.5) / PROBES_PER_ORBIT
+        for attempt in range(40):
+            r = margin * (1.3**attempt) * 1.5
+            points.append((re + r * math.cos(angle), abs(im_norm + r * math.sin(angle))))
+    spectrum = SphereSpectrum(np.array(points), 1.0)
+    off = _assert_probes_match_reference(spectrum, margin, orbit_count=1)[PROBES_PER_ORBIT:]
+    far = max(abs(x) + y for x, y in points) + 1.0
+    assert off[:, 0].tolist() == [far + (t + 1) * margin for t in range(PROBES_PER_ORBIT)]
 
 
 def test_criterion_4_slice_spectrum(corpus):

@@ -61,7 +61,7 @@ class TestSelftest:
 
     def test_flag_validation(self):
         assert main(["selftest", "--n", "0"]) == 3
-        assert main(["selftest", "--n", "65"]) == 3
+        assert main(["selftest", "--n", "129"]) == 3
         with pytest.raises(SystemExit) as err:
             main(["selftest", "--tol", "-1"])
         assert err.value.code == 3

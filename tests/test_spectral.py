@@ -23,10 +23,9 @@ from qspectra.spectral import (
     delta_oracle,
     fibonacci_sphere,
     multiplication_form,
-    off_sphere_probes,
-    on_sphere_probes,
     oracle_scale,
     slice_spectrum_check,
+    sphere_probes,
     sphere_spectrum,
     _multiset_deviation,
 )
@@ -103,29 +102,30 @@ class TestSphereSpectrum:
     def test_left_j_is_unit_sphere(self):
         form = multiplication_form(QMatrix.from_rows([[J]]), STANDARD_FRAME)
         spec = sphere_spectrum(form)
-        assert len(spec.orbits) == 1
-        assert spec.orbits[0].re == pytest.approx(0.0, abs=1e-12)
-        assert spec.orbits[0].im_norm == pytest.approx(1.0, abs=1e-12)
-        assert spec.contains(J, 1e-9) and spec.contains(K, 1e-9)
+        assert spec.points.shape == (1, 2)
+        assert spec.points[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert spec.points[0, 1] == pytest.approx(1.0, abs=1e-12)
+        probes = np.array([J.to_array(), K.to_array(), (2 * J).to_array()])
+        assert spec.contains(probes, 1e-9).tolist() == [True, True, False]
 
     def test_real_diagonal_points(self):
         form = multiplication_form(QMatrix.diag([Quaternion(1), Quaternion(2)]), STANDARD_FRAME)
-        got = sorted((o.re, o.im_norm) for o in sphere_spectrum(form).orbits)
+        got = sorted(map(tuple, sphere_spectrum(form).points.tolist()))
         assert got == pytest.approx([(1.0, 0.0), (2.0, 0.0)])
 
     def test_mixed_diagonal(self):
         form = multiplication_form(QMatrix.diag([I, Quaternion(2, 3)]), STANDARD_FRAME)
-        got = sorted((o.re, o.im_norm) for o in sphere_spectrum(form).orbits)
+        got = sorted(map(tuple, sphere_spectrum(form).points.tolist()))
         assert got == pytest.approx([(0.0, 1.0), (2.0, 3.0)])
 
     def test_multiplicity_deduplicated(self):
         form = multiplication_form(QMatrix.diag([I, I, I]), STANDARD_FRAME)
-        assert len(sphere_spectrum(form).orbits) == 1
+        assert len(sphere_spectrum(form).points) == 1
 
     def test_contains_rejects_negative_tol(self):
         spec = sphere_spectrum(multiplication_form(QMatrix.from_rows([[J]]), STANDARD_FRAME))
         with pytest.raises(ValueError, match="tolerance must be >= 0"):
-            spec.contains(J, -1e-9)
+            spec.contains(J.to_array()[None], -1e-9)
 
 
 def reference_orbits(form) -> list[tuple[str, str]]:
@@ -142,7 +142,7 @@ def reference_orbits(form) -> list[tuple[str, str]]:
 
 
 def orbit_bits(form) -> list[tuple[str, str]]:
-    return [(o.re.hex(), o.im_norm.hex()) for o in sphere_spectrum(form).orbits]
+    return [(re.hex(), im_norm.hex()) for re, im_norm in sphere_spectrum(form).points.tolist()]
 
 
 def symbol_form(values, weights=None):
@@ -205,21 +205,32 @@ class TestDeltaOracle:
         a = gen.random_normal(rng, 6, frame)
         spectrum = sphere_spectrum(multiplication_form(a, frame))
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-        for orbit in spectrum.orbits:
-            for q in on_sphere_probes(orbit):
-                assert orbit.distance(q) <= 1e-12
-            for q in off_sphere_probes(orbit, spectrum, margin):
-                assert spectrum.distance(q) >= margin * (1.0 - 1e-12)
+        probes = sphere_probes(spectrum, margin).reshape(-1, 2, 16, 4)
+        assert len(probes) == len(spectrum.points)
+        for point, (on, off) in zip(spectrum.points, probes):
+            assert _half_plane_distance(on, point[None]).max() <= 1e-12
+            assert _half_plane_distance(off, spectrum.points).min() >= margin * (1.0 - 1e-12)
 
     def test_zero_disagreements(self, frame, rng):
         for _ in range(5):
             a = gen.random_normal(rng, 8, frame)
             spectrum = sphere_spectrum(multiplication_form(a, frame))
             margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-            for orbit in spectrum.orbits:
-                probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
-                member = [spectrum.contains(q, 1e-9) for q in probes]
+            for probes in sphere_probes(spectrum, margin).reshape(-1, 32, 4):
+                member = spectrum.contains(probes, 1e-9).tolist()
                 assert delta_oracle(a, probes, 1e-7) == member
+
+    def test_empty_call(self, rng):
+        a = gen.random_normal(rng, 4, STANDARD_FRAME)
+        assert delta_oracle(a, [], 1e-7) == []
+        assert delta_oracle(a, np.empty((0, 4)), 1e-7) == []
+
+    def test_list_and_array_agree(self, frame, rng):
+        a = gen.random_normal(rng, 6, frame)
+        spectrum = sphere_spectrum(multiplication_form(a, frame))
+        probes = sphere_probes(spectrum, 50.0 * np.sqrt(1e-7 * oracle_scale(a)))
+        listed = [Quaternion(*row) for row in probes]
+        assert delta_oracle(QMatrix(a.a.copy()), listed, 1e-7) == delta_oracle(a, probes, 1e-7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, bad, rng, monkeypatch):
@@ -382,8 +393,8 @@ class TestDeltaOracle:
         probes = [Quaternion(x.real, x.imag) for x in d] + [Quaternion(x.real, 0, x.imag) for x in d]
         lams = np.array([complex(q.re, q.im_norm()) for q in probes])
         t = 1e-7 * oracle_scale(a)
-        got = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
-        keys = {(q.re, q.norm_sq()) for q, g in zip(probes, got) if g is None}
+        _, decided = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
+        keys = {(q.re, q.norm_sq()) for q, d in zip(probes, decided) if not d}
         assert keys
         want = _oracle_exact_verdicts(a, probes, 1e-7)
         calls = _count_svd(monkeypatch)
@@ -431,8 +442,8 @@ class TestDeltaOracle:
         spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
         counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
-        for k, orbit in enumerate(spectrum.orbits):
-            probes = on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
+        orbits = sphere_probes(spectrum, margin).reshape(-1, 32, 4)
+        for k, probes in enumerate(orbits):
             for c in counts:
                 c[0] = 0
             assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
@@ -440,7 +451,7 @@ class TestDeltaOracle:
         for c in counts:
             c[0] = 0
         fresh = QMatrix(a.a.copy())  # no kept basis
-        assert delta_oracle(fresh, on_sphere_probes(spectrum.orbits[0]), 1e-7) == [True] * 16
+        assert delta_oracle(fresh, orbits[0, :16], 1e-7) == [True] * 16
         assert [c[0] for c in counts] == [1, 1, 0]
 
     @pytest.mark.parametrize(
@@ -494,13 +505,12 @@ class TestDeltaOracle:
 
     @staticmethod
     def _orbit_probes(a):
-        """The 16 on- and 16 off-sphere probes of each orbit of a."""
+        """The 16 on- and 16 off-sphere probes of each orbit of a, as
+        Quaternion lists."""
         spectrum = sphere_spectrum(multiplication_form(a, STANDARD_FRAME))
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
-        return [
-            on_sphere_probes(orbit) + off_sphere_probes(orbit, spectrum, margin)
-            for orbit in spectrum.orbits
-        ]
+        probes = sphere_probes(spectrum, margin).reshape(-1, 32, 4)
+        return [[Quaternion(*row) for row in orbit] for orbit in probes]
 
 
 class TestDeltaOracleCertificate:
@@ -581,9 +591,9 @@ class TestDeltaOracleCertificate:
         z = a.to_complex_adjoint()
         want = _oracle_exact_verdicts(a, probes, 1e-7)
         lams = np.array([complex(q.re, q.im_norm()) for q in probes])
-        got = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
-        assert None in got
-        assert all(g is None or g == w for g, w in zip(got, want))
+        is_in, decided = spectral._certificate(z, z.conj().T, float(np.linalg.norm(z)), lams, t)
+        assert not decided.all()
+        assert all(i == w for i, w, d in zip(is_in, want, decided) if d)
         assert delta_oracle(a, probes, 1e-7) == want
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-13, 1e-16])
@@ -595,6 +605,14 @@ class TestDeltaOracleCertificate:
         assert delta_oracle(a, probes, tol) == want
         if tol == 1e-7:
             assert factored[0] == 1
+
+
+def _half_plane_distance(probes, points):
+    """Distance in the (re, |im|) half plane from each probe row to the
+    nearest of points."""
+    im_norm = np.linalg.norm(probes[:, 1:], axis=1)
+    dist = np.hypot(probes[:, 0, None] - points[:, 0], im_norm[:, None] - points[:, 1])
+    return dist.min(axis=1)
 
 
 def _exact_verdicts(a, probes, tol):
