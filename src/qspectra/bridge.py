@@ -16,7 +16,13 @@ which is forced by the iota contract: iota(x) = (x1; conj(x2)) means the
 lifted vector must have slice parts x1 = u and x2 = conj(v), and then
 iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
 
-The eigenvectors come from one eig of chi(A) and one QR (spectral_decompose).
+The eigenvectors come from one Hermitian eigensolve (spectral_decompose):
+eigh of C = H + _BETA K, H = (Z + Z*)/2 and K = (Z - Z*)/(2i), for
+Z = chi(A) (Goldstine & Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers &
+Mehrmann, SIMAX 14, 1993). A normal Z shares its eigenvectors with C, whose
+eigenvalue for lambda is re lambda + _BETA im lambda, so only eigenvalues
+that collide in C come out mixed; they show as couplings in Q*ZQ, and each
+coupled block is re-diagonalized alone by eig and a QR in Schur order.
 LAPACK's eig returns eigenvectors V = Q X in Schur order, with Q the Schur
 vectors and X upper triangular, and the Schur form of a normal matrix is
 diagonal whatever the eigenvalue gaps, so a QR that meets each repeated
@@ -37,6 +43,7 @@ read a quaternion matrix back (iota_inv) only to return one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +59,10 @@ from .quaternion import Quaternion, SliceFrame
 from .report import Check, check_from, require
 
 DECOMP_RESIDUAL_TOL = 1e-9
+# C = H + _BETA K, with H = (Z + Z*)/2 and K = (Z - Z*)/(2i), takes each
+# eigenvalue lambda of a normal Z to re lambda + _BETA im lambda; an
+# irrational weight keeps the distinct ones apart but for measure-zero inputs.
+_BETA = 0.7549
 
 
 class CMatrix:
@@ -107,18 +118,22 @@ class CMatrix:
 
 @dataclass
 class SpectralDecomposition:
-    """Unitary V and standard eigenvalues d in C_m+ (an (n, 4) array, values)
-    with A V_k = V_k d_k, the chi images z = chi(A), w = chi(V) and rec =
-    chi(V D V*), and the checks ||AV - VD||_F (decompose.eigen_residual) and
-    ||V*V - I||_F (decompose.unitary) measured on them."""
+    """Standard eigenvalues d in C_m+ (an (n, 4) array, values) with
+    A V_k = V_k d_k for a unitary V, the chi images z = chi(A), w = chi(V) and
+    rec = chi(V D V*), and the checks ||AV - VD||_F (decompose.eigen_residual)
+    and ||V*V - I||_F (decompose.unitary) measured on them. V itself is read
+    back off w when first asked for."""
 
-    V: QMatrix
     values: np.ndarray
     frame: SliceFrame
     checks: list[Check]
     z: np.ndarray
     w: np.ndarray
     rec: np.ndarray
+
+    @cached_property
+    def V(self) -> QMatrix:
+        return QMatrix(iota_inv(self.w[:, : len(self.values)], self.frame))
 
     @property
     def d(self) -> list[Quaternion]:
@@ -184,27 +199,72 @@ def _j_pairs(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def hermitian_eigvecs(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
+    """Eigenvectors of C = H + _BETA K from one eigh, given Z and Z*; for a
+    normal Z they are Z's, but for eigenvalues that collide in C, whose
+    eigenvectors come out mixed. Raises LinAlgError when eigh fails."""
+    c = 0.5 * (1.0 - 1j * _BETA)  # C = c Z + conj(c) Z*
+    return np.linalg.eigh(c * z + c.conjugate() * zh)[1]
+
+
+def _blocks(t: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Index arrays of the connected components of two or more of the graph
+    with an edge wherever |T_ij| > tol, i != j."""
+    edge = np.abs(t) > tol
+    np.fill_diagonal(edge, False)
+    edge |= edge.T
+    blocks, seen = [], np.zeros(len(t), dtype=bool)
+    for k in np.flatnonzero(edge.any(axis=1)):
+        if seen[k]:
+            continue
+        block = edge[k].copy()
+        block[k] = True
+        while not np.array_equal(grown := block | edge[block].any(axis=0), block):
+            block = grown
+        seen |= block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     """Diagonalize a normal quaternion matrix: A V_k = V_k d_k, d_k in C_m+.
 
-    One eig of chi(A), whose spectrum is closed under slice conjugation, and
-    one QR of its eigenvectors: each of the m above the real axis followed
-    by its J image (chi(A) commutes with J, so that is an eigenvector at the
-    conjugate), then those on the axis. The even columns 2k < 2m of Q are
-    the upper lines; J-pair deflation picks the lines in the last 2n - 2m,
-    which span the J-invariant on-axis eigenspaces. The eigenvalues are the
-    kept columns' Rayleigh quotients, real parts alone on the axis.
+    One eigh of C = H + _BETA K for Z = chi(A) (hermitian_eigvecs) gives a
+    unitary Q; the couplings of T = Q*ZQ above 8 N eps ||Z||_F, N = 2n, join
+    columns into blocks, and each block of T is re-diagonalized alone by eig
+    and a QR in Schur order (module docstring). The spectrum of Z is closed
+    under slice conjugation, and one QR orders the eigenvectors: each of the
+    m above the real axis followed by its J image (Z commutes with J, so
+    that is an eigenvector at the conjugate), then those on the axis. The
+    even columns 2k < 2m of the QR are the upper lines; J-pair deflation
+    picks the lines in the last 2n - 2m, which span the J-invariant on-axis
+    eigenspaces. The eigenvalues are the kept columns' Rayleigh quotients,
+    real parts alone on the axis.
 
-    Axis band 3 N eps ||chi(A)||_F, N = 2n: eig is backward stable for the
-    shifted chi(A) + 2 ||chi(A)||_F I, with an error of N u ||shifted||_2
-    <= 3 N u ||chi(A)||_F (u = eps / 2); forming the shift adds 3 u
-    ||chi(A)||_F; and by Bauer-Fike no eigenvalue of a normal matrix moves
-    further, so a real one's imaginary part stays within
-    3 (N + 1) u ||chi(A)||_F, below the band. The k-th largest and k-th
-    smallest imaginary parts are decided as one conjugate pair, off the axis
-    when half their difference exceeds the band, so the split is m, m and
-    2n - 2m however near the band a value lies. Normality, the residual and
-    the unitarity of V are checked on chi(A) and W = chi(V) (module
+    Axis band 3 N eps ||Z||_F. The imaginary parts placed against it are
+    the Rayleigh quotients mu_k = q_k* Z q_k of the columns outside every
+    block, and eig's eigenvalues on a block. With q_k = sum_j c_j e_j over
+    orthonormal eigenvectors of Z, Im mu_k = sum_j |c_j|^2 Im lambda_j, so
+    a column at a real lambda_i leaves the axis only by what it mixes in:
+    |Im mu_k| <= sum_{j != i} |c_j| |c_j (lambda_j - lambda_i)|, where each
+    |c_j (lambda_j - lambda_i)| is a coupling of T up to the rounding of
+    forming T, below the block threshold tau = 8 N eps ||Z||_F outside every
+    block. eigh's backward error, of order N eps ||C||, keeps each |c_j| at
+    that over the gap in C, so an eigenvalue apart from the others in C
+    stays far inside the band, and a large |c_j| below tau needs
+    |lambda_j - lambda_i| < tau / |c_j|: a cluster on the axis. Eigenvalues
+    that collide in C but not in Z couple above tau, and eig on their block
+    is backward stable for the block shifted by 2 ||Z||_F, with an error
+    below 3 N u ||Z||_F (u = eps / 2), the band the whole matrix has under
+    eig (Bauer-Fike). The k-th largest and k-th smallest imaginary parts
+    are decided as one conjugate pair, off the axis when half their
+    difference exceeds the band, and the cut moves down past each pair
+    whose difference is within a band of the next pair's, so it never
+    parts a cluster of pairs whose imaginary parts straddle the band; the
+    split is m, m and 2n - 2m however near the band values lie. A pair put
+    on the axis costs the residual its imaginary part, at most (k + 2)
+    bands after k such moves, far below DECOMP_RESIDUAL_TOL. Normality, the
+    residual and the unitarity of V are checked on Z and W = chi(V) (module
     docstring).
     """
     a.check_finite()
@@ -212,17 +272,28 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     z = chi(a, frame)
     require(qa.normality(z, np.sqrt(2.0)), NotNormalError)
     fro = qa.fro(z)
+    eps = np.finfo(float).eps
 
-    # eig floors each vanishing eigenvalue difference at max(ulp * |lambda|,
-    # underflow), so an eigenvalue repeated at 0 gives nearly parallel vectors
-    # that QR cannot separate; the shift keeps every |lambda + c| >= ||z||_F
-    # and changes no eigenvector nor any imaginary part.
-    mu, x = np.linalg.eig(z + (2.0 * fro) * np.eye(2 * n))
-    band = 3.0 * (2 * n) * np.finfo(float).eps * fro
-    # the k-th largest and k-th smallest imaginary parts, k < n, as one pair
-    rank = np.argsort(-mu.imag, kind="stable")
-    im = mu.imag[rank]
-    m = int(np.count_nonzero(im[:n] - im[::-1][:n] > 2.0 * band))
+    x = hermitian_eigvecs(z, np.conj(z.T))
+    t = np.conj(x.T) @ z @ x
+    im = np.diagonal(t).imag.copy()
+    for b in _blocks(t, 8.0 * (2 * n) * eps * fro):
+        # eig floors each vanishing eigenvalue difference at max(ulp *
+        # |lambda|, underflow), so an eigenvalue repeated at 0 gives nearly
+        # parallel vectors that QR cannot separate; the shift keeps every
+        # |lambda + c| >= ||Z||_F and changes no eigenvector nor any
+        # imaginary part.
+        mu, y = np.linalg.eig(t[np.ix_(b, b)] + (2.0 * fro) * np.eye(len(b)))
+        im[b] = mu.imag
+        x[:, b] = x[:, b] @ np.linalg.qr(y)[0]
+    band = 3.0 * (2 * n) * eps * fro
+    # the k-th largest and k-th smallest imaginary parts, k < n, as one pair,
+    # and no cut within a band of the next pair's width
+    rank = np.argsort(-im, kind="stable")
+    width = im[rank[:n]] - im[rank[::-1][:n]]
+    m = int(np.count_nonzero(width > 2.0 * band))
+    while 0 < m < n and width[m - 1] - width[m] <= band:
+        m -= 1
     upper, axis = np.sort(rank[:m]), np.sort(rank[m : 2 * n - m])
     lines = np.stack([x[:, upper], _j(x[:, upper])], axis=2).reshape(2 * n, 2 * m)
     q, _ = np.linalg.qr(np.concatenate([lines, x[:, axis]], axis=1))
@@ -245,5 +316,4 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     )
     checks = [require(residual, EigenResidualError), require(unitary, EigenResidualError)]
     rec = (w * diag) @ np.conj(w.T)
-    values = qa.cm_values(lam, frame)
-    return SpectralDecomposition(QMatrix(iota_inv(cols, frame)), values, frame, checks, z, w, rec)
+    return SpectralDecomposition(qa.cm_values(lam, frame), frame, checks, z, w, rec)

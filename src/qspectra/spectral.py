@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import SpectralDecomposition, eigvals_normal, iota_inv, spectral_decompose
+from .bridge import (
+    SpectralDecomposition,
+    eigvals_normal,
+    hermitian_eigvecs,
+    iota_inv,
+    spectral_decompose,
+)
 from .errors import CrossCheckError, PreconditionError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
@@ -38,9 +44,9 @@ class MultiplicationForm:
     """A = U* M_phi U with unitary U onto an atomic L2 space, the
     decomposition it was read from, ||A||, and the checks it passed:
     ||A - U* M_phi U||_F (decompose.reconstruction), | ||A|| - ess sup |phi| |
-    (decompose.norm_identity) and the decomposition's decompose.unitary."""
+    (decompose.norm_identity) and the decomposition's decompose.unitary.
+    U = V*, built from the decomposition when first asked for."""
 
-    U: QMatrix
     space: AtomicMeasureSpace
     phi: Symbol
     frame: SliceFrame
@@ -53,9 +59,13 @@ class MultiplicationForm:
         """max(||AV - VD||_F, ||A - U* M_phi U||_F)."""
         return max(self.decomposition.checks[0].residual, self.checks[0].residual)
 
+    @property
+    def U(self) -> QMatrix:
+        return self.decomposition.V.H
+
     def reconstruct(self) -> QMatrix:
         """U* M_phi U = V D V*, read back off the decomposition's chi image."""
-        return QMatrix(iota_inv(self.decomposition.rec[:, : self.U.n], self.frame))
+        return QMatrix(iota_inv(self.decomposition.rec[:, : self.space.n_atoms], self.frame))
 
 
 @dataclass
@@ -113,7 +123,7 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
         FORM_RESIDUAL_TOL * max(op_norm, 1.0),
     )
     checks = [reconstruction, require(norm_identity, CrossCheckError), dec.checks[1]]
-    return MultiplicationForm(dec.V.H, space, phi, frame, dec, op_norm, checks)
+    return MultiplicationForm(space, phi, frame, dec, op_norm, checks)
 
 
 def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
@@ -170,10 +180,6 @@ def _gram_norm(gram: np.ndarray) -> float:
 # t / _ROUNDING_FACTOR on its side of t, is the exact route's verdict. Every
 # other probe takes the exact route.
 _ROUNDING_FACTOR = 8.0
-# The eigen-certificate of delta_oracle factors C = H + _BETA K, with
-# H = (Z + Z*)/2 and K = (Z - Z*)/(2i); an irrational weight keeps the
-# distinct eigenvalues of a normal Z apart in C but for measure-zero inputs.
-_BETA = 0.7549
 # The certificate's basis per live QMatrix: Q, delta and the residual ||rho||
 # measured when it was factored; see "Reuse" in delta_oracle.
 _BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -186,13 +192,15 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
     places them; the API also takes a list of Quaternions, converted once.
     In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2, with
     ||A|| as oracle_scale takes it; tol must be finite and >= 0, and every
-    probe and its |q|^2 finite. This route never calls the bridge's
-    eigensolver: its only eigendecompositions are its own `eigvalsh` of Z*Z
-    for ||A|| and `eigh` of a Hermitian matrix for the certificate (below),
-    which is checked from measured residuals, and a check that fails only
-    leaves probes undecided. So it is an independent check of the spectrum
-    read off the multiplication form, and no factorization can flip one of
-    its verdicts.
+    probe and its |q|^2 finite. This route never reads the multiplication
+    form's factorization: its only eigendecompositions are its own
+    `eigvalsh` of Z*Z for ||A|| and, for the certificate (below), the
+    Hermitian eigensolve that spectral_decompose also makes
+    (bridge.hermitian_eigvecs), here of the standard complex adjoint Z of A
+    rather than of chi(A) in frame m. The certificate is checked from
+    measured residuals, and a check that fails only leaves probes
+    undecided. So it is an independent check of the spectrum read off the
+    multiplication form, and no factorization can flip one of its verdicts.
 
     With Z the complex adjoint of A and lam = re q + i |im q|,
     Delta_q = (Z - lam)(Z - conj lam), and Z - conj lam = J conj(Z - lam) J^-1
@@ -215,8 +223,8 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
 
     Certificate (after Rump, "Verification methods", Acta Numerica 19,
     2010). Q holds the eigenvectors from `eigh` of C = H + _BETA K (see
-    _BETA); for normal Z with no two eigenvalues colliding in C they nearly
-    diagonalize Z, but nothing below assumes it. With d_k = q_k* Z q_k,
+    bridge._BETA); for normal Z with no two eigenvalues colliding in C they
+    nearly diagonalize Z, but nothing below assumes it. With d_k = q_k* Z q_k,
     the Rayleigh numerators, R = ZQ - Q diag(d) and every norm measured:
         delta >= ||Q*Q - I||, rho_k >= ||r_k||, ||R|| <= ||rho||,
     each the computed Frobenius norm plus the rounding of the products it
@@ -326,15 +334,15 @@ def _certificate(z, zh, fro, lams, t, a=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _basis(z, zh) -> tuple[np.ndarray, float] | None:
-    """The certificate's basis: Q, read-only, from `eigh` of C and
-    delta >= ||Q*Q - I||; None when `eigh` fails or delta >= 1/2."""
+    """The certificate's basis: Q, read-only, from `eigh` of C
+    (bridge.hermitian_eigvecs) and delta >= ||Q*Q - I||; None when `eigh`
+    fails or delta >= 1/2."""
     eps = np.finfo(np.float64).eps
     size = z.shape[0]
     g = (size + 2) * eps
     grow = 1.0 + (size * size + 8) * eps
-    c = 0.5 * (1.0 - 1j * _BETA)  # C = c Z + conj(c) Z*
     try:
-        q = np.linalg.eigh(c * z + c.conjugate() * zh)[1]
+        q = hermitian_eigvecs(z, zh)
     except np.linalg.LinAlgError:
         return None
     gq = q.conj().T @ q

@@ -5,6 +5,7 @@ from qspectra import I, J, K, ONE, QMatrix, Quaternion, STANDARD_FRAME, inner, n
 from qspectra import generate as gen
 from qspectra import qarray as qa
 from qspectra.bridge import (
+    _BETA,
     DECOMP_RESIDUAL_TOL,
     CMatrix,
     chi,
@@ -21,7 +22,8 @@ from qspectra.errors import (
     SliceMembershipError,
 )
 from qspectra.quaternion import cm_to_complex
-from qspectra.spectral import _multiset_deviation
+from qspectra.slices import build_J
+from qspectra.spectral import _multiset_deviation, slice_spectrum_check
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose, count_calls, random_complex_normal
@@ -373,9 +375,54 @@ class TestOnePass:
                 assert dec.checks[0].residual <= DECOMP_RESIDUAL_TOL * a.frobenius()
 
     @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
-    def test_one_eig_and_one_qr(self, kind, rng, monkeypatch):
+    def test_one_eigh_and_one_qr(self, kind, rng, monkeypatch):
+        # no two eigenvalues collide in C = H + 0.7549 K, so no block needs eig
         a = gen.random_normal(rng, 8, STANDARD_FRAME, kind=kind)
         names = ("eig", "eigvals", "eigh", "qr", "svd")
         calls = [count_calls(monkeypatch, name) for name in names]
         spectral_decompose(a, STANDARD_FRAME)
-        assert [c[0] for c in calls] == [1, 0, 0, 1, 0]
+        assert [c[0] for c in calls] == [0, 0, 1, 1, 0]
+
+
+class TestBlockPass:
+    """eigh of C = H + 0.7549 K mixes the eigenvectors of eigenvalues that
+    share re + 0.7549 im; eig runs on each coupled block of Q*ZQ alone, none
+    runs where nothing couples, and every check passes at its bound."""
+
+    @staticmethod
+    def _check(rng, vals, monkeypatch):
+        a, f = _drawn(rng, vals)
+        eig = count_calls(monkeypatch, "eig")
+        dec = spectral_decompose(a, f)
+        calls = eig[0]
+        assert all(c.passed for c in dec.checks)
+        assert slice_spectrum_check(a, build_J(dec)).passed
+        got = np.array([complex(q.re, q.im_norm()) for q in dec.d])
+        assert _multiset_deviation(got, vals) <= 1e-10 * a.frobenius()
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_colliding_pairs_one_eig_per_block(self, n, monkeypatch):
+        # x + i y and x + _BETA (y - y2) + i y2 collide in C, their
+        # conjugates x - _BETA y and x + _BETA (y - 2 y2) do not
+        rng = np.random.default_rng(n)
+        x, y, y2 = rng.uniform(-1.0, 1.0, n // 2), *rng.uniform(0.1, 1.0, (2, n // 2))
+        vals = np.concatenate([x + 1j * y, x + _BETA * (y - y2) + 1j * y2])
+        assert self._check(rng, vals, monkeypatch) == n // 2
+
+    @pytest.mark.parametrize("bands", [0.5, 1.0, 2.0, 4.0])
+    def test_near_axis_pairs(self, bands, monkeypatch):
+        # a quarter of the eigenvalues lifted off the real axis by the same
+        # multiple of the axis band 3 N eps ||chi(A)||_F: their imaginary
+        # parts straddle the band, and no pair is cut from its cluster
+        n = 32
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(-1.0, 1.0, n) + 0j
+        band = 3.0 * (2 * n) * np.finfo(float).eps * np.sqrt(2.0) * np.linalg.norm(vals)
+        vals[: n // 4] += 1j * bands * band
+        self._check(rng, vals, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_real_class_makes_no_eig_call(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        assert self._check(rng, rng.uniform(-1.0, 1.0, n) + 0j, monkeypatch) == 0

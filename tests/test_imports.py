@@ -23,6 +23,7 @@ KEEP_UNREAD = {
     "iota",
     "l2_inner",
     "representative",
+    "U",
 }
 
 

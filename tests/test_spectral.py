@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen, spectral
-from qspectra.bridge import spectral_decompose
+from qspectra.bridge import _BETA, spectral_decompose
 from qspectra.errors import NotNormalError, PreconditionError, SymbolZeroError
 from qspectra.measure import MERGE_TOL, AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from qspectra.operators import delta
@@ -383,11 +383,11 @@ class TestDeltaOracle:
         # undecided (test_colliding_eigenvalues_leave_probes_undecided), each
         # also turned to a second imaginary direction: one exact SVD per
         # distinct (re q, |q|^2) of the undecided probes decides them
-        values = [I, Quaternion(spectral._BETA), Quaternion(-2.0)]
+        values = [I, Quaternion(_BETA), Quaternion(-2.0)]
         v = gen.random_unitary(np.random.default_rng(5), len(values))
         a = v @ QMatrix.diag(values) @ v.H
         z = a.to_complex_adjoint()
-        c = 0.5 * (1.0 - 1j * spectral._BETA)
+        c = 0.5 * (1.0 - 1j * _BETA)
         vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
         d = [x for x in np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs) if x.imag >= 0.0]
         probes = [Quaternion(x.real, x.imag) for x in d] + [Quaternion(x.real, 0, x.imag) for x in d]
@@ -542,7 +542,7 @@ class TestDeltaOracleCertificate:
         _BETA in C = H + _BETA K, so eigh mixes their eigenvectors. Probes are
         bisected next to each value, and at the diagonal of Q*ZQ, where only
         the residuals of the mixed columns keep the in bound from holding."""
-        values = [scale * I, Quaternion(scale * spectral._BETA), Quaternion(-2.0 * scale)]
+        values = [scale * I, Quaternion(scale * _BETA), Quaternion(-2.0 * scale)]
         v = gen.random_unitary(np.random.default_rng(5), len(values))
         a = v @ QMatrix.diag(values) @ v.H
         t = tol * oracle_scale(a)
@@ -553,7 +553,7 @@ class TestDeltaOracleCertificate:
             for ratio in cls.RATIOS
         ]
         z = a.to_complex_adjoint()
-        c = 0.5 * (1.0 - 1j * spectral._BETA)
+        c = 0.5 * (1.0 - 1j * _BETA)
         vecs = np.linalg.eigh(c * z + c.conjugate() * z.conj().T)[1]
         d = np.einsum("ik,ij,jk->k", vecs.conj(), z, vecs)
         probes += [Quaternion(x.real, x.imag) for x in d if x.imag >= 0.0]
@@ -762,6 +762,20 @@ class TestFormAcrossSpectra:
         form = multiplication_form(a, f)
         s = build_J(form.decomposition)
         assert slice_spectrum_check(a, s, spectrum=sphere_spectrum(form)).passed
+
+    @pytest.mark.parametrize(
+        "kind, low, decades, tilt, distinct, close",
+        [(kind, -3, 6.0, 0.0, 128, False) for kind in gen.MATRIX_CLASSES]
+        + [("normal", 0, 3.0, 0.0, 64, True), ("real", 0, 3.0, 1e-12, 128, False)],
+        ids=[*gen.MATRIX_CLASSES, "close-pairs", "near-axis"],
+    )
+    def test_n128(self, kind, low, decades, tilt, distinct, close):
+        # the body above at n = 128, seeded: one input per matrix class with
+        # moduli over 6 decades, 64 values each repeated 1e-9 ||A|| apart,
+        # and real values all lifted off the axis by up to 1e-12 ||A||
+        self.test_form_and_slice_spectrum.hypothesis.inner_test(
+            self, 128, kind, low, decades, tilt, distinct, close, seed=128
+        )
 
 
 class TestSliceSpectrumIdentity:
