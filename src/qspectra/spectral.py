@@ -23,7 +23,7 @@ from .bridge import (
     iota_inv,
     spectral_decompose,
 )
-from .errors import CrossCheckError, PreconditionError, SymbolZeroError
+from .errors import CrossCheckError, PreconditionError, ShapeError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
 from .quaternion import SliceFrame
@@ -83,10 +83,20 @@ class SphereSpectrum:
         |re q - re| <= tol and | |im q| - |im| | <= tol."""
         if tol < 0.0:
             raise ValueError("tolerance must be >= 0")
-        re, im_norm = _re_im_norm(probes)
+        re, im_norm = _re_im_norm(_probe_rows(probes))
         near_re = np.abs(re[:, None] - self.points[:, 0]) <= tol
         near_im = np.abs(im_norm[:, None] - self.points[:, 1]) <= tol
         return (near_re & near_im).any(axis=1)
+
+
+def _probe_rows(probes: np.ndarray | list) -> np.ndarray:
+    """probes as a (M, 4) array of quaternions (w, x, y, z); a list of
+    Quaternions is converted once. ShapeError for any other shape."""
+    if not isinstance(probes, np.ndarray):
+        probes = np.array([(q.w, q.x, q.y, q.z) for q in probes]).reshape(len(probes), 4)
+    if probes.ndim != 2 or probes.shape[1] != 4:
+        raise ShapeError(f"probes must be an (M, 4) array of quaternions, got shape {probes.shape}")
+    return probes
 
 
 def _re_im_norm(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,11 +154,54 @@ def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
 def oracle_scale(a: QMatrix) -> float:
     """Threshold scale for the Delta-kernel oracle: (1 + ||A||)^2.
 
-    ||A|| = sqrt(lambda_max(Z*Z)), Z the complex adjoint of A, from one
-    `eigvalsh` of the gram that delta_oracle also forms, so both see the
-    same threshold bit for bit."""
-    z = a.to_complex_adjoint()
-    return (1.0 + _gram_norm(_gram(z, z.conj().T))) ** 2
+    ||A|| = sqrt(lambda_max(Z*Z)), Z the complex adjoint of A, is read from
+    the record kept for a while its entries are bit-identical to the ones
+    it was measured on (_kept); otherwise one `eigvalsh` of Z*Z measures it
+    and a new record replaces the old. delta_oracle reads the same stored
+    float, so both see the same threshold bit for bit."""
+    kept = _kept(a)
+    if kept is None:
+        z = a.to_complex_adjoint()
+        kept = _keep(a, _gram(z, z.conj().T))
+    return (1.0 + kept.norm) ** 2
+
+
+@dataclass
+class _Record:
+    """What the oracle keeps per live QMatrix: a copy of the entries it
+    measured, ||A|| on them and, once the certificate has factored them, its
+    basis (Q, delta); see "Reuse" in delta_oracle."""
+
+    entries: np.ndarray
+    norm: float
+    basis: tuple[np.ndarray, float] | None = None
+
+
+_RECORDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept(a: QMatrix) -> _Record | None:
+    """The record kept for a if its entries are bit-identical to a's now --
+    the same shape and the same bit patterns, so 0.0 and -0.0 differ --
+    else None. Raises PreconditionError, before anything else, for a
+    non-finite entry."""
+    a.check_finite()
+    kept = _RECORDS.get(a)
+    if kept is not None and np.array_equal(_bits(kept.entries), _bits(a.a)):
+        return kept
+    return None
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _keep(a: QMatrix, gram: np.ndarray) -> _Record:
+    """A new record for a, with ||A|| from gram, the finite Z*Z of a's
+    entries now."""
+    kept = _Record(np.array(a.a, dtype=np.float64), _gram_norm(gram))
+    _RECORDS[a] = kept
+    return kept
 
 
 def _gram(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
@@ -180,9 +233,6 @@ def _gram_norm(gram: np.ndarray) -> float:
 # t / _ROUNDING_FACTOR on its side of t, is the exact route's verdict. Every
 # other probe takes the exact route.
 _ROUNDING_FACTOR = 8.0
-# The certificate's basis per live QMatrix: Q, delta and the residual ||rho||
-# measured when it was factored; see "Reuse" in delta_oracle.
-_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool]:
@@ -192,7 +242,10 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
     places them; the API also takes a list of Quaternions, converted once.
     In-spectrum iff sigma_min(delta(a, q)) <= t = tol * (1 + ||A||)^2, with
     ||A|| as oracle_scale takes it; tol must be finite and >= 0, and every
-    probe and its |q|^2 finite. This route never reads the multiplication
+    probe and its |q|^2 finite. Errors come in this order, all but the last
+    before any LAPACK call: tol, a non-finite entry, Z*Z overflow, probes
+    not of shape (M, 4) (ShapeError), a non-finite probe, |q|^2 overflow,
+    and (1 + ||A||)^2 overflow. This route never reads the multiplication
     form's factorization: its only eigendecompositions are its own
     `eigvalsh` of Z*Z for ||A|| and, for the certificate (below), the
     Hermitian eigensolve that spectral_decompose also makes
@@ -251,39 +304,39 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
     delta >= 1/2, which leave every probe to it. Under the gate,
     g ||Z||_F^2 < t / R, so the rounding terms cost the bounds little.
 
-    Reuse. delta depends on Q alone, so the first call on a matrix object
-    keeps Q, read-only, and delta for as long as the object lives (a failed
-    `eigh` or delta >= 1/2 is not kept), and later calls skip forming C, the
-    `eigh` and Q*Q. Every call still measures Z, Z*Z, ||A||, ||Z||_F, the
-    gate, W = ZQ, d, rho and e from the current entries. The bounds above
-    hold for any Q with ||Q*Q - I|| <= delta, so a kept Q that no longer
-    nearly diagonalizes Z (entries changed in place) only grows rho and
-    leaves probes undecided. When a probe is left undecided and ||rho|| has
-    grown since Q was factored, the call factors afresh once, keeps the new
-    basis and decides again. A kept basis of another size than Z is never
-    used. On an unchanged matrix the kept Q is the one `eigh` returned for
-    the same C, so every verdict and route is that of a fresh call.
+    Reuse. One record is kept per matrix object, weakly, for as long as it
+    lives: a copy of its entries, ||A|| and, from the first call whose
+    certificate factors them, Q, read-only, and delta (a failed `eigh` or
+    delta >= 1/2 is not kept). A call, or oracle_scale, uses the record only
+    while the entries are bit-identical to the copy: the same shape and the
+    same bit patterns, so 0.0 and -0.0 differ. It then skips Z*Z, its
+    `eigvalsh`, forming C, the `eigh` and Q*Q; otherwise it measures afresh
+    and replaces the record. Every call still measures Z, ||Z||_F, the gate,
+    W = ZQ, d, rho and e from the current entries. On bit-identical entries
+    the kept ||A|| and Q are the ones `eigvalsh` and `eigh` return for the
+    same Z*Z and C, so every threshold, verdict and route is that of a
+    fresh call.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
-    a.check_finite()
-    if not isinstance(probes, np.ndarray):
-        probes = np.array([(q.w, q.x, q.y, q.z) for q in probes])
-    probes = probes.reshape(len(probes), 4)
-    bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
-    if len(bad):
-        raise PreconditionError(f"probe {bad[0]} is not finite")
+    kept = _kept(a)
     z = qa.to_complex_adjoint(a.a)
     size = z.shape[0]
     zh = z.conj().T
-    gram = _gram(z, zh)
+    gram = _gram(z, zh) if kept is None else None
+    probes = _probe_rows(probes)
+    bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
+    if len(bad):
+        raise PreconditionError(f"probe {bad[0]} is not finite")
     with np.errstate(over="ignore"):  # |q|^2 may overflow, and the gate's F^2
         sq = probes * probes
         norm_sq = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]  # as Quaternion.norm_sq
         bad = np.flatnonzero(~np.isfinite(norm_sq))
         if len(bad):
             raise PreconditionError(f"probe {bad[0]} overflows: |q|^2 is not finite")
-        threshold = tol * (1.0 + _gram_norm(gram)) ** 2
+        if kept is None:
+            kept = _keep(a, gram)
+        threshold = tol * (1.0 + kept.norm) ** 2
         fro = float(np.linalg.norm(z))
         rounding = _ROUNDING_FACTOR * (size + 2) * np.finfo(np.float64).eps
         re, im_norm = _re_im_norm(probes)
@@ -294,7 +347,7 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
     verdict = np.zeros(len(probes), dtype=bool)
     decided = gated.copy()
     if gated.any():
-        verdict[gated], decided[gated] = _certificate(z, zh, fro, lams[gated], threshold, a)
+        verdict[gated], decided[gated] = _certificate(z, zh, fro, lams[gated], threshold, kept)
     exact: dict[tuple[str, str], bool] = {}
     undecided = np.flatnonzero(~decided)
     if len(undecided):
@@ -308,29 +361,21 @@ def delta_oracle(a: QMatrix, probes: np.ndarray | list, tol: float) -> list[bool
     return verdict.tolist()
 
 
-def _certificate(z, zh, fro, lams, t, a=None) -> tuple[np.ndarray, np.ndarray]:
+def _certificate(z, zh, fro, lams, t, kept=None) -> tuple[np.ndarray, np.ndarray]:
     """The certificate verdicts of delta_oracle for the probes lams (a
     complex array), as two bool arrays: in, and decided (in or out).
 
-    With a, on the basis kept for a, unless it has another size than Z or
-    leaves a probe undecided with a larger residual ||rho|| than it had when
-    factored (entries changed since); a fresh basis then replaces it. On an
-    unchanged matrix the residual repeats bit for bit, so undecided probes
-    there cost no second `eigh`."""
-    kept = None if a is None else _BASES.get(a)
-    if kept is not None and kept[0].shape[0] == z.shape[0]:
-        q, delta, factored = kept
-        is_in, decided, residual = _decide(z, fro, lams, t, q, delta)
-        if decided.all() or residual <= factored:
-            return is_in, decided
-    basis = _basis(z, zh)
+    With a record kept, on its basis, factored and stored there by the
+    first call that needs it; without, on a fresh basis."""
+    basis = None if kept is None else kept.basis
     if basis is None:
-        none = np.zeros(len(lams), dtype=bool)
-        return none, none
-    is_in, decided, residual = _decide(z, fro, lams, t, *basis)
-    if a is not None:
-        _BASES[a] = (*basis, residual)
-    return is_in, decided
+        basis = _basis(z, zh)
+        if basis is None:
+            none = np.zeros(len(lams), dtype=bool)
+            return none, none
+        if kept is not None:
+            kept.basis = basis
+    return _decide(z, fro, lams, t, *basis)
 
 
 def _basis(z, zh) -> tuple[np.ndarray, float] | None:
@@ -355,10 +400,9 @@ def _basis(z, zh) -> tuple[np.ndarray, float] | None:
     return q, delta
 
 
-def _decide(z, fro, lams, t, q, delta) -> tuple[np.ndarray, np.ndarray, float]:
+def _decide(z, fro, lams, t, q, delta) -> tuple[np.ndarray, np.ndarray]:
     """The certificate's verdicts on basis (Q, delta) from the current Z, as
-    _certificate returns them, and the residual ||rho|| they were decided
-    with."""
+    _certificate returns them."""
     eps = np.finfo(np.float64).eps
     size = z.shape[0]
     g = (size + 2) * eps
@@ -381,7 +425,7 @@ def _decide(z, fro, lams, t, q, delta) -> tuple[np.ndarray, np.ndarray, float]:
     rows = np.arange(len(lams))
     bound = grow * (prod[rows, k] + (up[rows, k] + fro + mod) * rho[k] / math.sqrt(1.0 - delta))
     is_in = bound <= (1.0 - r) * t
-    return is_in, is_in | is_out, residual
+    return is_in, is_in | is_out
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

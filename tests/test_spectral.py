@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen, spectral
 from qspectra.bridge import _BETA, spectral_decompose
-from qspectra.errors import NotNormalError, PreconditionError, SymbolZeroError
+from qspectra.errors import NotNormalError, PreconditionError, ShapeError, SymbolZeroError
 from qspectra.measure import MERGE_TOL, AtomicMeasureSpace, Symbol, ess_ran, ess_sup
 from qspectra.operators import delta
 from qspectra.quaternion import orbit_of
 from qspectra.slices import build_J
 from qspectra.spectral import (
     ORBIT_DEDUP_TOL,
+    SphereSpectrum,
     classify,
     conjugate_equivalence,
     delta_oracle,
@@ -239,6 +240,20 @@ class TestDeltaOracle:
         _forbid_lapack(monkeypatch)
         with pytest.raises(PreconditionError, match=r"entry \(1, 2\) is not finite"):
             delta_oracle(QMatrix(a), [I, J], 1e-7)
+        with pytest.raises(PreconditionError, match=r"entry \(1, 2\) is not finite"):
+            oracle_scale(QMatrix(a))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 4), (2, 2, 2), (0,)])
+    def test_probe_shape_named(self, shape, rng, monkeypatch):
+        # a (2, 2, 2) array holds eight components but no (M, 4) rows
+        a = gen.random_normal(rng, 3, STANDARD_FRAME)
+        probes = np.ones(shape)
+        spectrum = SphereSpectrum(np.array([[0.0, 1.0]]), 1.0)
+        _forbid_lapack(monkeypatch)
+        with pytest.raises(ShapeError, match=r"\(M, 4\) array"):
+            delta_oracle(a, probes, 1e-7)
+        with pytest.raises(ShapeError, match=r"\(M, 4\) array"):
+            spectrum.contains(probes, 1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probe_named(self, bad, rng, monkeypatch):
@@ -430,9 +445,10 @@ class TestDeltaOracle:
     def test_orbit_calls_take_the_certificate_alone(self, kind, n, scale, gap, monkeypatch):
         # every orbit call of 16 on- and 16 off-sphere probes, as criterion 3,
         # selftest and the oracle_probes benchmark make them, is decided by
-        # the certificate: one eigvalsh for ||A|| and no SVD, and one eigh on
-        # the first call on the matrix, whose basis every later call reuses;
-        # so is a first call of one orbit's 16 on-sphere probes alone
+        # the certificate: no eigvalsh, since every call reads the ||A|| that
+        # oracle_scale kept, no SVD, and one eigh on the first call on the
+        # matrix, whose basis every later call reuses; so is a first call of
+        # one orbit's 16 on-sphere probes alone
         rng = np.random.default_rng(17)
         d = gen.random_standard_values(rng, n, STANDARD_FRAME, kind)
         if gap is not None:
@@ -447,7 +463,7 @@ class TestDeltaOracle:
             for c in counts:
                 c[0] = 0
             assert delta_oracle(a, probes, 1e-7) == [True] * 16 + [False] * 16
-            assert [c[0] for c in counts] == [int(k == 0), 1, 0]
+            assert [c[0] for c in counts] == [int(k == 0), 0, 0]
         for c in counts:
             c[0] = 0
         fresh = QMatrix(a.a.copy())  # no kept basis
@@ -478,30 +494,71 @@ class TestDeltaOracle:
         rng = np.random.default_rng(23)
         a = gen.random_normal(rng, 8, STANDARD_FRAME)
         delta_oracle(a, self._orbit_probes(a)[0], 1e-7)
-        # entries overwritten in place: the kept Q leaves the new orbits'
-        # probes undecided, so the first call factors afresh, and every call
-        # decides its probes without an SVD
+        # entries overwritten in place: they differ from the kept copy, so
+        # the first call measures and factors afresh, and every call decides
+        # its probes without an SVD
         a.a[...] = gen.random_normal(rng, 8, STANDARD_FRAME).a
-        calls = [(p, _oracle_exact_verdicts(a, p, 1e-7)) for p in self._orbit_probes(a)]
-        counts = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
+        fresh = QMatrix(a.a.copy())  # so that the counted calls on a measure
+        calls = [(p, _oracle_exact_verdicts(fresh, p, 1e-7)) for p in self._orbit_probes(fresh)]
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
         for probes, want in calls:
             assert delta_oracle(a, probes, 1e-7) == want
-        assert [c[0] for c in counts] == [1, 0]
-        # a.a reassigned to another size: the kept basis is not used
+        assert [c[0] for c in counts] == [1, 1, 0]
+        # a.a reassigned to another size: the kept record is not used
         a.a = gen.random_normal(rng, 12, STANDARD_FRAME).a
-        probes = self._orbit_probes(a)[0]
-        want = _oracle_exact_verdicts(a, probes, 1e-7)
-        counts = [count_calls(monkeypatch, name) for name in ("eigh", "svd")]
+        fresh = QMatrix(a.a.copy())
+        probes = self._orbit_probes(fresh)[0]
+        want = _oracle_exact_verdicts(fresh, probes, 1e-7)
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
         assert delta_oracle(a, probes, 1e-7) == want
-        assert [c[0] for c in counts] == [1, 0]
+        assert [c[0] for c in counts] == [1, 1, 0]
+
+    def test_one_eigvalsh_and_one_eigh_per_matrix(self, monkeypatch):
+        # a fresh matrix, through oracle_scale and every orbit call, as
+        # criterion 3 and selftest make them: ||A|| measured once, factored
+        # once
+        rng = np.random.default_rng(29)
+        a = gen.random_normal(rng, 16, STANDARD_FRAME)
+        orbits = self._orbit_probes(QMatrix(a.a.copy()))
+        counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh", "svd")]
+        oracle_scale(a)
+        for probes in orbits:
+            delta_oracle(a, probes, 1e-7)
+        assert [c[0] for c in counts] == [1, 1, 0]
+
+    def test_entries_changed_to_other_bits_are_measured_afresh(self, monkeypatch):
+        # A block-diagonal normal matrix has exact zeros. Flipping one to
+        # -0.0 in place, or reassigning a.a to an array with other bits,
+        # measures and factors once more; reassigning it to a bit-identical
+        # copy does not. Every call gives a fresh copy's threshold and
+        # verdicts.
+        rng = np.random.default_rng(31)
+        entries = np.zeros((8, 8, 4))
+        entries[:4, :4] = gen.random_normal(rng, 4, STANDARD_FRAME).a
+        entries[4:, 4:] = gen.random_normal(rng, 4, STANDARD_FRAME).a
+        a = QMatrix(entries.copy())
+        probes = [q for orbit in self._orbit_probes(QMatrix(entries.copy())) for q in orbit]
+        delta_oracle(a, probes, 1e-7)
+        for change, refactors in [
+            (lambda: a.a.__setitem__((0, 7, 2), -0.0), True),
+            (lambda: setattr(a, "a", a.a.copy()), False),
+            (lambda: setattr(a, "a", entries.copy()), True),
+        ]:
+            change()
+            fresh = QMatrix(a.a.copy())
+            want = (oracle_scale(fresh), delta_oracle(fresh, probes, 1e-7))
+            counts = [count_calls(monkeypatch, name) for name in ("eigh", "eigvalsh")]
+            assert (oracle_scale(a), delta_oracle(a, probes, 1e-7)) == want
+            assert [c[0] for c in counts] == [int(refactors)] * 2
 
     def test_basis_lives_as_long_as_its_matrix(self, rng):
         a = gen.random_normal(rng, 8, STANDARD_FRAME)
         delta_oracle(a, self._orbit_probes(a)[0], 1e-7)
-        matrix, basis = weakref.ref(a), weakref.ref(spectral._BASES[a][0])
-        del a
+        kept = spectral._RECORDS[a]
+        refs = [weakref.ref(x) for x in (a, kept.entries, kept.basis[0])]
+        del a, kept
         gc.collect()
-        assert matrix() is None and basis() is None
+        assert all(ref() is None for ref in refs)
 
     @staticmethod
     def _orbit_probes(a):
