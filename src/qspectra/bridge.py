@@ -16,10 +16,12 @@ which is forced by the iota contract: iota(x) = (x1; conj(x2)) means the
 lifted vector must have slice parts x1 = u and x2 = conj(v), and then
 iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
 
-The eigenvectors come from one Hermitian eigensolve (spectral_decompose):
-eigh of C = H + _BETA K, H = (Z + Z*)/2 and K = (Z - Z*)/(2i), for
-Z = chi(A) (Goldstine & Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers &
-Mehrmann, SIMAX 14, 1993). A normal Z shares its eigenvectors with C, whose
+Every spectrum comes from one solver, eig_normal: of chi(A) for
+spectral_decompose and selftest, and of the plus and minus restrictions for
+spectral.slice_spectrum_check. It is one Hermitian eigensolve: eigh of
+C = H + _BETA K, H = (Z + Z*)/2 and K = (Z - Z*)/(2i), for a normal Z
+(Goldstine & Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann,
+SIMAX 14, 1993). A normal Z shares its eigenvectors with C, whose
 eigenvalue for lambda is re lambda + _BETA im lambda, so only eigenvalues
 that collide in C come out mixed; they show as couplings in Q*ZQ, and each
 coupled block is re-diagonalized alone by eig and a QR in Schur order.
@@ -170,15 +172,6 @@ def _j(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.conj(x[half:]), np.conj(x[:half])])
 
 
-def eigvals_normal(z: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a normal complex matrix, ordered lexicographically by
-    (real part, imaginary part), descending; its eigenvectors are unitary, so
-    Bauer-Fike bounds their error by eig's backward error."""
-    require(qa.normality(z), NotNormalError)
-    vals = np.linalg.eigvals(z)
-    return vals[np.lexsort((-vals.imag, -vals.real))]
-
-
 def _j_pairs(w: np.ndarray) -> np.ndarray:
     """Orthonormal deflated vectors x of half the columns of w whose pairs
     [x, Jx], Jx = iota(x * n) = (-conj v; conj u), span the J-invariant span
@@ -197,6 +190,15 @@ def _j_pairs(w: np.ndarray) -> np.ndarray:
             w -= pair @ (np.conj(pair.T) @ w)
         out[:, k] = x
     return out
+
+
+def _j_clusters(w: np.ndarray) -> list[np.ndarray]:
+    """The connected components of G = W* J(W) above 8 N eps, N = len(w),
+    for orthonormal w spanning J-invariant on-axis eigenspaces, each of which
+    _j_pairs deflates alone. x* J x = 0 and J x lies in the span of w, so each
+    column couples to another: every component has two columns or more, and
+    the components cover all columns."""
+    return _blocks(np.conj(w.T) @ _j(w), 8.0 * len(w) * np.finfo(float).eps)
 
 
 def hermitian_eigvecs(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
@@ -226,20 +228,45 @@ def _blocks(t: np.ndarray, tol: float) -> list[np.ndarray]:
     return blocks
 
 
+def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary eigenvectors X and eigenvalues lam of a normal complex matrix
+    Z, Z X = X diag(lam), from one eigh and eig only where it is needed: one
+    eigh of C = H + _BETA K (hermitian_eigvecs) gives a unitary Q; the
+    couplings of T = Q*ZQ above 8 N eps ||Z||_F, N = len(Z), join columns
+    into blocks (_blocks), and each block of T is re-diagonalized alone by eig
+    and a QR of its eigenvectors in Schur order (module docstring). lam is
+    T's diagonal outside every block and eig's eigenvalues less its shift on
+    a block, in column order, unsorted. Normality is the caller's check."""
+    fro = qa.fro(z)
+    x = hermitian_eigvecs(z, np.conj(z.T))
+    t = np.conj(x.T) @ z @ x
+    lam = np.diagonal(t).copy()
+    for b in _blocks(t, 8.0 * len(z) * np.finfo(float).eps * fro):
+        # eig floors each vanishing eigenvalue difference at max(ulp *
+        # |lambda|, underflow), so an eigenvalue repeated at 0 gives nearly
+        # parallel vectors that QR cannot separate; the shift keeps every
+        # |lambda + c| >= ||Z||_F and changes no eigenvector nor any
+        # imaginary part.
+        shift = 2.0 * fro
+        mu, y = np.linalg.eig(t[np.ix_(b, b)] + shift * np.eye(len(b)))
+        lam[b] = mu - shift
+        x[:, b] = x[:, b] @ np.linalg.qr(y)[0]
+    return x, lam
+
+
 def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     """Diagonalize a normal quaternion matrix: A V_k = V_k d_k, d_k in C_m+.
 
-    One eigh of C = H + _BETA K for Z = chi(A) (hermitian_eigvecs) gives a
-    unitary Q; the couplings of T = Q*ZQ above 8 N eps ||Z||_F, N = 2n, join
-    columns into blocks, and each block of T is re-diagonalized alone by eig
-    and a QR in Schur order (module docstring). The spectrum of Z is closed
+    eig_normal gives the eigenvectors of Z = chi(A), N = 2n: one eigh of
+    C = H + _BETA K, and eig and a QR in Schur order on each block of
+    T = Q*ZQ coupled above 8 N eps ||Z||_F. The spectrum of Z is closed
     under slice conjugation, and one QR orders the eigenvectors: each of the
     m above the real axis followed by its J image (Z commutes with J, so
     that is an eigenvector at the conjugate), then those on the axis. The
     even columns 2k < 2m of the QR are the upper lines; J-pair deflation
     picks the lines in the last 2n - 2m, which span the J-invariant on-axis
-    eigenspaces. The eigenvalues are the kept columns' Rayleigh quotients,
-    real parts alone on the axis.
+    eigenspaces, one J cluster at a time (_j_clusters). The eigenvalues are
+    the kept columns' Rayleigh quotients, real parts alone on the axis.
 
     Axis band 3 N eps ||Z||_F. The imaginary parts placed against it are
     the Rayleigh quotients mu_k = q_k* Z q_k of the columns outside every
@@ -274,18 +301,8 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     fro = qa.fro(z)
     eps = np.finfo(float).eps
 
-    x = hermitian_eigvecs(z, np.conj(z.T))
-    t = np.conj(x.T) @ z @ x
-    im = np.diagonal(t).imag.copy()
-    for b in _blocks(t, 8.0 * (2 * n) * eps * fro):
-        # eig floors each vanishing eigenvalue difference at max(ulp *
-        # |lambda|, underflow), so an eigenvalue repeated at 0 gives nearly
-        # parallel vectors that QR cannot separate; the shift keeps every
-        # |lambda + c| >= ||Z||_F and changes no eigenvector nor any
-        # imaginary part.
-        mu, y = np.linalg.eig(t[np.ix_(b, b)] + (2.0 * fro) * np.eye(len(b)))
-        im[b] = mu.imag
-        x[:, b] = x[:, b] @ np.linalg.qr(y)[0]
+    x, mu = eig_normal(z)
+    im = mu.imag
     band = 3.0 * (2 * n) * eps * fro
     # the k-th largest and k-th smallest imaginary parts, k < n, as one pair,
     # and no cut within a band of the next pair's width
@@ -297,7 +314,9 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     upper, axis = np.sort(rank[:m]), np.sort(rank[m : 2 * n - m])
     lines = np.stack([x[:, upper], _j(x[:, upper])], axis=2).reshape(2 * n, 2 * m)
     q, _ = np.linalg.qr(np.concatenate([lines, x[:, axis]], axis=1))
-    cols = np.concatenate([q[:, : 2 * m : 2], _j_pairs(q[:, 2 * m :])], axis=1)
+    on = q[:, 2 * m :]
+    on_lines = (_j_pairs(on[:, b]) for b in _j_clusters(on))
+    cols = np.concatenate([q[:, : 2 * m : 2], *on_lines], axis=1)
     lam = np.sum(np.conj(cols) * (z @ cols), axis=0)
     lam[m:] = lam[m:].real
 

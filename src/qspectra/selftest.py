@@ -12,7 +12,7 @@ import numpy as np
 from . import generate as gen
 from . import qarray as qa
 from . import vectors as vec
-from .bridge import CMatrix, chi, spectral_decompose
+from .bridge import CMatrix, chi, eig_normal, spectral_decompose
 from .measure import (
     AtomicMeasureSpace,
     L2Element,
@@ -158,7 +158,7 @@ def _group_bridge(rng, n) -> list[Check]:
         za, zb = chi(a, f), chi(b, f)
         worst_mult = max(worst_mult, float(np.linalg.norm(chi(a @ b, f) - za @ zb)))
         worst_star = max(worst_star, float(np.linalg.norm(chi(a.H, f) - np.conj(za.T))))
-        vals = np.linalg.eigvals(za)
+        vals = eig_normal(za)[1]
         for lam in vals[vals.imag > 1e-9]:
             worst_pair = max(worst_pair, float(np.min(np.abs(vals - np.conj(lam)))))
         f2 = gen.random_frame(rng)

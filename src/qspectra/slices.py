@@ -90,9 +90,12 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     Components off the slice up to the same bound are eigenvector rounding
     and are projected away; anything larger means A does not truly preserve
     the slice. Each matrix takes its own product with chi(A), so that T- is
-    the conjugate of T+ stays a check. A non-finite entry of A is named first.
+    the conjugate of T+ stays a check. A non-finite entry of A is named first,
+    then a size that does not fit the structure (ShapeError).
     """
     a.check_finite()
+    if a.n != s.n:
+        raise ShapeError(f"matrix of dim {a.n} does not fit space of dim {s.n}")
     z, cj, w = chi(a, s.frame), s.cj, s.w
     defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), 1.0)
     require(check_from("slices.restrict_commutes", defect, bound), SliceCommutationError)

@@ -18,12 +18,12 @@ import numpy as np
 from . import qarray as qa
 from .bridge import (
     SpectralDecomposition,
-    eigvals_normal,
+    eig_normal,
     hermitian_eigvecs,
     iota_inv,
     spectral_decompose,
 )
-from .errors import CrossCheckError, PreconditionError, ShapeError, SymbolZeroError
+from .errors import CrossCheckError, NotNormalError, PreconditionError, ShapeError, SymbolZeroError
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
 from .quaternion import SliceFrame
@@ -567,10 +567,16 @@ def slice_spectrum_check(
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
     minus restriction's eigenvalues are their conjugates, both within
     SLICE_SPECTRUM_TOL * max(||A||, 1). The orbits and ||A|| are those of
-    multiplication_form(a) unless spectrum is given."""
+    multiplication_form(a) unless spectrum is given.
+
+    Each restriction must be normal (normal.commutator, NotNormalError):
+    for J = build_J of A's own decomposition it is, but a caller may pass
+    the J of another matrix. Its eigenvalues come from the decomposition's
+    solver (bridge.eig_normal), unsorted."""
     t_plus, t_minus = restrict_pair(a, s)
-    plus_c = eigvals_normal(t_plus.z)
-    minus_c = eigvals_normal(t_minus.z)
+    for t in (t_plus, t_minus):
+        require(qa.normality(t.z), NotNormalError)
+    plus_c, minus_c = eig_normal(t_plus.z)[1], eig_normal(t_minus.z)[1]
 
     if spectrum is None:
         spectrum = sphere_spectrum(multiplication_form(a, s.frame))

@@ -8,8 +8,10 @@ from qspectra.bridge import (
     _BETA,
     DECOMP_RESIDUAL_TOL,
     CMatrix,
+    _j_clusters,
     chi,
-    eigvals_normal,
+    eig_normal,
+    hermitian_eigvecs,
     iota,
     iota_inv,
     spectral_decompose,
@@ -22,11 +24,11 @@ from qspectra.errors import (
     SliceMembershipError,
 )
 from qspectra.quaternion import cm_to_complex
-from qspectra.slices import build_J
+from qspectra.slices import build_J, extend
 from qspectra.spectral import _multiset_deviation, slice_spectrum_check
 from qspectra.vectors import scale_right
 
-from conftest import assert_qclose, count_calls, random_complex_normal
+from conftest import assert_qclose, count_calls
 
 
 def rand_matrix(rng, n):
@@ -112,23 +114,29 @@ class TestCMatrix:
 
 class TestEigNormalComplex:
     """Eigen-contracts on normal complex matrices: the eigenvalues through
-    eigvals_normal, the eigenvectors through spectral_decompose, whose one
-    eig and one QR of chi(A) lift them."""
+    eig_normal, the one solver of every spectrum, the eigenvectors through
+    spectral_decompose, whose eig_normal of chi(A) and one QR lift them."""
+
+    @staticmethod
+    def _solve(z):
+        x, vals = eig_normal(z)
+        np.testing.assert_allclose(np.conj(x.T) @ x, np.eye(len(z)), atol=1e-14)
+        np.testing.assert_allclose(z @ x, x * vals, atol=1e-14)
+        return vals
 
     def test_diagonal_imaginary_pair(self):
-        vals = eigvals_normal(np.diag([1j, -1j]))
-        assert abs(vals[0] - 1j) <= 1e-14
-        assert abs(vals[1] + 1j) <= 1e-14
+        vals = self._solve(np.diag([1j, -1j]))
+        assert sorted(vals, key=lambda z: z.imag) == pytest.approx([-1j, 1j], abs=1e-14)
 
     def test_rotation_block(self):
-        vals = eigvals_normal(np.array([[0, -1], [1, 0]], dtype=complex))
+        vals = self._solve(np.array([[0, -1], [1, 0]], dtype=complex))
         got = sorted(vals, key=lambda z: z.imag)
         assert got == pytest.approx([-1j, 1j])
 
     def test_textbook_hermitian(self):
-        vals = eigvals_normal(np.array([[2, 1], [1, 2]], dtype=complex))
-        assert abs(vals[0] - 3) <= 1e-12
-        assert abs(vals[1] - 1) <= 1e-12
+        vals = self._solve(np.array([[2, 1], [1, 2]], dtype=complex))
+        assert sorted(vals.real) == pytest.approx([1.0, 3.0], abs=1e-12)
+        assert np.all(np.abs(vals.imag) <= 1e-12)
         # both eigenvalues lie on the real axis of every slice, so the
         # eigenlines come from J-pair deflation
         a = QMatrix.from_rows([[2 * ONE, ONE], [ONE, 2 * ONE]])
@@ -139,29 +147,30 @@ class TestEigNormalComplex:
         assert abs(inner(sym, dec.V.a[:, 0])) == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(anti, dec.V.a[:, 1])) == pytest.approx(1.0, abs=1e-12)
 
-    def test_descending_lexicographic_order(self, rng):
-        vals_in = rng.permutation([3.0, 1.0, 1.0, -2.0]) + 0j
-        vals = eigvals_normal(np.diag(vals_in))
-        res = list(vals.real)
-        assert res == sorted(res, reverse=True)
-
-    def test_non_normal_rejected(self):
-        z = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NotNormalError):
-            eigvals_normal(z)
+    def test_non_normal_restriction_rejected(self):
+        # A = extend(T) commutes with J, so the slice check restricts it, and
+        # its plus restriction is the nilpotent shift T
+        a = gen.random_normal(np.random.default_rng(0), 4, STANDARD_FRAME)
+        s = build_J(spectral_decompose(a, STANDARD_FRAME))
+        shift = CMatrix.from_complex(np.diag(np.ones(3), 1).astype(complex), STANDARD_FRAME)
+        with pytest.raises(NotNormalError, match="normal.commutator"):
+            slice_spectrum_check(extend(shift, s), s)
 
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_overflowing_normality_check_is_named(self, scale):
-        # the commutator's norm overflows at 1e150 and ||z||_F at 1e300;
-        # neither is a defect of a normal input
-        z = scale * random_complex_normal(np.random.default_rng(0), 4)
+        # J comes from the unscaled matrix; the commutator of the restriction
+        # overflows at 1e150 and its products at 1e300, and neither is a
+        # defect of a normal input
+        a = gen.random_normal(np.random.default_rng(0), 4, STANDARD_FRAME)
+        s = build_J(spectral_decompose(a, STANDARD_FRAME))
         with pytest.raises(PreconditionError, match="normality check overflows") as err:
-            eigvals_normal(z)
+            slice_spectrum_check(QMatrix(a.a * scale), s)
         assert not isinstance(err.value, NotNormalError)
 
     def test_requires_square(self):
+        # the normality check the slice check runs on each restriction
         with pytest.raises(ShapeError):
-            eigvals_normal(np.zeros((2, 3), dtype=complex))
+            qa.normality(np.zeros((2, 3), dtype=complex))
 
     def test_residual_contract_on_random_normal(self, frame, rng):
         for n in (3, 8, 16):
@@ -426,3 +435,28 @@ class TestBlockPass:
     def test_real_class_makes_no_eig_call(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         assert self._check(rng, rng.uniform(-1.0, 1.0, n) + 0j, monkeypatch) == 0
+
+
+class TestJClusters:
+    """J-pair deflation runs on each connected component of X* J(X) over the
+    on-axis columns X alone (_j_clusters); the components must cover X."""
+
+    @pytest.mark.parametrize(
+        "n, distinct, lift",
+        [(1, 1, 0.0), (8, 8, 0.0), (8, 3, 0.0), (64, 64, 0.0), (64, 16, 0.0), (16, 16, 1e-15)],
+    )
+    def test_clusters_cover_on_axis_columns(self, n, distinct, lift):
+        # real eigenvalues, `distinct` of them repeated over n, or lifted off
+        # the axis by less than the axis band so that every one is on it
+        rng = np.random.default_rng([n, distinct])
+        vals = np.resize(rng.uniform(-1.0, 1.0, distinct), n) + 1j * lift
+        a, f = _drawn(rng, vals)
+        z = chi(a, f)
+        x = hermitian_eigvecs(z, np.conj(z.T))
+        clusters = _j_clusters(x)
+        assert all(len(c) >= 2 and len(c) % 2 == 0 for c in clusters)
+        assert np.array_equal(np.sort(np.concatenate(clusters)), np.arange(2 * n))
+        dec = spectral_decompose(a, f)
+        assert all(c.passed for c in dec.checks)
+        got = np.array([complex(q.re, q.im_norm()) for q in dec.d])
+        assert _multiset_deviation(got, vals) <= 1e-10 * a.frobenius()

@@ -337,8 +337,9 @@ class TestLapackCalls:
     def test_decompose(self, monkeypatch, normal_matrix_file, tmp_path):
         eigh = count_calls(monkeypatch, "eigh")
         calls = self.count(monkeypatch, ["decompose", str(normal_matrix_file)], tmp_path)
-        assert calls == {"svd": 1, "eig": 0, "qr": 1, "eigvals": 2, "qmatmul": 0}
-        assert eigh == [1]
+        # one eigh each for chi(A), T+ and T-, and no block couples in any
+        assert calls == {"svd": 1, "eig": 0, "qr": 1, "eigvals": 0, "qmatmul": 0}
+        assert eigh == [3]
 
     def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)
@@ -362,6 +363,13 @@ class TestLapackCalls:
         selftest._group_form(np.random.default_rng([0, 0]), 8)
         assert calls["svd"] == 0
         assert calls["qmatmul"] == 0
+
+    def test_selftest_bridge_group(self, monkeypatch):
+        # the conjugate pairing reads chi(A)'s spectrum off the solver the
+        # decomposition uses, not a general eigvals
+        calls = self.counters(monkeypatch)
+        selftest._group_bridge(np.random.default_rng([0, 0]), 8)
+        assert calls["eigvals"] == 0
 
 
 class TestQuaternionCount:

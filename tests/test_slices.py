@@ -296,6 +296,21 @@ def test_non_finite_entry_is_named(routine, value):
     assert type(err.value) is PreconditionError
 
 
+@pytest.mark.parametrize(
+    "routine",
+    [restrict_pair, restrict_plus, slice_spectrum_check],
+    ids=["restrict_pair", "restrict_plus", "slice_spectrum_check"],
+)
+def test_size_mismatch_is_named(routine):
+    # a 4x4 matrix against the structure of a 3x3 one is named, with both
+    # sizes, before any product, as extend and extend_between name theirs
+    b = gen.random_normal(np.random.default_rng(3), 3, STANDARD_FRAME)
+    s = structure_for(b, STANDARD_FRAME)
+    a = gen.random_normal(np.random.default_rng(4), 4, STANDARD_FRAME)
+    with pytest.raises(ShapeError, match=r"^matrix of dim 4 does not fit space of dim 3$"):
+        routine(a, s)
+
+
 class TestQuaternionify:
     def test_action_matches_hamilton_product(self):
         space = quaternionify(1, STANDARD_FRAME)
