@@ -8,10 +8,8 @@ transform take a slice axis, --m.
 Each check compares a residual with a fixed bound; no flag overrides one.
 A check that a library routine builds is reported as the routine built
 it, with its bound: decompose reports the checks of multiplication_form and
-slice_spectrum_check, and transform the contraction check (enforced) and
-the defining-residual check (reported only) of bounded_transform. The other
-transform checks compare the residuals the transforms' SVDs give with
-bounds relative to the input's scale.
+slice_spectrum_check, and transform those of transform_checks or, with
+--inverse, inverse_checks.
 
 Exit codes: 0 pass, 1 check failure, 2 precondition violation, 3 input
 error. Reports are emitted as versioned JSON; reruns with identical flags
@@ -25,9 +23,6 @@ import functools
 import sys
 import time
 
-import numpy as np
-
-from . import qarray as qa
 from .errors import (
     ComputationError,
     InputFormatError,
@@ -35,9 +30,8 @@ from .errors import (
 )
 from .example import run_example
 from .measure import ess_sup
-from .operators import QMatrix
 from .quaternion import SliceFrame
-from .report import VerificationReport, check_from
+from .report import VerificationReport
 from .selftest import run_selftest
 from .serialize import (
     load_json,
@@ -47,7 +41,7 @@ from .serialize import (
 )
 from .slices import build_J
 from .spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
-from .transform import INVERSE_GUARD, bounded_transform, inverse_adjoint
+from .transform import inverse_checks, transform_checks
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -153,50 +147,12 @@ def _cmd_transform(args) -> int:
     _parse_frame(args.m)  # the transform needs no frame, but a bad --m is an input error
     a = matrix_from_json(load_json(args.matrix))
     start = time.perf_counter()
-
-    # the checks read the complex adjoints the transforms' SVDs gave;
-    # ||X||_F = ||adjoint(X)||_F / sqrt 2
-    x = a.to_complex_adjoint()
     if args.inverse:
-        t, z_norm = inverse_adjoint(x)
-        back = bounded_transform(QMatrix.from_complex_adjoint(t))
-        checks = [
-            check_from(
-                "transform.inverse_round_trip",
-                qa.chi_fro(back.adjoint - x),
-                1e-8 * (1.0 + back.a_norm**2),
-            ),
-        ]
+        checks, z_norm = inverse_checks(a)
         report = VerificationReport("transform-inverse", checks, extra={"zNorm": z_norm})
     else:
-        bt = bounded_transform(a)
-        z = bt.adjoint
-        checks = [
-            bt.contraction,
-            bt.residual,
-            check_from(
-                "transform.star_compatible",
-                qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T)),
-                1e-10 * max(1.0, a.frobenius()),
-            ),
-        ]
-        if bt.contraction.residual < 1.0 - INVERSE_GUARD:
-            checks.append(
-                check_from(
-                    "transform.round_trip",
-                    qa.chi_fro(inverse_adjoint(z)[0] - x),
-                    1e-8 * (1.0 + bt.a_norm**2),
-                )
-            )
-        if a.is_normal():
-            checks.append(
-                check_from(
-                    "transform.normal_preserved",
-                    qa.normality(z, np.sqrt(2.0)).residual,
-                    1e-10 * max(qa.chi_fro(z) ** 2, 1.0),
-                )
-            )
-        report = VerificationReport("transform", checks, extra={"zNorm": bt.contraction.residual})
+        checks = transform_checks(a)
+        report = VerificationReport("transform", checks, extra={"zNorm": checks[0].residual})
     return _emit(report, start, args.out)
 
 

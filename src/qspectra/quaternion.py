@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * a slice C_m is the real span of {1, m} for a unit imaginary m, and a slice
   frame (m, n, mn) is an anticommuting pair m, n with mn = m*n exactly, so
   {1, m, n, mn} is an orthonormal real basis of the quaternions;
-* default comparison tolerance is 1e-10 absolute unless an operation states
-  otherwise (chosen for dense eigenproblems at n <= 64).
+* DEFAULT_TOL = 1e-10 is the absolute tolerance of the frame axes only: a
+  unit imaginary m or n, their orthogonality, mn = m*n and m n = -n m; every
+  other check states its own bound where its residual is measured.
 """
 
 from __future__ import annotations

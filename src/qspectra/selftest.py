@@ -2,10 +2,13 @@
 
 Each group re-derives module invariants on fresh random data and reports the
 worst residual observed, so the report stays small while the underlying
-trial counts stay meaningful.
+trial counts stay meaningful. A check a library routine builds (the form's,
+the transform's) is reported as built, never stated again.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,13 +41,18 @@ from .spectral import (
 )
 from .transform import (
     UnboundedSim,
-    bounded_transform,
-    inverse_transform,
+    transform_checks,
     unbounded_multiplication_form,
     xi,
     xi_inv,
     z_extension_check,
 )
+
+
+def _worst(name: str, checks: list[Check], library_name: str) -> Check:
+    """The library_name check that fails, else the one of largest residual / tol, as name."""
+    built = (c for c in checks if c.name == library_name)
+    return replace(max(built, key=lambda c: (not c.passed, c.residual / c.tol)), name=name)
 
 
 def _group_quaternion(rng, n) -> list[Check]:
@@ -94,8 +102,9 @@ def _group_vectors(rng, n) -> list[Check]:
 def _power_iteration_norm(a: QMatrix, rng) -> float:
     x = gen.random_qvector(rng, a.n)
     x /= vec.norm(x)
+    ah = a.H
     for _ in range(100):
-        x = a.H.apply(a.apply(x))
+        x = ah.apply(a.apply(x))
         nx = vec.norm(x)
         if nx == 0.0:
             return 0.0
@@ -278,14 +287,10 @@ def _spectral_corpus(rng, n):
 
 
 def _group_form(rng, n) -> list[Check]:
-    worst_rec, worst_norm = 0.0, 0.0
-    for kind, f, a, form in _spectral_corpus(rng, n):
-        reconstruction, norm_identity, _ = form.checks
-        worst_rec = max(worst_rec, reconstruction.residual / max(a.frobenius(), 1e-30))
-        worst_norm = max(worst_norm, norm_identity.residual / max(form.op_norm, 1.0))
+    checks = [c for *_, form in _spectral_corpus(rng, n) for c in form.checks]
     return [
-        check_from("form.reconstruction_relative", worst_rec, 1e-9),
-        check_from("form.norm_identity_relative", worst_norm, 1e-9),
+        _worst("form.reconstruction_relative", checks, "decompose.reconstruction"),
+        _worst("form.norm_identity_relative", checks, "decompose.norm_identity"),
     ]
 
 
@@ -321,24 +326,19 @@ def _group_corollaries(rng, n) -> list[Check]:
 
 
 def _group_transform(rng, n) -> list[Check]:
-    worst_xi, worst_z, worst_round, worst_star = 0.0, 0.0, 0.0, 0.0
+    worst_xi = 0.0
     f = gen.random_frame(rng)
     for _ in range(20):
         p = gen.random_quaternion(rng, scale=100.0)
         err = abs(xi_inv(xi(xi_inv(p))) - xi_inv(p))
         worst_xi = max(worst_xi, err / (1.0 + abs(xi_inv(p))))
-    for scale in (1.0, 40.0, 1000.0):
-        a = gen.random_normal(rng, n, f, scale=scale)
-        bt = bounded_transform(a)
-        worst_z = max(worst_z, bt.contraction.residual)
-        back = inverse_transform(bt.Z)
-        worst_round = max(worst_round, (back - a).frobenius() / (1.0 + a.op_norm() ** 2))
-        worst_star = max(worst_star, (bounded_transform(a.H).Z - bt.Z.H).frobenius())
+    inputs = [gen.random_normal(rng, n, f, scale=scale) for scale in (1.0, 40.0, 1000.0)]
+    checks = [c for a in inputs for c in transform_checks(a)]
     return [
         check_from("transform.xi_round_trip_relative", worst_xi, 1e-12),
-        check_from("transform.contraction_norm_bounded", worst_z, bt.contraction.tol),
-        check_from("transform.inverse_round_trip_scaled", worst_round, 1e-8),
-        check_from("transform.star_compatible", worst_star, 1e-10),
+        _worst("transform.contraction_norm_bounded", checks, "transform.contraction"),
+        _worst("transform.inverse_round_trip_scaled", checks, "transform.round_trip"),
+        _worst("transform.star_compatible", checks, "transform.star_compatible"),
     ]
 
 

@@ -482,9 +482,12 @@ def classify(form: MultiplicationForm, tol: float) -> dict[str, bool]:
     """Anti-self-adjointness and unitarity read off the symbol.
 
     anti_self_adjoint iff every positive-weight value has |re| <= tol;
-    unitary iff every | |value| - 1 | <= tol. Both verdicts are cross-checked
-    against ||A + A*|| and ||A*A - I|| on the chi image of the reconstructed
-    operator, and a CrossCheckError is raised if the two routes disagree.
+    unitary iff every | |value| - 1 | <= tol. tol is absolute, not relative
+    to ||A||, so any A with ||A|| <= tol reads as anti-self-adjoint. Both
+    verdicts are cross-checked on the chi image of the reconstructed
+    operator against ||A + A*|| <= 2 tol + slack and ||A*A - I|| <= 3 tol +
+    slack, slack = 1e-12 (1 + ||A||), and a CrossCheckError is raised if the
+    two routes disagree.
     """
     pos = form.space.positive()
     values = form.phi.values[pos]

@@ -22,7 +22,7 @@ representation as the only error source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .report import Check, check_from, require
 from .slices import SliceStructure, build_J, extend
 
 INVERSE_GUARD = 1e-8
+STAR_TOL = 1e-10  # absolute: Z is a contraction at every scale of A
+ROUND_TRIP_TOL = 1e-8  # times 1 + ||A||^2, the reconstruction's conditioning
 # ||Z|| of a computed transform: 1 plus the rounding of the spectral norm,
 # which cannot resolve the true margin 1 - ||Z|| ~ 1 / (2 ||A||^2) once
 # ||A|| passes about 1e8.
@@ -80,8 +82,7 @@ def _adjoint(a: QMatrix) -> np.ndarray:
     """The complex adjoint of a finite input. Each transform below is a
     function of its singular values on the singular vectors of one SVD, so
     ||Z|| <= 1 up to rounding by construction."""
-    if not np.all(np.isfinite(a.a)):
-        raise PreconditionError("transform input has non-finite entries")
+    a.check_finite()
     return a.to_complex_adjoint()
 
 
@@ -127,6 +128,37 @@ def inverse_transform(z: QMatrix) -> QMatrix:
     it also keeps I - Z*Z >= 1e-8.
     """
     return QMatrix.from_complex_adjoint(inverse_adjoint(_adjoint(z))[0])
+
+
+def transform_checks(a: QMatrix) -> list[Check]:
+    """The checks of `qspectra transform`, on the complex adjoints the SVDs
+    give: bounded_transform's contraction (first; its residual is ||Z||) and
+    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= STAR_TOL;
+    round_trip, ||inverse(Z) - A||_F <= ROUND_TRIP_TOL (1 + ||A||^2), if
+    ||Z|| < 1 - INVERSE_GUARD; and normal_preserved, qa.normality of Z, if A
+    is normal."""
+    bt = bounded_transform(a)
+    z = bt.adjoint
+    star = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
+    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, STAR_TOL)]
+    if bt.contraction.residual < 1.0 - INVERSE_GUARD:
+        back = qa.chi_fro(inverse_adjoint(z)[0] - a.to_complex_adjoint())
+        tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
+        checks.append(check_from("transform.round_trip", back, tol))
+    if a.is_normal():
+        checks.append(replace(qa.normality(z, np.sqrt(2.0)), name="transform.normal_preserved"))
+    return checks
+
+
+def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
+    """The check of `qspectra transform --inverse`, ||Z_T - Z||_F <=
+    ROUND_TRIP_TOL (1 + ||T||^2) for T = inverse_transform(Z), and ||Z||."""
+    x = _adjoint(z)
+    t, z_norm = inverse_adjoint(x)
+    bt = bounded_transform(QMatrix.from_complex_adjoint(t))
+    back = qa.chi_fro(bt.adjoint - x)
+    tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
+    return [check_from("transform.inverse_round_trip", back, tol)], z_norm
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:

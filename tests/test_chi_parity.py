@@ -129,14 +129,15 @@ def _old_transform_checks(a):
     checks = [
         ("transform.contraction", None, None),
         ("transform.defining_residual", residual, 1e-9 * max(fro, 1.0)),
-        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10 * max(1.0, fro)),
+        # Z is a contraction: its scale is 1, whatever ||A||_F is
+        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10),
     ]
     if z_norm < 1.0 - INVERSE_GUARD:
         back = _old_inverse(z)
         checks.append(("transform.round_trip", (back - a).frobenius(), 1e-8 * (1.0 + a.op_norm() ** 2)))
     if _commutator(a) <= 1e-10 * max(fro**2, 1e-300):
         checks.append(
-            ("transform.normal_preserved", _commutator(z), 1e-10 * max(z.frobenius() ** 2, 1.0))
+            ("transform.normal_preserved", _commutator(z), NORMAL_TOL * max(z.frobenius() ** 2, 1e-300))
         )
     return z, checks
 

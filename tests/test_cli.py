@@ -15,7 +15,7 @@ from qspectra.cli import main
 from qspectra.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form, slice_spectrum_check
-from qspectra.transform import bounded_transform
+from qspectra.transform import bounded_transform, inverse_checks, transform_checks
 
 from conftest import count_calls
 
@@ -180,9 +180,32 @@ class TestTransform:
         assert main(["transform", str(normal_matrix_file), "--out", str(out)]) == 0
         a = matrix_from_json(load_json(normal_matrix_file))
         bt = bounded_transform(a)
-        checks = read_report(out)["checks"]
+        report = read_report(out)
+        checks = report["checks"]
+        assert checks == [c.to_dict() for c in transform_checks(a)]
         assert checks[:2] == [bt.contraction.to_dict(), bt.residual.to_dict()]
         assert checks[1]["tol"] == 1e-9 * max(a.frobenius(), 1.0)
+        assert report["zNorm"] == bt.contraction.residual
+
+        save_json(matrix_to_json(bt.Z), normal_matrix_file)
+        assert main(["transform", str(normal_matrix_file), "--inverse", "--out", str(out)]) == 0
+        report = read_report(out)
+        inverse, z_norm = inverse_checks(bt.Z)
+        assert report["checks"] == [c.to_dict() for c in inverse]
+        assert report["zNorm"] == z_norm
+
+    def test_star_bound_is_scale_free(self, normal_matrix_file, tmp_path):
+        # Z is a contraction at every scale of A, so the bound on
+        # ||Z_{A*} - Z*||_F does not grow with ||A||_F
+        a = matrix_from_json(load_json(normal_matrix_file))
+        tols = []
+        for c in (1.0, 2.0**40):
+            path, out = tmp_path / "scaled.json", tmp_path / "rep.json"
+            save_json(matrix_to_json(QMatrix(a.a * c)), path)
+            assert main(["transform", str(path), "--out", str(out)]) == 0
+            checks = read_report(out)["checks"]
+            tols.append(next(x["tol"] for x in checks if x["name"] == "transform.star_compatible"))
+        assert tols[0] == tols[1]
 
     def test_inverse_mode(self, tmp_path):
         z = QMatrix.from_rows([[J * (2.0 ** -0.5)]])
@@ -364,6 +387,12 @@ class TestLapackCalls:
         assert calls["svd"] == 0
         assert calls["qmatmul"] == 0
 
+    def test_selftest_transform_group(self, monkeypatch):
+        # five SVDs per input, as in `transform`, and no SVD of its own
+        calls = self.counters(monkeypatch)
+        selftest._group_transform(np.random.default_rng([0, 10]), 8)
+        assert calls["svd"] == 15
+
     def test_selftest_bridge_group(self, monkeypatch):
         # the conjugate pairing reads chi(A)'s spectrum off the solver the
         # decomposition uses, not a general eigvals
@@ -430,6 +459,9 @@ class TestOverflow:
         assert rep["status"] == "fail"
         check = next(c for c in rep["checks"] if c["name"] == "transform.defining_residual")
         assert check["tol"] == float("inf") and not check["pass"]
+        # Z is still a contraction, so the absolute star bound still bounds
+        star = next(c for c in rep["checks"] if c["name"] == "transform.star_compatible")
+        assert star["tol"] == 1e-10 and star["pass"]
 
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_decompose_names_the_overflow(self, scale, tmp_path, capsys):

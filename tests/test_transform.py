@@ -88,9 +88,10 @@ class TestBoundedTransform:
     def test_non_finite_rejected(self):
         arr = np.zeros((2, 2, 4))
         arr[0, 0, 0] = np.nan
-        with pytest.raises(PreconditionError):
+        # named by its entry, as every other routine names it
+        with pytest.raises(PreconditionError, match=r"\(0, 0\)"):
             bounded_transform(QMatrix(arr))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"\(0, 0\)"):
             inverse_transform(QMatrix(arr))
 
     def test_defining_residual(self, frame, rng):
