@@ -41,7 +41,9 @@ from .report import Check, check_from, require
 from .slices import SliceStructure, build_J, extend
 
 INVERSE_GUARD = 1e-8
-STAR_TOL = 1e-10  # absolute: Z is a contraction at every scale of A
+# times max(1, ||A||_F): ||Z|| <= 1, but the SVD gives Z to within about
+# eps ||A||, the SVD's backward error, which the map passes on with gain <= 1
+STAR_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-8  # times 1 + ||A||^2, the reconstruction's conditioning
 # ||Z|| of a computed transform: 1 plus the rounding of the spectral norm,
 # which cannot resolve the true margin 1 - ||Z|| ~ 1 / (2 ||A||^2) once
@@ -133,14 +135,15 @@ def inverse_transform(z: QMatrix) -> QMatrix:
 def transform_checks(a: QMatrix) -> list[Check]:
     """The checks of `qspectra transform`, on the complex adjoints the SVDs
     give: bounded_transform's contraction (first; its residual is ||Z||) and
-    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= STAR_TOL;
-    round_trip, ||inverse(Z) - A||_F <= ROUND_TRIP_TOL (1 + ||A||^2), if
-    ||Z|| < 1 - INVERSE_GUARD; and normal_preserved, qa.normality of Z, if A
-    is normal."""
+    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= STAR_TOL
+    max(1, ||A||_F); round_trip, ||inverse(Z) - A||_F <= ROUND_TRIP_TOL
+    (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD; and normal_preserved,
+    qa.normality of Z, if A is normal."""
     bt = bounded_transform(a)
     z = bt.adjoint
     star = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
-    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, STAR_TOL)]
+    star_tol = STAR_TOL * max(1.0, a.frobenius())
+    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, star_tol)]
     if bt.contraction.residual < 1.0 - INVERSE_GUARD:
         back = qa.chi_fro(inverse_adjoint(z)[0] - a.to_complex_adjoint())
         tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)

@@ -129,8 +129,7 @@ def _old_transform_checks(a):
     checks = [
         ("transform.contraction", None, None),
         ("transform.defining_residual", residual, 1e-9 * max(fro, 1.0)),
-        # Z is a contraction: its scale is 1, whatever ||A||_F is
-        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10),
+        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10 * max(1.0, fro)),
     ]
     if z_norm < 1.0 - INVERSE_GUARD:
         back = _old_inverse(z)
