@@ -116,18 +116,24 @@ def chi_fro(x: np.ndarray) -> float:
 
 def normality(z: np.ndarray, k: float = 1.0) -> Check:
     """The check normal.commutator, ||z z* - z* z||_F / k against
-    NORMAL_TOL max((||z||_F / k)^2, TINY): k = 1 for a plain complex matrix
+    NORMAL_TOL (||z||_F / k)^2: k = 1 for a plain complex matrix
     such as T+, and k = sqrt 2 for chi(A) or A's complex adjoint, where it
     reads ||AA* - A*A||_F <= NORMAL_TOL ||A||_F^2. PreconditionError, named,
-    if the defect or the bound overflows; that is no defect of the input."""
+    if the defect or the bound overflows; that is no defect of the input.
+    Below ||z||_F = 2^-200, where products may underflow, it is decided on z
+    scaled up by a power of two, exactly; above, underflow stays far below tol."""
     rows, cols = z.shape
     if rows != cols:
         raise ShapeError("normality check needs a square matrix")
+    scale = fro(z)
+    if 0.0 < scale < 2.0**-200:
+        e = max(np.frexp(scale)[1], -1000)
+        c = normality(z * 2.0**-e, k)
+        return Check(c.name, *map(float, np.ldexp([c.residual, c.tol], 2 * e)), c.passed)
     zh = np.conj(z.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = fro(z)
         defect = float(np.linalg.norm(z @ zh - zh @ z)) / k
-        bound = NORMAL_TOL * max((scale / k) * (scale / k), TINY)
+        bound = NORMAL_TOL * ((scale / k) * (scale / k))
     if not (np.isfinite(bound) and np.isfinite(defect)):
         raise PreconditionError(
             f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"

@@ -1,9 +1,9 @@
 """Seeded property-suite runner behind the selftest CLI command.
 
-Each group re-derives module invariants on fresh random data and reports the
-worst residual observed, so the report stays small while the underlying
-trial counts stay meaningful. A check a library routine builds (the form's,
-the transform's) is reported as built, never stated again.
+Each group re-derives module invariants on seeded random data and reports
+the worst residual observed; the spectral groups share one corpus, decomposed
+once per run. A check a library routine builds (the form's, the
+transform's) is reported as built, never stated again.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .quaternion import Quaternion, SliceFrame, orbit_of, slice_join, slice_spli
 from .report import Check, VerificationReport, check_from, flag_check
 from .slices import build_J, extend, project_minus, project_plus, quaternionify, restrict_plus
 from .spectral import (
+    _multiset_deviation,
     classify,
     conjugate_equivalence,
     delta_oracle,
@@ -55,7 +56,7 @@ def _worst(name: str, checks: list[Check], library_name: str) -> Check:
     return replace(max(built, key=lambda c: (not c.passed, c.residual / c.tol)), name=name)
 
 
-def _group_quaternion(rng, n) -> list[Check]:
+def _group_quaternion(rng, n, corpus) -> list[Check]:
     worst_mul, worst_split, worst_orbit = 0.0, 0.0, 0.0
     frames = [gen.random_frame(rng) for _ in range(4)]
     for _ in range(200):
@@ -81,7 +82,7 @@ def _group_quaternion(rng, n) -> list[Check]:
     ]
 
 
-def _group_vectors(rng, n) -> list[Check]:
+def _group_vectors(rng, n, corpus) -> list[Check]:
     worst_real, worst_cs, worst_expand = 0.0, 0.0, 0.0
     for _ in range(50):
         x = gen.random_qvector(rng, n)
@@ -121,7 +122,7 @@ def _spread_spectrum_matrix(rng, n, frame) -> QMatrix:
     return v @ QMatrix.diag(d) @ v.H
 
 
-def _group_operators(rng, n) -> list[Check]:
+def _group_operators(rng, n, corpus) -> list[Check]:
     worst_bound, worst_power, worst_delta, worst_adj = 0.0, 0.0, 0.0, 0.0
     for _ in range(10):
         a = QMatrix(gen.random_qvector(rng, n * n).reshape(n, n, 4))
@@ -149,34 +150,26 @@ def _group_operators(rng, n) -> list[Check]:
     ]
 
 
-def _group_bridge(rng, n) -> list[Check]:
+def _orbits(values: list[Quaternion]) -> np.ndarray:
+    return np.array([complex(q.re, q.im_norm()) for q in values])
+
+
+def _group_bridge(rng, n, corpus) -> list[Check]:
     worst_orbit, worst_mult, worst_star, worst_pair, worst_frame = 0.0, 0.0, 0.0, 0.0, 0.0
-    for _ in range(5):
-        f = gen.random_frame(rng)
-        d = gen.random_standard_values(rng, n, f)
-        v = gen.random_unitary(rng, n)
-        a = v @ QMatrix.diag(d) @ v.H
-        dec = spectral_decompose(a, f)
-        want = sorted((q.re, q.im_norm()) for q in d)
-        got = sorted((q.re, q.im_norm()) for q in dec.d)
-        worst_orbit = max(
-            worst_orbit,
-            max(abs(w[0] - g[0]) + abs(w[1] - g[1]) for w, g in zip(want, got)),
-        )
+    for kind, f, d, a, form in corpus:
+        # orbits as multisets: on anti-self-adjoint input the real parts are
+        # rounding noise, so sorting by them pairs unrelated orbits
+        got = _orbits(form.decomposition.d)
+        worst_orbit = max(worst_orbit, _multiset_deviation(_orbits(d), got))
         b = QMatrix(gen.random_qvector(rng, n * n).reshape(n, n, 4))
-        za, zb = chi(a, f), chi(b, f)
+        za, zb = form.decomposition.z, chi(b, f)
         worst_mult = max(worst_mult, float(np.linalg.norm(chi(a @ b, f) - za @ zb)))
         worst_star = max(worst_star, float(np.linalg.norm(chi(a.H, f) - np.conj(za.T))))
         vals = eig_normal(za)[1]
         for lam in vals[vals.imag > 1e-9]:
             worst_pair = max(worst_pair, float(np.min(np.abs(vals - np.conj(lam)))))
-        f2 = gen.random_frame(rng)
-        dec2 = spectral_decompose(a, f2)
-        got2 = sorted((q.re, q.im_norm()) for q in dec2.d)
-        worst_frame = max(
-            worst_frame,
-            max(abs(w[0] - g[0]) + abs(w[1] - g[1]) for w, g in zip(got, got2)),
-        )
+        dec2 = spectral_decompose(a, gen.random_frame(rng))
+        worst_frame = max(worst_frame, _multiset_deviation(got, _orbits(dec2.d)))
     return [
         check_from("bridge.orbit_recovery", worst_orbit, 1e-8),
         check_from("bridge.chi_multiplicative", worst_mult, 1e-12),
@@ -186,12 +179,10 @@ def _group_bridge(rng, n) -> list[Check]:
     ]
 
 
-def _group_extension(rng, n) -> list[Check]:
+def _group_extension(rng, n, corpus) -> list[Check]:
     worst_orth, worst_norm, worst_star, worst_mult, worst_delta = 0.0, 0.0, 0.0, 0.0, 0.0
-    for _ in range(5):
-        f = gen.random_frame(rng)
-        a = gen.random_normal(rng, n, f)
-        s = build_J(spectral_decompose(a, f))
+    for kind, f, d, a, form in corpus:
+        s = build_J(form.decomposition)
         for _ in range(10):
             xp = project_plus(gen.random_qvector(rng, n), s)
             xm = project_minus(gen.random_qvector(rng, n), s)
@@ -214,7 +205,11 @@ def _group_extension(rng, n) -> list[Check]:
     ]
 
 
-def _group_pair(rng, n) -> list[Check]:
+def _pair_gap(x, y) -> float:
+    return float(np.linalg.norm(x[0] - y[0]) + np.linalg.norm(x[1] - y[1]))
+
+
+def _group_pair(rng, n, corpus) -> list[Check]:
     worst_assoc, lit_fail, worst_proj = 0.0, False, 0.0
     for _ in range(10):
         f = gen.random_frame(rng)
@@ -226,20 +221,11 @@ def _group_pair(rng, n) -> list[Check]:
         p, q2 = gen.random_quaternion(rng), gen.random_quaternion(rng)
         lhs = space.scale(space.scale(u, p), q2)
         rhs = space.scale(u, p * q2)
-        worst_assoc = max(
-            worst_assoc,
-            float(np.linalg.norm(lhs[0] - rhs[0]) + np.linalg.norm(lhs[1] - rhs[1])),
-        )
+        worst_assoc = max(worst_assoc, _pair_gap(lhs, rhs))
         lit_lhs = space.scale_unconjugated(space.scale_unconjugated(u, p), q2)
         lit_rhs = space.scale_unconjugated(u, p * q2)
-        lit_gap = float(
-            np.linalg.norm(lit_lhs[0] - lit_rhs[0]) + np.linalg.norm(lit_lhs[1] - lit_rhs[1])
-        )
-        lit_fail = lit_fail or lit_gap > 1e-6
-        pp = space.project_plus(u)
-        worst_proj = max(
-            worst_proj, float(np.linalg.norm(pp[0] - u[0]) + np.linalg.norm(pp[1]))
-        )
+        lit_fail = lit_fail or _pair_gap(lit_lhs, lit_rhs) > 1e-6
+        worst_proj = max(worst_proj, _pair_gap(space.project_plus(u), (u[0], 0.0)))
     return [
         check_from("pair.action_associative", worst_assoc, 1e-12),
         flag_check("pair.action_unconjugated_fails", lit_fail),
@@ -247,7 +233,7 @@ def _group_pair(rng, n) -> list[Check]:
     ]
 
 
-def _group_measure(rng, n) -> list[Check]:
+def _group_measure(rng, n, corpus) -> list[Check]:
     worst_norm, worst_normal, worst_pyth, worst_mass = 0.0, 0.0, 0.0, 0.0
     for _ in range(10):
         f = gen.random_frame(rng)
@@ -279,24 +265,17 @@ def _group_measure(rng, n) -> list[Check]:
     ]
 
 
-def _spectral_corpus(rng, n):
-    for kind in ("normal", "antiSelfAdjoint", "unitary", "real"):
-        f = gen.random_frame(rng)
-        a = gen.random_normal(rng, n, f, kind, min_modulus=0.05)
-        yield kind, f, a, multiplication_form(a, f)
-
-
-def _group_form(rng, n) -> list[Check]:
-    checks = [c for *_, form in _spectral_corpus(rng, n) for c in form.checks]
+def _group_form(rng, n, corpus) -> list[Check]:
+    checks = [c for *_, form in corpus for c in form.checks]
     return [
         _worst("form.reconstruction_relative", checks, "decompose.reconstruction"),
         _worst("form.norm_identity_relative", checks, "decompose.norm_identity"),
     ]
 
 
-def _group_oracle(rng, n) -> list[Check]:
+def _group_oracle(rng, n, corpus) -> list[Check]:
     oracle_ok = True
-    for kind, f, a, form in _spectral_corpus(rng, n):
+    for kind, f, d, a, form in corpus:
         spec = sphere_spectrum(form)
         margin = 50.0 * np.sqrt(1e-7 * oracle_scale(a))
         probes = sphere_probes(spec, margin)
@@ -305,10 +284,10 @@ def _group_oracle(rng, n) -> list[Check]:
     return [flag_check("oracle.delta_kernel_agrees_with_orbits", oracle_ok)]
 
 
-def _group_corollaries(rng, n) -> list[Check]:
+def _group_corollaries(rng, n, corpus) -> list[Check]:
     classify_ok = True
     worst_conj = 0.0
-    for kind, f, a, form in _spectral_corpus(rng, n):
+    for kind, f, d, a, form in corpus:
         got = classify(form, 1e-8)
         classify_ok = (
             classify_ok
@@ -325,7 +304,7 @@ def _group_corollaries(rng, n) -> list[Check]:
     ]
 
 
-def _group_transform(rng, n) -> list[Check]:
+def _group_transform(rng, n, corpus) -> list[Check]:
     worst_xi = 0.0
     f = gen.random_frame(rng)
     for _ in range(20):
@@ -342,12 +321,10 @@ def _group_transform(rng, n) -> list[Check]:
     ]
 
 
-def _group_unbounded(rng, n) -> list[Check]:
-    f = gen.random_frame(rng)
-    a = gen.random_normal(rng, n, f)
-    s = build_J(spectral_decompose(a, f))
-    t_plus = restrict_plus(a, s)
-    worst_zext = z_extension_check(t_plus, s)
+def _group_unbounded(rng, n, corpus) -> list[Check]:
+    kind, f, d, a, form = corpus[0]
+    s = build_J(form.decomposition)
+    worst_zext = z_extension_check(restrict_plus(a, s), s)
     worst_trunc = 0.0
     for n_atoms in (8, 64, 512):
         grid = np.linspace(0.0, 8.0, n_atoms)
@@ -387,9 +364,24 @@ GROUPS = [
 ]
 
 
+def _spectral_corpus(seed: int, n: int) -> list[tuple]:
+    """(kind, frame, d, A, form) of each class on a stream of its own:
+    A = V diag(d) V* for known standard values d of modulus >= 0.05."""
+    rng = np.random.default_rng([seed, len(GROUPS)])
+    corpus = []
+    for kind in gen.MATRIX_CLASSES:
+        f = gen.random_frame(rng)
+        d = gen.random_standard_values(rng, n, f, kind, min_modulus=0.05)
+        v = gen.random_unitary(rng, n)
+        a = v @ QMatrix.diag(d) @ v.H
+        corpus.append((kind, f, d, a, multiplication_form(a, f)))
+    return corpus
+
+
 def run_selftest(seed: int, n: int) -> VerificationReport:
+    corpus = _spectral_corpus(seed, n)
     checks: list[Check] = []
     for index, group in enumerate(GROUPS):
         rng = np.random.default_rng([seed, index])
-        checks.extend(group(rng, n))
+        checks.extend(group(rng, n, corpus))
     return VerificationReport("selftest", checks, seed=seed)

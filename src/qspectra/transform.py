@@ -22,7 +22,7 @@ representation as the only error source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .slices import SliceStructure, build_J, extend
 INVERSE_GUARD = 1e-8
 # times max(1, ||A||_F): ||Z|| <= 1, but the SVD gives Z to within about
 # eps ||A||, the SVD's backward error, which the map passes on with gain <= 1
-STAR_TOL = 1e-10
+Z_ERROR_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-8  # times 1 + ||A||^2, the reconstruction's conditioning
 # ||Z|| of a computed transform: 1 plus the rounding of the spectral norm,
 # which cannot resolve the true margin 1 - ||Z|| ~ 1 / (2 ||A||^2) once
@@ -135,21 +135,25 @@ def inverse_transform(z: QMatrix) -> QMatrix:
 def transform_checks(a: QMatrix) -> list[Check]:
     """The checks of `qspectra transform`, on the complex adjoints the SVDs
     give: bounded_transform's contraction (first; its residual is ||Z||) and
-    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= STAR_TOL
-    max(1, ||A||_F); round_trip, ||inverse(Z) - A||_F <= ROUND_TRIP_TOL
-    (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD; and normal_preserved,
-    qa.normality of Z, if A is normal."""
+    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= err =
+    Z_ERROR_TOL max(1, ||A||_F); round_trip, ||inverse(Z) - A||_F <=
+    ROUND_TRIP_TOL (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD; and, if A is
+    normal, normal_preserved, ||ZZ* - Z*Z||_F within qa.normality's bound
+    plus 2 (1 + ||Z||) err: Z = Z0 + E with Z0 the exact, normal transform,
+    ||Z0|| <= 1 and ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0."""
     bt = bounded_transform(a)
-    z = bt.adjoint
+    z, z_norm = bt.adjoint, bt.contraction.residual
+    err = Z_ERROR_TOL * max(1.0, a.frobenius())
     star = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
-    star_tol = STAR_TOL * max(1.0, a.frobenius())
-    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, star_tol)]
-    if bt.contraction.residual < 1.0 - INVERSE_GUARD:
+    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, err)]
+    if z_norm < 1.0 - INVERSE_GUARD:
         back = qa.chi_fro(inverse_adjoint(z)[0] - a.to_complex_adjoint())
         tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
         checks.append(check_from("transform.round_trip", back, tol))
     if a.is_normal():
-        checks.append(replace(qa.normality(z, np.sqrt(2.0)), name="transform.normal_preserved"))
+        normal = qa.normality(z, np.sqrt(2.0))
+        tol = normal.tol + 2.0 * (1.0 + z_norm) * err
+        checks.append(check_from("transform.normal_preserved", normal.residual, tol))
     return checks
 
 

@@ -17,7 +17,6 @@ from qspectra.bridge import (
     spectral_decompose,
 )
 from qspectra.errors import (
-    EigenResidualError,
     NotNormalError,
     PreconditionError,
     ShapeError,
@@ -283,8 +282,9 @@ class TestSpectralDecompose:
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-300])
     def test_scale_where_squares_underflow(self, scale):
-        # ||chi(A)||_F^2 underflows: the axis band and the shift, and the
-        # residual that rejects a non-normal input, need the norm all the same
+        # ||chi(A)||_F^2 underflows: the axis band and the shift need the
+        # norm all the same, and the normality check, on z scaled up by a
+        # power of two, still rejects a non-normal input
         rng = np.random.default_rng(1)
         for kind in gen.MATRIX_CLASSES:
             a = scale * gen.random_normal(rng, 6, STANDARD_FRAME, kind=kind)
@@ -292,7 +292,7 @@ class TestSpectralDecompose:
             assert dec.checks[0].residual <= DECOMP_RESIDUAL_TOL * qa.chi_fro(dec.z)
         base = QMatrix(np.random.default_rng(7).standard_normal((4, 4, 4)))
         assert not base.is_normal()
-        with pytest.raises(EigenResidualError):
+        with pytest.raises(NotNormalError, match="normal.commutator"):
             spectral_decompose(scale * base, STANDARD_FRAME)
 
     def test_repeated_real_eigenvalue_unitary(self, frame, rng):

@@ -135,9 +135,9 @@ def _old_transform_checks(a):
         back = _old_inverse(z)
         checks.append(("transform.round_trip", (back - a).frobenius(), 1e-8 * (1.0 + a.op_norm() ** 2)))
     if _commutator(a) <= 1e-10 * max(fro**2, 1e-300):
-        checks.append(
-            ("transform.normal_preserved", _commutator(z), NORMAL_TOL * max(z.frobenius() ** 2, 1e-300))
-        )
+        # the commutator's rounding plus 2 (1 + ||Z||) times Z's own error
+        tol = NORMAL_TOL * max(z.frobenius() ** 2, 1e-300) + 2 * (1 + z_norm) * 1e-10 * max(1.0, fro)
+        checks.append(("transform.normal_preserved", _commutator(z), tol))
     return z, checks
 
 

@@ -119,6 +119,14 @@ class TestDecompose:
         assert main(["decompose", str(shift_matrix_file)]) == 2
         assert "commutator" in capsys.readouterr().err
 
+    def test_tiny_non_normal_exit_code(self, tmp_path, capsys):
+        # at 1e-100 the commutator's squares underflow unless z is scaled first
+        path = tmp_path / "tiny.json"
+        a = np.random.default_rng(7).standard_normal((4, 4, 4)) * 1e-100
+        save_json(matrix_to_json(QMatrix(a)), path)
+        assert main(["decompose", str(path)]) == 2
+        assert "normal.commutator" in capsys.readouterr().err
+
     def test_malformed_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -194,11 +202,14 @@ class TestTransform:
         assert report["checks"] == [c.to_dict() for c in inverse]
         assert report["zNorm"] == z_norm
 
-    @pytest.mark.parametrize("n, top", [(8, 2e6), (128, 1e6)])
+    @pytest.mark.parametrize(
+        "n, top", [(8, 2e6), (128, 1e6), (8, 1e8), (32, 1e8), (128, 1e8)]
+    )
     def test_graded_normal_input_passes(self, n, top, tmp_path):
         # one eigenvalue of modulus top, the rest in the unit square. Z
         # carries the SVDs' backward error eps ||A||, so ||Z_{A*} - Z*||_F
-        # passes 1e-10 here although ||Z|| <= 1; the bound scales with ||A||_F
+        # passes 1e-10 here although ||Z|| <= 1, and at 1e8 ||ZZ* - Z*Z||_F
+        # passes 1e-10 ||Z||_F^2; both bounds scale with ||A||_F
         rng = np.random.default_rng([n, 0])
         d = [Quaternion(top), *gen.random_standard_values(rng, n - 1, STANDARD_FRAME)]
         v = gen.random_unitary(rng, n)
@@ -379,29 +390,59 @@ class TestLapackCalls:
         assert calls == {"svd": 3, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
 
     def test_selftest_form_group(self, monkeypatch):
-        # four matrices, one SVD each; the group reads ||A|| and both
-        # residuals off the form, with no SVD or quaternion product of its own
+        # four matrices, one SVD each in its form; the group reads ||A|| and
+        # both residuals off the forms, with no SVD or quaternion product of its own
         calls = self.counters(monkeypatch)
-        corpus = list(selftest._spectral_corpus(np.random.default_rng([0, 0]), 8))
+        corpus = selftest._spectral_corpus(0, 8)
         assert calls["svd"] == 4
-        monkeypatch.setattr(selftest, "_spectral_corpus", lambda rng, n: iter(corpus))
         calls.update(dict.fromkeys(calls, 0))
-        selftest._group_form(np.random.default_rng([0, 0]), 8)
+        selftest._group_form(np.random.default_rng([0, 7]), 8, corpus)
         assert calls["svd"] == 0
         assert calls["qmatmul"] == 0
 
     def test_selftest_transform_group(self, monkeypatch):
-        # five SVDs per input, as in `transform`, and no SVD of its own
+        # five SVDs per input, as in `transform`, and no SVD of its own; the
+        # group draws its own inputs, not the spectral corpus
         calls = self.counters(monkeypatch)
-        selftest._group_transform(np.random.default_rng([0, 10]), 8)
+        selftest._group_transform(np.random.default_rng([0, 10]), 8, [])
         assert calls["svd"] == 15
 
     def test_selftest_bridge_group(self, monkeypatch):
         # the conjugate pairing reads chi(A)'s spectrum off the solver the
         # decomposition uses, not a general eigvals
+        corpus = selftest._spectral_corpus(0, 8)
         calls = self.counters(monkeypatch)
-        selftest._group_bridge(np.random.default_rng([0, 0]), 8)
+        selftest._group_bridge(np.random.default_rng([0, 3]), 8, corpus)
         assert calls["eigvals"] == 0
+
+    def test_selftest_decomposes_each_corpus_matrix_once(self, monkeypatch):
+        # one corpus of four matrices serves every spectral group: one form
+        # each, plus the bridge group's decomposition in a second frame (28
+        # decompositions and 12 forms when each group drew its own matrices)
+        calls = {"spectral_decompose": 0, "multiplication_form": 0}
+        for name in calls:
+            wrapped = getattr(qspectra.spectral, name)
+
+            def counted(*args, _name=name, _f=wrapped, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("qspectra") and getattr(module, name, None) is wrapped:
+                    monkeypatch.setattr(module, name, counted)
+        assert selftest.run_selftest(0, 8).passed
+        assert calls == {"spectral_decompose": 8, "multiplication_form": 4}
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_selftest_bridge_orbits_on_anti_self_adjoint_input(n):
+    # the real parts of its eigenvalues are rounding noise, so the orbits are
+    # matched as multisets; sorted by real part they paired unrelated orbits
+    sample = next(s for s in selftest._spectral_corpus(0, n) if s[0] == "antiSelfAdjoint")
+    checks = selftest._group_bridge(np.random.default_rng([0, 3]), n, [sample])
+    worst = {c.name: c.residual for c in checks}
+    assert worst["bridge.orbit_recovery"] <= 1e-12
+    assert worst["bridge.frame_covariant_orbits"] <= 1e-12
 
 
 class TestQuaternionCount:

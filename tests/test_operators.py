@@ -3,6 +3,7 @@ import pytest
 
 from qspectra import I, J, QMatrix, Quaternion, delta, inner, norm
 from qspectra import generate as gen
+from qspectra import qarray as qa
 from qspectra.errors import NotNormalError, PreconditionError, ShapeError
 from qspectra.vectors import scale_right
 
@@ -64,6 +65,29 @@ class TestNormality:
         with pytest.raises(PreconditionError, match="normality check overflows") as err:
             a.check_normal()
         assert not isinstance(err.value, NotNormalError)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200])
+    def test_non_normal_where_commutator_underflows(self, scale):
+        # unscaled, the commutator's squares underflow from about 1e-77 and
+        # its products from about 1e-154, and the check read 0
+        a = QMatrix(np.random.default_rng(7).standard_normal((4, 4, 4)) * scale)
+        assert not a.is_normal()
+        with pytest.raises(NotNormalError, match="normal.commutator"):
+            a.check_normal()
+
+    @pytest.mark.parametrize("k", [1, 40, 200, 300])
+    def test_power_of_two_scaling_is_exact(self, rng, k):
+        # where nothing underflows, the check on 2^-k A is the check on A
+        # with residual and tol times 4^-k, bit for bit; at k = 300 it is
+        # decided on the matrix scaled back up
+        b = rand_matrix(rng, 5)
+        for a in (b, b - b.H):
+            z = a.to_complex_adjoint()
+            want = qa.normality(z, np.sqrt(2.0))
+            got = qa.normality(z * 2.0**-k, np.sqrt(2.0))
+            assert got.residual == np.ldexp(want.residual, -2 * k)
+            assert got.tol == np.ldexp(want.tol, -2 * k)
+            assert got.passed == want.passed
 
     def test_check_normal_raises(self):
         arr = np.zeros((2, 2, 4))

@@ -63,6 +63,13 @@ class TestMultiplicationForm:
             form = multiplication_form(a, frame)
             assert (a - form.reconstruct()).frobenius() <= 1e-9 * a.frobenius()
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+    def test_tiny_normal_input(self, scale):
+        # the normality check decides on z scaled up by a power of two
+        a = gen.random_normal(np.random.default_rng(5), 8, STANDARD_FRAME)
+        form = multiplication_form(QMatrix(a.a * scale), STANDARD_FRAME)
+        assert all(c.passed for c in form.checks)
+
     def test_rejects_non_normal(self):
         arr = np.zeros((2, 2, 4))
         arr[0, 1, 0] = 1.0
