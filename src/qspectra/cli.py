@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     matrix.add_argument("--m", default="0,1,0,0", help="slice axis as 'w,x,y,z'")
 
     p = sub.add_parser("selftest", parents=[common], help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="non-negative integer")
     p.add_argument("--n", type=int, default=8, help="matrix dimension (1..128)")
 
     p = sub.add_parser("example", parents=[common], help="verify the golden multiplier scenario")
@@ -106,6 +106,8 @@ def _emit(report: VerificationReport, start: float, out_path) -> int:
 def _cmd_selftest(args) -> int:
     if args.n < 1 or args.n > 128:
         raise InputFormatError(f"--n must be in 1..128, got {args.n}")
+    if args.seed < 0:
+        raise InputFormatError(f"--seed must be a non-negative integer, got {args.seed}")
     start = time.perf_counter()
     return _emit(run_selftest(args.seed, args.n), start, args.out)
 

@@ -5,8 +5,10 @@ emulated on truncated atomic spaces.
 Both maps and the square root (I + A*A)^(1/2) are functions of the singular
 values on the singular vectors of one SVD of the input's complex adjoint,
 never Newton iterations, so every path stays deterministic and ||Z|| <= 1
-holds up to rounding at any scale. Results are assembled as complex adjoint
-matrices and read back as quaternion matrices from their top block row.
+holds up to rounding at any scale. ||Z|| is read once, off the SVD of Z's
+adjoint that bounded_transform keeps and the inverse maps, so no Z is
+factored twice. Results are assembled as complex adjoint matrices and read
+back as quaternion matrices from their top block row.
 
 The scalar radial maps
 
@@ -59,13 +61,14 @@ class BoundedTransform:
     (transform.contraction), the check ||Z (I + A*A)^(1/2) - A||_F <=
     1e-9 max(||A||_F, 1) it reports but does not enforce
     (transform.defining_residual), Z's complex adjoint as the SVD of A's
-    gave it, and ||A|| = s[0] of that SVD."""
+    gave it, ||A|| = s[0] of that SVD, and the SVD (u, s, vh) of Z's adjoint."""
 
     Z: QMatrix
     contraction: Check
     residual: Check
     adjoint: np.ndarray
     a_norm: float
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -100,36 +103,30 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     z = (u * (s / root)) @ vh
     half = (np.conj(vh.T) * root) @ vh
 
-    contraction = check_from(
-        "transform.contraction", np.linalg.svd(z, compute_uv=False)[0], CONTRACTION_BOUND
-    )
+    svd = np.linalg.svd(z)
+    contraction = check_from("transform.contraction", svd[1][0], CONTRACTION_BOUND)
     require(contraction, TransformDomainError)
     residual = check_from(
         "transform.defining_residual", qa.chi_fro(z @ half - x), 1e-9 * max(a.frobenius(), 1.0)
     )
-    return BoundedTransform(QMatrix.from_complex_adjoint(z), contraction, residual, z, float(s[0]))
+    zq = QMatrix.from_complex_adjoint(z)
+    return BoundedTransform(zq, contraction, residual, z, float(s[0]), svd)
 
 
-def inverse_adjoint(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """inverse_transform on complex adjoints: the adjoint of T and ||Z||,
-    both from one SVD of z."""
-    u, s, vh = np.linalg.svd(z)
+def _inverse(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """T = u diag(s / sqrt(1 - s^2)) vh for Z = u diag(s) vh, on complex
+    adjoints. Rejected when ||Z|| = s[0] >= 1 - INVERSE_GUARD: the
+    reconstruction conditioning (1 - ||Z||^2)^(-1/2) makes anything closer
+    numerically unrecoverable; it also keeps I - Z*Z >= 1e-8."""
     if s[0] >= 1.0 - INVERSE_GUARD:
-        raise TransformDomainError(
-            f"||Z|| = {s[0]:.12f} is within {INVERSE_GUARD:.0e} of 1"
-        )
-    return (u * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ vh, float(s[0])
+        raise TransformDomainError(f"||Z|| = {s[0]:.12f} is within {INVERSE_GUARD:.0e} of 1")
+    return (u * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ vh
 
 
 def inverse_transform(z: QMatrix) -> QMatrix:
-    """Recover T from Z = Z_T via T = Z (I - Z*Z)^(-1/2).
-
-    With Z = u diag(s) vh, T = u diag(s / sqrt(1 - s^2)) vh. Rejected when
-    ||Z|| >= 1 - 1e-8: the reconstruction conditioning
-    (1 - ||Z||^2)^(-1/2) makes anything closer numerically unrecoverable;
-    it also keeps I - Z*Z >= 1e-8.
-    """
-    return QMatrix.from_complex_adjoint(inverse_adjoint(_adjoint(z))[0])
+    """Recover T from Z = Z_T via T = Z (I - Z*Z)^(-1/2), off one SVD of Z;
+    rejected when ||Z|| >= 1 - 1e-8."""
+    return QMatrix.from_complex_adjoint(_inverse(*np.linalg.svd(_adjoint(z))))
 
 
 def transform_checks(a: QMatrix) -> list[Check]:
@@ -137,17 +134,18 @@ def transform_checks(a: QMatrix) -> list[Check]:
     give: bounded_transform's contraction (first; its residual is ||Z||) and
     defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= err =
     Z_ERROR_TOL max(1, ||A||_F); round_trip, ||inverse(Z) - A||_F <=
-    ROUND_TRIP_TOL (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD; and, if A is
-    normal, normal_preserved, ||ZZ* - Z*Z||_F within qa.normality's bound
-    plus 2 (1 + ||Z||) err: Z = Z0 + E with Z0 the exact, normal transform,
-    ||Z0|| <= 1 and ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0."""
+    ROUND_TRIP_TOL (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD, off the SVD
+    that ||Z|| came from; and, if A is normal, normal_preserved,
+    ||ZZ* - Z*Z||_F within qa.normality's bound plus 2 (1 + ||Z||) err:
+    Z = Z0 + E with Z0 the exact, normal transform, ||Z0|| <= 1 and
+    ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0."""
     bt = bounded_transform(a)
     z, z_norm = bt.adjoint, bt.contraction.residual
     err = Z_ERROR_TOL * max(1.0, a.frobenius())
     star = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
     checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, err)]
     if z_norm < 1.0 - INVERSE_GUARD:
-        back = qa.chi_fro(inverse_adjoint(z)[0] - a.to_complex_adjoint())
+        back = qa.chi_fro(_inverse(*bt.svd) - a.to_complex_adjoint())
         tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
         checks.append(check_from("transform.round_trip", back, tol))
     if a.is_normal():
@@ -159,13 +157,14 @@ def transform_checks(a: QMatrix) -> list[Check]:
 
 def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
     """The check of `qspectra transform --inverse`, ||Z_T - Z||_F <=
-    ROUND_TRIP_TOL (1 + ||T||^2) for T = inverse_transform(Z), and ||Z||."""
+    ROUND_TRIP_TOL (1 + ||T||^2) for T = inverse_transform(Z), and ||Z||,
+    both off one SVD of Z."""
     x = _adjoint(z)
-    t, z_norm = inverse_adjoint(x)
-    bt = bounded_transform(QMatrix.from_complex_adjoint(t))
+    u, s, vh = np.linalg.svd(x)
+    bt = bounded_transform(QMatrix.from_complex_adjoint(_inverse(u, s, vh)))
     back = qa.chi_fro(bt.adjoint - x)
     tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
-    return [check_from("transform.inverse_round_trip", back, tol)], z_norm
+    return [check_from("transform.inverse_round_trip", back, tol)], float(s[0])
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:

@@ -380,7 +380,8 @@ class TestLapackCalls:
 
     def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)
-        assert calls == {"svd": 5, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
+        # one full SVD each of A, A*, Z and Z_{A*}; the round trip inverts Z's
+        assert calls == {"svd": 4, "eig": 0, "qr": 0, "eigvals": 0, "qmatmul": 0}
 
     def test_inverse_transform(self, monkeypatch, tmp_path):
         a = gen.random_normal(np.random.default_rng(3), 8, STANDARD_FRAME, scale=0.3)
@@ -401,11 +402,11 @@ class TestLapackCalls:
         assert calls["qmatmul"] == 0
 
     def test_selftest_transform_group(self, monkeypatch):
-        # five SVDs per input, as in `transform`, and no SVD of its own; the
+        # four SVDs per input, as in `transform`, and no SVD of its own; the
         # group draws its own inputs, not the spectral corpus
         calls = self.counters(monkeypatch)
         selftest._group_transform(np.random.default_rng([0, 10]), 8, [])
-        assert calls["svd"] == 15
+        assert calls["svd"] == 12
 
     def test_selftest_bridge_group(self, monkeypatch):
         # the conjugate pairing reads chi(A)'s spectrum off the solver the
@@ -495,10 +496,13 @@ def _scaled_normal_file(tmp_path, scale):
 
 
 class TestOverflow:
-    def test_transform_with_overflowed_bound_fails(self, tmp_path):
-        # ||A||_F overflows, so the defining residual's bound is inf
+    def test_transform_with_overflowed_bound_fails(self, tmp_path, capsys, recwarn):
+        # ||A||_F overflows, so the defining residual's bound is inf; the
+        # overflow is read off the value, with no numpy warning
         out = tmp_path / "rep.json"
         assert main(["transform", str(_scaled_normal_file(tmp_path, 1e160)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        assert not recwarn.list
         rep = read_report(out)
         assert rep["status"] == "fail"
         check = next(c for c in rep["checks"] if c["name"] == "transform.defining_residual")
@@ -527,6 +531,10 @@ class TestFlags:
     def test_nan_slice_axis_is_input_error(self, command, m, normal_matrix_file, capsys):
         assert main([command, str(normal_matrix_file), "--m", m]) == 3
         assert "unit imaginary" in capsys.readouterr().err
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["selftest", "--seed", "-1"]) == 3
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_out_writes_the_stdout_payload(self, normal_matrix_file, tmp_path, capsys):
         out = tmp_path / "rep.json"

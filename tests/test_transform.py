@@ -7,6 +7,7 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.bridge import CMatrix, spectral_decompose
+from qspectra.cli import main
 from qspectra.errors import (
     DuplicateSymbolError,
     PreconditionError,
@@ -22,6 +23,7 @@ from qspectra.measure import (
     m_phi,
     pushforward,
 )
+from qspectra.serialize import matrix_to_json, save_json
 from qspectra.slices import build_J
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
@@ -30,6 +32,7 @@ from qspectra.transform import (
     bounded_transform,
     commuting_J_unbounded,
     inverse_transform,
+    transform_checks,
     unbounded_multiplication_form,
     xi,
     xi_inv,
@@ -133,6 +136,26 @@ class TestInverseTransform:
         z = bounded_transform(a).Z
         back = inverse_transform(z)
         assert (back - a).frobenius() <= 1e-8 * (1.0 + a.op_norm() ** 2)
+
+
+class TestGuardBand:
+    """Inputs whose ||Z|| lies at the inverse guard 1 - 1e-8: one reading of
+    ||Z|| decides whether the round trip runs and is the one it inverts."""
+
+    A0 = gen.random_normal(np.random.default_rng(0), 8, STANDARD_FRAME)
+
+    def test_transform_checks_across_the_band(self):
+        # ||Z|| = 1 - 1 / (2 ||A||^2) + ... reaches 1 - 1e-8 at ||A|| = 7071.07;
+        # across this band two SVDs of one Z can disagree in the last bits
+        c0 = 7071.067811865475 / self.A0.op_norm()
+        for k in range(-200, 200):
+            checks = transform_checks(self.A0 * (c0 * (1.0 + 2e-13 * k)))
+            assert all(c.passed for c in checks), k
+
+    def test_cli_at_the_guard(self, tmp_path):
+        path = tmp_path / "a.json"
+        save_json(matrix_to_json(self.A0 * 6387.0043403822565), path)
+        assert main(["transform", str(path), "--out", str(tmp_path / "rep.json")]) == 0
 
 
 class TestCommutingJ:
