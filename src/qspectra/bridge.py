@@ -198,7 +198,12 @@ def _j_clusters(w: np.ndarray) -> list[np.ndarray]:
     _j_pairs deflates alone. x* J x = 0 and J x lies in the span of w, so each
     column couples to another: every component has two columns or more, and
     the components cover all columns."""
-    return _blocks(np.conj(w.T) @ _j(w), 8.0 * len(w) * np.finfo(float).eps)
+    return _blocks(np.conj(w.T) @ _j(w), _coupling_tol(len(w), 1.0))
+
+
+def _coupling_tol(size: int, fro: float) -> float:
+    """8 N eps ||Z||_F for N = size and ||Z||_F = fro: eig_normal's block threshold."""
+    return 8.0 * size * np.finfo(float).eps * fro
 
 
 def hermitian_eigvecs(z: np.ndarray, zh: np.ndarray) -> np.ndarray:
@@ -241,7 +246,7 @@ def eig_normal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = hermitian_eigvecs(z, np.conj(z.T))
     t = np.conj(x.T) @ z @ x
     lam = np.diagonal(t).copy()
-    for b in _blocks(t, 8.0 * len(z) * np.finfo(float).eps * fro):
+    for b in _blocks(t, _coupling_tol(len(z), fro)):
         # eig floors each vanishing eigenvalue difference at max(ulp *
         # |lambda|, underflow), so an eigenvalue repeated at 0 gives nearly
         # parallel vectors that QR cannot separate; the shift keeps every

@@ -220,7 +220,7 @@ def pushforward(
 
 
 def _first_seen(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """First-seen merge of the rows of an (N, 4) array.
+    """First-seen merge of the rows of an (N, k) array.
 
     Walking the rows in order, a row merges into the first row kept before
     it with np.linalg.norm(row - kept) <= tol, and is kept otherwise.

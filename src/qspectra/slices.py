@@ -68,7 +68,7 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
     require(check_from("slices.J_anti_self_adjoint", anti, 1e-10 * n), SliceCommutationError)
     require(check_from("slices.J_unitary", square, 1e-10 * n), SliceCommutationError)
     defect = qa.chi_fro(cj @ dec.rec - dec.rec @ cj)
-    bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), 1.0)
+    bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), qa.TINY)
     require(check_from("slices.J_commutes", defect, bound), SliceCommutationError)
     return SliceStructure(cj, dec.frame, w)
 
@@ -85,7 +85,7 @@ def project_minus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
 def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     """Matrices of A on the plus basis, (T+)_kl = <z_k | A z_l>, and on the
     minus basis {z_k * n}, entries in C_m, after one check that
-    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, 1) (slices.restrict_commutes).
+    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, TINY) (slices.restrict_commutes).
 
     Components off the slice up to the same bound are eigenvector rounding
     and are projected away; anything larger means A does not truly preserve
@@ -97,7 +97,7 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     if a.n != s.n:
         raise ShapeError(f"matrix of dim {a.n} does not fit space of dim {s.n}")
     z, cj, w = chi(a, s.frame), s.cj, s.w
-    defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), 1.0)
+    defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), qa.TINY)
     require(check_from("slices.restrict_commutes", defect, bound), SliceCommutationError)
     n = s.n
     bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))

@@ -4,7 +4,7 @@ spectra, the Delta-kernel oracle, and the classification corollaries.
 The headline identity is A = U* M_phi U: U sends the eigenbasis to an atomic
 L2 space (counting measure on eigenvalue indices, multiplicity as repeated
 symbol values) and phi collects the standard eigenvalues in the closed upper
-half slice.
+half slice; values within the eigensolver's rounding share an orbit, at any scale.
 """
 
 from __future__ import annotations
@@ -18,24 +18,24 @@ import numpy as np
 from . import qarray as qa
 from .bridge import (
     SpectralDecomposition,
+    _coupling_tol,
     eig_normal,
     hermitian_eigvecs,
     iota_inv,
     spectral_decompose,
 )
 from .errors import CrossCheckError, NotNormalError, PreconditionError, ShapeError, SymbolZeroError
-from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen, ess_sup
+from .measure import AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
 from .quaternion import SliceFrame
 from .report import Check, check_from, require
 from .slices import SliceStructure, restrict_pair
 
 FORM_RESIDUAL_TOL = 1e-9
-ORBIT_DEDUP_TOL = 1e-9
 # on- and off-sphere probes per orbit for the Delta-kernel oracle
 PROBES_PER_ORBIT = 16
-# Share of max(||A||, 1) by which a restriction's eigenvalues may miss the
-# orbits (plus) or the conjugates of the plus eigenvalues (minus).
+# Share of ||A|| by which a restriction's eigenvalues may miss the orbits
+# (plus) or the conjugates of the plus eigenvalues (minus).
 SLICE_SPECTRUM_TOL = 1e-8
 
 
@@ -71,8 +71,8 @@ class MultiplicationForm:
 @dataclass
 class SphereSpectrum:
     """Union of similarity orbits, the spherical spectrum at desk scale, as a
-    (K, 2) array of orbit points (re, |im|), and the norm ||A|| that the form
-    it was read from measured."""
+    (K, 2) array of orbit points (re, |im|), merged at the input's scale, and
+    the norm ||A|| that the form it was read from measured."""
 
     points: np.ndarray
     op_norm: float
@@ -137,18 +137,15 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
 
 def sphere_spectrum(form: MultiplicationForm) -> SphereSpectrum:
-    """Orbits of the essential range of the symbol, merged within ORBIT_DEDUP_TOL.
-
-    Two first-seen merges (`_first_seen`): the positive-weight values within
-    MERGE_TOL, as ess_ran takes them, then their (re, |im|) points within
-    ORBIT_DEDUP_TOL, each orbit kept at its first value.
-    """
+    """Orbits of the essential range of the symbol: one first-seen merge
+    (`_first_seen`) of the (re, |im|) points of the positive-weight values,
+    each kept at its first, within bridge._coupling_tol(2n, ||chi(A)||_F),
+    ||chi(A)||_F = sqrt(2) ||phi||_2 on counting measure. Normal eigenvalues move by at
+    most the backward error (Bauer & Fike, 1960), so one eigenvalue's copies merge."""
     rows = form.phi.values[form.phi.space.positive()]
-    rows = rows[_first_seen(rows, MERGE_TOL)[0]]
-    points = np.zeros_like(rows)
-    points[:, 0], points[:, 1] = _re_im_norm(rows)
-    kept, _ = _first_seen(points, ORBIT_DEDUP_TOL)
-    return SphereSpectrum(points[kept, :2], form.op_norm)
+    points = np.stack(_re_im_norm(rows), axis=1)
+    tol = _coupling_tol(2 * len(form.phi.values), math.sqrt(2.0) * qa.fro(form.phi.values))
+    return SphereSpectrum(points[_first_seen(points, tol)[0]], form.op_norm)
 
 
 def oracle_scale(a: QMatrix) -> float:
@@ -569,8 +566,8 @@ def slice_spectrum_check(
 ) -> SliceSpectrumReport:
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
     minus restriction's eigenvalues are their conjugates, both within
-    SLICE_SPECTRUM_TOL * max(||A||, 1). The orbits and ||A|| are those of
-    multiplication_form(a) unless spectrum is given.
+    SLICE_SPECTRUM_TOL * ||A|| (floored at qarray.TINY, for A = 0). The
+    orbits and ||A|| are those of multiplication_form(a) unless given.
 
     Each restriction must be normal (normal.commutator, NotNormalError):
     for J = build_J of A's own decomposition it is, but a caller may pass
@@ -588,13 +585,10 @@ def slice_spectrum_check(
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     dist = np.abs(plus_c[:, None] - reps_c[None, :])
     plus_dev = max(float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
-    bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, 1.0)
+    conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
+    bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, qa.TINY)
     checks = [
         check_from("decompose.slice_spectrum_plus", plus_dev, bound),
-        check_from(
-            "decompose.slice_spectrum_conjugate",
-            _multiset_deviation(plus_c, np.conj(minus_c)),
-            bound,
-        ),
+        check_from("decompose.slice_spectrum_conjugate", conj_dev, bound),
     ]
     return SliceSpectrumReport(plus_c, minus_c, checks)

@@ -17,7 +17,7 @@ from qspectra.slices import (
     restrict_pair,
     restrict_plus,
 )
-from qspectra.spectral import slice_spectrum_check
+from qspectra.spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose
@@ -124,6 +124,33 @@ class TestRestrict:
         s = structure_for(a, frame)
         plus, minus = (t.z for t in restrict_pair(a, s))
         np.testing.assert_allclose(minus, np.conj(plus), atol=1e-12)
+
+
+class TestSliceChecksAtScale:
+    """A and B are the first two n = 8 draws of default_rng(3), scaled by
+    c; the J of one and the spectrum of the other do not fit A at any c,
+    and the bounds, relative to ||A||, say so below scale 1 too."""
+
+    @staticmethod
+    def pair(c):
+        rng = np.random.default_rng(3)
+        a, b = (QMatrix(gen.random_normal(rng, 8, STANDARD_FRAME).a * c) for _ in range(2))
+        return a, b
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e12])
+    def test_spectrum_of_another_matrix_fails(self, c):
+        a, b = self.pair(c)
+        s = structure_for(a, STANDARD_FRAME)
+        assert slice_spectrum_check(a, s).passed
+        other = sphere_spectrum(multiplication_form(b, STANDARD_FRAME))
+        assert not slice_spectrum_check(a, s, spectrum=other).passed
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e12])
+    def test_j_of_another_matrix_rejected(self, c):
+        a, b = self.pair(c)
+        restrict_pair(a, structure_for(a, STANDARD_FRAME))
+        with pytest.raises(SliceCommutationError, match="slices.restrict_commutes"):
+            restrict_pair(a, structure_for(b, STANDARD_FRAME))
 
 
 class TestExtend:

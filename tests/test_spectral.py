@@ -12,12 +12,11 @@ from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen, spectral
 from qspectra.bridge import _BETA, spectral_decompose
 from qspectra.errors import NotNormalError, PreconditionError, ShapeError, SymbolZeroError
-from qspectra.measure import MERGE_TOL, AtomicMeasureSpace, Symbol, ess_ran, ess_sup
+from qspectra.measure import AtomicMeasureSpace, Symbol, ess_sup
 from qspectra.operators import delta
 from qspectra.quaternion import orbit_of
 from qspectra.slices import build_J
 from qspectra.spectral import (
-    ORBIT_DEDUP_TOL,
     SphereSpectrum,
     classify,
     conjugate_equivalence,
@@ -136,15 +135,21 @@ class TestSphereSpectrum:
             spec.contains(J.to_array()[None], -1e-9)
 
 
+def orbit_bound(values) -> float:
+    """The merge bound derived for n symbol values, 8 N eps ||Z||_F with
+    N = 2n and ||Z||_F = sqrt(2) ||phi||_2, summed by math.fsum."""
+    norm = math.sqrt(math.fsum(x * x for x in np.ravel(values).tolist()))
+    return 8.0 * (2 * len(values)) * np.finfo(float).eps * math.sqrt(2.0) * norm
+
+
 def reference_orbits(form) -> list[tuple[str, str]]:
-    """The orbit loop sphere_spectrum replaced: the values of ess_ran, each
-    kept unless math.hypot puts a kept orbit within ORBIT_DEDUP_TOL."""
+    """An orbit loop of its own: the positive-weight values in order, each
+    kept unless math.hypot puts a kept orbit within orbit_bound."""
+    bound = orbit_bound(form.phi.values)
     orbits = []
-    for value in ess_ran(form.phi):
-        cand = orbit_of(value)
-        if not any(
-            math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= ORBIT_DEDUP_TOL for o in orbits
-        ):
+    for i in np.flatnonzero(form.phi.space.positive()):
+        cand = orbit_of(form.phi.value(i))
+        if not any(math.hypot(cand.re - o.re, cand.im_norm - o.im_norm) <= bound for o in orbits):
             orbits.append(cand)
     return [(o.re.hex(), o.im_norm.hex()) for o in orbits]
 
@@ -172,8 +177,8 @@ class TestSphereSpectrumReference:
         assert orbit_bits(form) == reference_orbits(form)
 
     def test_repeated_values(self):
-        half = 0.5 * MERGE_TOL
-        values = [(1, 2), (1, -2), (1, 2), (0, 1), (1 + half, 2), (0, -1), (3, 0), (3, -0.0)]
+        values = [(1, 2), (1, -2), (1, 2), (0, 1), (1, 2), (0, -1), (3, 0), (3, -0.0)]
+        values[4] = (1 + 0.5 * orbit_bound(values), 2)
         form = symbol_form(values)
         assert orbit_bits(form) == reference_orbits(form)
         assert len(orbit_bits(form)) == 3
@@ -188,12 +193,15 @@ class TestSphereSpectrumReference:
     @pytest.mark.parametrize("factor, count", [(1 - 1e-3, 1), (1 + 1e-3, 2)])
     @pytest.mark.parametrize("direction", [(1, 0), (0, 1), (0.6, 0.8)])
     def test_pairs_at_the_dedup_tolerance(self, factor, count, direction):
-        step = ORBIT_DEDUP_TOL * factor
-        base = (0.25, 0.75)
+        # the atom at 64 makes the bound about 1e4 ulps of the pair's
+        # coordinates, so that rounding them moves each step by far less
+        # than the 1e-3 margin
+        base, far = (0.25, 0.75), (64.0, 0.0)
+        step = orbit_bound([far, base, base, base]) * factor
         other = (base[0] + step * direction[0], base[1] + step * direction[1])
-        form = symbol_form([base, other, (other[0], -other[1])])
+        form = symbol_form([far, base, other, (other[0], -other[1])])
         assert orbit_bits(form) == reference_orbits(form)
-        assert len(orbit_bits(form)) == count
+        assert len(orbit_bits(form)) == 1 + count
 
 
 class TestDeltaOracle:
