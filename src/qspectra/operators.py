@@ -137,10 +137,7 @@ class QMatrix:
 
     def is_normal(self) -> bool:
         """Whether A passes qa.normality; False, not an error, if it overflows."""
-        try:
-            return qa.normality(self.to_complex_adjoint(), np.sqrt(2.0)).passed
-        except PreconditionError:
-            return False
+        return qa.is_normal(self.to_complex_adjoint(), np.sqrt(2.0))
 
     def check_finite(self) -> None:
         finite = np.isfinite(self.a)

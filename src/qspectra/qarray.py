@@ -141,6 +141,14 @@ def normality(z: np.ndarray, k: float = 1.0) -> Check:
     return check_from("normal.commutator", defect, bound)
 
 
+def is_normal(z: np.ndarray, k: float = 1.0) -> bool:
+    """Whether z passes normality(z, k); False, not an error, if it overflows."""
+    try:
+        return normality(z, k).passed
+    except PreconditionError:
+        return False
+
+
 def to_complex_adjoint(a) -> np.ndarray:
     """Complex matrix of doubled size acting as the quaternion matrix does.
 

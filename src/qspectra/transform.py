@@ -7,7 +7,10 @@ values on the singular vectors of one SVD of the input's complex adjoint,
 never Newton iterations, so every path stays deterministic and ||Z|| <= 1
 holds up to rounding at any scale. ||Z|| is read once, off the SVD of Z's
 adjoint that bounded_transform keeps and the inverse maps, so no Z is
-factored twice. Results are assembled as complex adjoint matrices and read
+factored twice. A check that reads only a Z (Z_{A*}, Z_T, z_extension_check)
+takes it off one SVD, ungated: hypot(1, s) >= s, so s / hypot(1, s) <= 1, and
+u, vh are unitary to O(N eps), so ||Z|| <= 1 + O(N eps) < CONTRACTION_BOUND
+for N <= 256. Results are assembled as complex adjoint matrices and read
 back as quaternion matrices from their top block row.
 
 The scalar radial maps
@@ -84,11 +87,16 @@ class UnboundedSim:
 
 
 def _adjoint(a: QMatrix) -> np.ndarray:
-    """The complex adjoint of a finite input. Each transform below is a
-    function of its singular values on the singular vectors of one SVD, so
-    ||Z|| <= 1 up to rounding by construction."""
+    """The complex adjoint of a finite input."""
     a.check_finite()
     return a.to_complex_adjoint()
+
+
+def _contract(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z's complex adjoint u diag(s / sqrt(1 + s^2)) vh, s and vh, off one
+    SVD u diag(s) vh of T's complex adjoint x; ||T|| = s[0]."""
+    u, s, vh = np.linalg.svd(x)
+    return (u * (s / np.hypot(1.0, s))) @ vh, s, vh
 
 
 def bounded_transform(a: QMatrix) -> BoundedTransform:
@@ -97,11 +105,13 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     With A = u diag(s) vh, Z = u diag(s / sqrt(1 + s^2)) vh and
     (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh.
     """
-    x = _adjoint(a)
-    u, s, vh = np.linalg.svd(x)
-    root = np.hypot(1.0, s)
-    z = (u * (s / root)) @ vh
-    half = (np.conj(vh.T) * root) @ vh
+    return _bounded(a, _adjoint(a))
+
+
+def _bounded(a: QMatrix, x: np.ndarray) -> BoundedTransform:
+    """bounded_transform(a), given a's complex adjoint x."""
+    z, s, vh = _contract(x)
+    half = (np.conj(vh.T) * np.hypot(1.0, s)) @ vh
 
     svd = np.linalg.svd(z)
     contraction = check_from("transform.contraction", svd[1][0], CONTRACTION_BOUND)
@@ -138,17 +148,21 @@ def transform_checks(a: QMatrix) -> list[Check]:
     that ||Z|| came from; and, if A is normal, normal_preserved,
     ||ZZ* - Z*Z||_F within qa.normality's bound plus 2 (1 + ||Z||) err:
     Z = Z0 + E with Z0 the exact, normal transform, ||Z0|| <= 1 and
-    ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0."""
-    bt = bounded_transform(a)
+    ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0. All read A's
+    complex adjoint x, built once. Z_{A*}, off one SVD u diag(s) vh of x*, is
+    ungated: s / hypot(1, s) <= 1 and u, vh are unitary to O(N eps), so
+    ||Z_{A*}|| <= 1 + O(N eps) < CONTRACTION_BOUND for N = 2n <= 256."""
+    x = _adjoint(a)
+    bt = _bounded(a, x)
     z, z_norm = bt.adjoint, bt.contraction.residual
     err = Z_ERROR_TOL * max(1.0, a.frobenius())
-    star = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
+    star = qa.chi_fro(_contract(np.conj(x.T))[0] - np.conj(z.T))
     checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, err)]
     if z_norm < 1.0 - INVERSE_GUARD:
-        back = qa.chi_fro(_inverse(*bt.svd) - a.to_complex_adjoint())
+        back = qa.chi_fro(_inverse(*bt.svd) - x)
         tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
         checks.append(check_from("transform.round_trip", back, tol))
-    if a.is_normal():
+    if qa.is_normal(x, np.sqrt(2.0)):
         normal = qa.normality(z, np.sqrt(2.0))
         tol = normal.tol + 2.0 * (1.0 + z_norm) * err
         checks.append(check_from("transform.normal_preserved", normal.residual, tol))
@@ -158,13 +172,15 @@ def transform_checks(a: QMatrix) -> list[Check]:
 def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
     """The check of `qspectra transform --inverse`, ||Z_T - Z||_F <=
     ROUND_TRIP_TOL (1 + ||T||^2) for T = inverse_transform(Z), and ||Z||,
-    both off one SVD of Z."""
+    both off one SVD of Z. Z_T and ||T||, off one SVD of T, are ungated as
+    Z_{A*} is in transform_checks: ||Z_T|| <= 1 + O(N eps) < CONTRACTION_BOUND.
+    T is read back through QMatrix, as inverse_transform returns it: the raw
+    inverse's lower block is conj of its upper only to rounding."""
     x = _adjoint(z)
     u, s, vh = np.linalg.svd(x)
-    bt = bounded_transform(QMatrix.from_complex_adjoint(_inverse(u, s, vh)))
-    back = qa.chi_fro(bt.adjoint - x)
-    tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
-    return [check_from("transform.inverse_round_trip", back, tol)], float(s[0])
+    z_t, s_t, _ = _contract(QMatrix.from_complex_adjoint(_inverse(u, s, vh)).to_complex_adjoint())
+    tol = ROUND_TRIP_TOL * (1.0 + s_t[0] ** 2)
+    return [check_from("transform.inverse_round_trip", qa.chi_fro(z_t - x), tol)], float(s[0])
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:
@@ -182,8 +198,9 @@ def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> Sli
 
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:
     """Residual between the two orders of transform and extension."""
-    z_plus = CMatrix(bounded_transform(QMatrix(t_plus.data)).Z.a, s.frame)
-    return (bounded_transform(extend(t_plus, s)).Z - extend(z_plus, s)).frobenius()
+    z_plus = QMatrix.from_complex_adjoint(_contract(_adjoint(QMatrix(t_plus.data)))[0])
+    z_ext = QMatrix.from_complex_adjoint(_contract(_adjoint(extend(t_plus, s)))[0])
+    return (z_ext - extend(CMatrix(z_plus.a, s.frame), s)).frobenius()
 
 
 def _two_sum(a, b):

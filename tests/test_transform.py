@@ -6,6 +6,7 @@ import pytest
 
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
+from qspectra import qarray as qa
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import (
@@ -24,13 +25,16 @@ from qspectra.measure import (
     pushforward,
 )
 from qspectra.serialize import matrix_to_json, save_json
-from qspectra.slices import build_J
+from qspectra.slices import build_J, extend
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
+    INVERSE_GUARD,
+    ROUND_TRIP_TOL,
     UnboundedSim,
     _radial_factor,
     bounded_transform,
     commuting_J_unbounded,
+    inverse_checks,
     inverse_transform,
     transform_checks,
     unbounded_multiplication_form,
@@ -101,6 +105,85 @@ class TestBoundedTransform:
         a = gen.random_normal(rng, 5, frame, scale=2.0)
         bt = bounded_transform(a)
         assert bt.residual.residual <= 1e-10 * max(1.0, a.frobenius())
+
+
+def _graded(n: int, top: float) -> QMatrix:
+    """One eigenvalue of modulus top, the rest in the unit square."""
+    rng = np.random.default_rng([n, 0])
+    d = [Quaternion(top), *gen.random_standard_values(rng, n - 1, STANDARD_FRAME)]
+    v = gen.random_unitary(rng, n)
+    return v @ QMatrix.diag(d) @ v.H
+
+
+def _star_route_inputs():
+    """Seeded inputs of every class at scales 2^-40, 1, 2^40 and 1e+-12, a
+    seeded non-normal one at each, and the graded input at 1e8."""
+    for j, scale in enumerate((2.0**-40, 1.0, 2.0**40, 1e-12, 1e12)):
+        for i, kind in enumerate(gen.MATRIX_CLASSES):
+            rng = np.random.default_rng([i, j])
+            yield f"{kind}-{scale:g}", gen.random_normal(rng, 8, gen.random_frame(rng), kind, scale)
+        nonnormal = np.random.default_rng([9, j]).standard_normal((8, 8, 4))
+        yield f"nonnormal-{scale:g}", QMatrix(nonnormal * scale)
+    for n in (8, 32):
+        yield f"graded-{n}", _graded(n, 1e8)
+
+
+_STAR_ROUTE_INPUTS = dict(_star_route_inputs())
+star_route_inputs = pytest.mark.parametrize(
+    "a", _STAR_ROUTE_INPUTS.values(), ids=_STAR_ROUTE_INPUTS.keys()
+)
+
+
+class TestAdjointTransformRoute:
+    """transform_checks reads Z_{A*} off one SVD of A's complex adjoint x
+    read as x*, without bounded_transform(A*)'s contraction gate: the same
+    bits as bounded_transform(A*), and no rejection lost."""
+
+    @star_route_inputs
+    def test_conjugate_transpose_is_the_adjoints_adjoint(self, a):
+        # bit for bit, but for the sign of a zero: as_pair's y + 1j z reads
+        # y = -0.0 as +0.0, so A*'s route loses the -0.0 that qconj makes of
+        # a zero component (on the diagonal of a self- or anti-self-adjoint
+        # input), which x* keeps. The star residual's bits do not move (the
+        # next test)
+        lhs = np.ascontiguousarray(np.conj(a.to_complex_adjoint().T)).view(np.float64)
+        rhs = a.H.to_complex_adjoint().view(np.float64)
+        differ = lhs.view(np.uint64) != rhs.view(np.uint64)
+        assert np.all(lhs[differ] == 0.0) and np.all(rhs[differ] == 0.0)
+        if np.all(a.a != 0.0):
+            assert not differ.any()
+
+    @star_route_inputs
+    def test_star_residual_matches_the_full_transform_of_the_adjoint(self, a):
+        z = bounded_transform(a).adjoint
+        want = qa.chi_fro(bounded_transform(a.H).adjoint - np.conj(z.T))
+        star = next(c for c in transform_checks(a) if c.name == "transform.star_compatible")
+        assert star.residual == want
+
+    @star_route_inputs
+    def test_normal_preserved_reported_for_normal_input_alone(self, a):
+        names = [c.name for c in transform_checks(a)]
+        assert ("transform.normal_preserved" in names) == a.is_normal()
+
+    @star_route_inputs
+    def test_inverse_check_matches_the_full_transform_of_t(self, a):
+        # Z_T and ||T|| off one SVD of T are bounded_transform(T)'s bits
+        z = bounded_transform(a).Z
+        if z.op_norm() >= 1.0 - INVERSE_GUARD:
+            return
+        bt = bounded_transform(inverse_transform(z))
+        (check,), _ = inverse_checks(z)
+        assert check.residual == qa.chi_fro(bt.adjoint - z.to_complex_adjoint())
+        assert check.tol == ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
+
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_adjoint_contraction_passes_wherever_checks_return(self, kind):
+        rng = np.random.default_rng(33)
+        base = gen.random_normal(rng, 8, gen.random_frame(rng), kind)
+        for e in range(-150, 151, 10):
+            a = base * 10.0**e
+            transform_checks(a)
+            assert bounded_transform(a.H).contraction.passed, e
 
 
 class TestInverseTransform:
@@ -196,6 +279,15 @@ class TestZExtension:
         s = build_J(spectral_decompose(a, frame))
         z = random_complex_normal(rng, 4)
         assert z_extension_check(CMatrix.from_complex(z, frame), s) <= 1e-9
+
+    def test_same_bits_as_the_full_transforms(self, frame, rng):
+        # both Zs off one SVD each are bounded_transform's Zs, bit for bit
+        a = gen.random_normal(rng, 6, frame)
+        s = build_J(spectral_decompose(a, frame))
+        t_plus = CMatrix.from_complex(random_complex_normal(rng, 6, scale=3.0), frame)
+        z_plus = CMatrix(bounded_transform(QMatrix(t_plus.data)).Z.a, frame)
+        full = (bounded_transform(extend(t_plus, s)).Z - extend(z_plus, s)).frobenius()
+        assert z_extension_check(t_plus, s) == full
 
 
 class TestRadialMaps:
