@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import qarray as qa
-from .errors import NotNormalError, PreconditionError, ShapeError
+from .errors import PreconditionError, ShapeError
 from .quaternion import Quaternion
-from .report import Check, require
 
 
 class QMatrix:
@@ -145,11 +144,6 @@ class QMatrix:
             return
         i, j = np.argwhere(~finite.all(axis=-1))[0]
         raise PreconditionError(f"matrix entry ({i}, {j}) is not finite")
-
-    def check_normal(self) -> Check:
-        """The passed qa.normality check of A; NotNormalError if it failed."""
-        self.check_finite()
-        return require(qa.normality(self.to_complex_adjoint(), np.sqrt(2.0)), NotNormalError)
 
     def __repr__(self):
         rows, cols = self.shape

@@ -65,9 +65,10 @@ def qmul(a, b) -> np.ndarray:
 
 
 def as_pair(a) -> tuple[np.ndarray, np.ndarray]:
-    """Split into complex parts (w + x*i, y + z*i) of q = p1 + p2*j."""
-    a = qarr(a)
-    return a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+    """Split into complex parts (w + x*i, y + z*i) of q = p1 + p2*j: copies of
+    a's bits (w + 1j * x reads -0.0 as +0.0), contiguous for matmul."""
+    c = np.ascontiguousarray(qarr(a)).view(np.complex128)
+    return c[..., 0].copy(), c[..., 1].copy()
 
 
 def from_pair(p1, p2) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Bounded transform Z = T (I + T*T)^(-1/2), its inverse, the commuting-J
-construction routed through it, and the unbounded multiplication form
-emulated on truncated atomic spaces.
+construction read off T's own decomposition, and the unbounded
+multiplication form emulated on truncated atomic spaces.
 
 Both maps and the square root (I + A*A)^(1/2) are functions of the singular
 values on the singular vectors of one SVD of the input's complex adjoint,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import CMatrix, chi, spectral_decompose
+from .bridge import CMatrix, spectral_decompose
 from .errors import (
     DuplicateSymbolError,
     PreconditionError,
@@ -66,12 +66,15 @@ class BoundedTransform:
     (transform.defining_residual), Z's complex adjoint as the SVD of A's
     gave it, ||A|| = s[0] of that SVD, and the SVD (u, s, vh) of Z's adjoint."""
 
-    Z: QMatrix
     contraction: Check
     residual: Check
     adjoint: np.ndarray
     a_norm: float
     svd: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def Z(self) -> QMatrix:
+        return QMatrix.from_complex_adjoint(self.adjoint)
 
 
 @dataclass
@@ -119,8 +122,7 @@ def _bounded(a: QMatrix, x: np.ndarray) -> BoundedTransform:
     residual = check_from(
         "transform.defining_residual", qa.chi_fro(z @ half - x), 1e-9 * max(a.frobenius(), 1.0)
     )
-    zq = QMatrix.from_complex_adjoint(z)
-    return BoundedTransform(zq, contraction, residual, z, float(s[0]), svd)
+    return BoundedTransform(contraction, residual, z, float(s[0]), svd)
 
 
 def _inverse(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -184,14 +186,15 @@ def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
 
 
 def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:
-    """Slice structure commuting with a normal matrix, built from its
-    bounded transform's eigenbasis (the transform shares eigenvectors); the
-    commutation is checked on chi images."""
-    a.check_normal()
-    structure = build_J(spectral_decompose(bounded_transform(a).Z, frame))
-    z, cj = chi(a, frame), structure.cj
+    """Slice structure commuting with a normal T, read off T's own
+    decomposition: Z_T = f(T) has T's eigenvectors, but f squeezes the gaps
+    between large eigenvalues, so factoring Z loses the accuracy that T's
+    gaps carry (Davis & Kahan 1970). Checked: ||JT - TJ||_F <= 1e-9 ||T||_F."""
+    dec = spectral_decompose(a, frame)
+    structure = build_J(dec)
+    z, cj = dec.z, structure.cj
     defect = qa.chi_fro(cj @ z - z @ cj)
-    bound = 1e-9 * max(a.frobenius(), 1.0)
+    bound = 1e-9 * max(qa.chi_fro(z), qa.TINY)
     require(check_from("transform.J_commutes", defect, bound), TransformDomainError)
     return structure
 

@@ -20,7 +20,6 @@ from qspectra.errors import (
     NotNormalError,
     QSpectraError,
     SymbolZeroError,
-    TransformDomainError,
 )
 from qspectra.report import check_from
 from qspectra.serialize import matrix_to_json, save_json
@@ -339,14 +338,13 @@ def _check_lifts(a, frame, previous, rng, built):
         _assert_close(old_res[name], built[name].residual, n, scale, name)
         assert built[name].passed == (old_res[name] <= built[name].tol)
 
-    # the real class at 1e12 fails the check on both routes
-    j = build_J(spectral_decompose(bounded_transform(a).Z, frame)).J
+    # J is read off A's own decomposition: every normal input passes
     built.clear()
-    raised = _verdict(commuting_J_unbounded, a, frame) is TransformDomainError
-    old_defect = ((j @ a) - (a @ j)).frobenius()
+    commuting_J_unbounded(a, frame)
+    old_defect = ((s.J @ a) - (a @ s.J)).frobenius()
     check = built["transform.J_commutes"]
     _assert_close(old_defect, check.residual, n, fro, "transform.J_commutes")
-    assert check.passed == (old_defect <= check.tol) != raised
+    assert check.passed and old_defect <= check.tol
     return s, v
 
 

@@ -1,5 +1,6 @@
-"""Inputs whose spherical spectrum is known in closed form, and orbit counts
-that must not depend on the scale of the input.
+"""Inputs whose spherical spectrum is known in closed form, inputs of wide
+moduli that a commuting J must take at their scale, and orbit counts that
+must not depend on the scale of the input.
 
 D_N is Fourier spectral differentiation on N points (Trefethen, Spectral
 Methods in MATLAB, ch. 3): real skew-symmetric and circulant, with
@@ -11,10 +12,11 @@ has N/2 orbits, the values (i k)^p for k = 0 .. N/2 - 1, and
 import numpy as np
 import pytest
 
-from qspectra import QMatrix, STANDARD_FRAME
+from qspectra import I, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.measure import ess_sup
 from qspectra.spectral import multiplication_form, sphere_spectrum
+from qspectra.transform import commuting_J_unbounded
 
 
 def fourier_differentiation(size: int) -> np.ndarray:
@@ -30,15 +32,39 @@ def orbit_count(a: QMatrix) -> int:
     return len(sphere_spectrum(multiplication_form(a, STANDARD_FRAME)).points)
 
 
+def fourier_power(size: int, p: int) -> QMatrix:
+    entries = np.zeros((size, size, 4))
+    entries[..., 0] = np.linalg.matrix_power(fourier_differentiation(size), p)
+    return QMatrix(entries)
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 6])
 @pytest.mark.parametrize("size", [16, 64, 128])
 def test_fourier_differentiation_powers(size, p):
-    entries = np.zeros((size, size, 4))
-    entries[..., 0] = np.linalg.matrix_power(fourier_differentiation(size), p)
-    form = multiplication_form(QMatrix(entries), STANDARD_FRAME)
+    form = multiplication_form(fourier_power(size, p), STANDARD_FRAME)
     assert len(sphere_spectrum(form).points) == size // 2
     want = (size / 2 - 1) ** p
     assert abs(ess_sup(form.phi) - want) <= size * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 6])
+@pytest.mark.parametrize("size", [16, 64, 128])
+def test_commuting_J_on_fourier_powers(size, p):
+    # the eigenvalues -k^2 .. -k^6 keep their gaps in A, not in Z = f(A):
+    # J read off Z's eigenvectors failed J_commutes or Z's normality here
+    commuting_J_unbounded(fourier_power(size, p))
+
+
+@pytest.mark.parametrize("s", [1e2, 1e8, 1e10, 1e12])
+def test_commuting_J_on_wide_moduli(s):
+    # lambda = r e^{i theta}, r log-uniform in [1, s]: J read off Z's
+    # eigenvectors passed 20, 19, 2 and 1 of 20 seeds
+    for seed in range(20):
+        rng = np.random.default_rng([7, seed])
+        r = np.exp(rng.uniform(0.0, np.log(s), 16))
+        lam = r * np.exp(1j * rng.choice([0.3, 1.1, 2.0], 16))
+        v = gen.random_unitary(rng, 16)
+        commuting_J_unbounded(v @ QMatrix.diag([Quaternion(z.real) + I * z.imag for z in lam]) @ v.H)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12])

@@ -5,6 +5,7 @@ from qspectra import I, J, QMatrix, Quaternion, delta, inner, norm
 from qspectra import generate as gen
 from qspectra import qarray as qa
 from qspectra.errors import NotNormalError, PreconditionError, ShapeError
+from qspectra.report import require
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose
@@ -12,6 +13,11 @@ from conftest import assert_qclose
 
 def rand_matrix(rng, n):
     return QMatrix(gen.random_qvector(rng, n * n).reshape(n, n, 4))
+
+
+def required_normality(a):
+    """A's passed normal.commutator check; NotNormalError if it failed."""
+    return require(qa.normality(a.to_complex_adjoint(), np.sqrt(2.0)), NotNormalError)
 
 
 class TestAdjoint:
@@ -44,7 +50,7 @@ class TestNormality:
     def test_left_multiplication_is_normal(self):
         a = QMatrix.from_rows([[J]])
         assert a.is_normal()
-        assert a.check_normal().residual <= 1e-12 * a.frobenius() ** 2
+        assert required_normality(a).residual <= 1e-12 * a.frobenius() ** 2
 
     def test_nilpotent_shift_is_not(self):
         arr = np.zeros((2, 2, 4))
@@ -55,15 +61,15 @@ class TestNormality:
         b = rand_matrix(rng, 5)
         a = b - b.H
         assert a.is_normal()
-        assert a.check_normal().residual <= 1e-12 * a.frobenius() ** 2
+        assert required_normality(a).residual <= 1e-12 * a.frobenius() ** 2
 
     def test_overflow_is_no_verdict(self):
         # normal, but the commutator and the bound overflow: is_normal says
-        # no, and check_normal names the overflow instead of a defect
+        # no, and the required check names the overflow instead of a defect
         a = 1e160 * QMatrix.from_rows([[J]])
         assert not a.is_normal()
         with pytest.raises(PreconditionError, match="normality check overflows") as err:
-            a.check_normal()
+            required_normality(a)
         assert not isinstance(err.value, NotNormalError)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-200])
@@ -73,7 +79,7 @@ class TestNormality:
         a = QMatrix(np.random.default_rng(7).standard_normal((4, 4, 4)) * scale)
         assert not a.is_normal()
         with pytest.raises(NotNormalError, match="normal.commutator"):
-            a.check_normal()
+            required_normality(a)
 
     @pytest.mark.parametrize("k", [1, 40, 200, 300])
     def test_power_of_two_scaling_is_exact(self, rng, k):
@@ -89,11 +95,11 @@ class TestNormality:
             assert got.tol == np.ldexp(want.tol, -2 * k)
             assert got.passed == want.passed
 
-    def test_check_normal_raises(self):
+    def test_required_normality_raises(self):
         arr = np.zeros((2, 2, 4))
         arr[0, 1, 0] = 1.0
         with pytest.raises(NotNormalError):
-            QMatrix(arr).check_normal()
+            required_normality(QMatrix(arr))
 
 
 class TestDelta:

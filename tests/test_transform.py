@@ -7,10 +7,12 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra import qarray as qa
+from qspectra import transform
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import (
     DuplicateSymbolError,
+    NotNormalError,
     PreconditionError,
     ShapeError,
     TransformDomainError,
@@ -24,6 +26,7 @@ from qspectra.measure import (
     m_phi,
     pushforward,
 )
+from qspectra.report import check_from, require
 from qspectra.serialize import matrix_to_json, save_json
 from qspectra.slices import build_J, extend
 from qspectra.spectral import multiplication_form
@@ -74,7 +77,8 @@ class TestBoundedTransform:
         a = gen.random_normal(rng, 6, frame)
         z = bounded_transform(a).Z
         assert z.is_normal()
-        assert z.check_normal().residual <= 1e-12 * z.frobenius() ** 2
+        normal = require(qa.normality(z.to_complex_adjoint(), np.sqrt(2.0)), NotNormalError)
+        assert normal.residual <= 1e-12 * z.frobenius() ** 2
 
     def test_contraction_at_large_scale(self, frame, rng):
         # the Gram matrix's smallest eigenvalues are swamped by eps * ||A||^2
@@ -141,17 +145,12 @@ class TestAdjointTransformRoute:
 
     @star_route_inputs
     def test_conjugate_transpose_is_the_adjoints_adjoint(self, a):
-        # bit for bit, but for the sign of a zero: as_pair's y + 1j z reads
-        # y = -0.0 as +0.0, so A*'s route loses the -0.0 that qconj makes of
-        # a zero component (on the diagonal of a self- or anti-self-adjoint
-        # input), which x* keeps. The star residual's bits do not move (the
-        # next test)
-        lhs = np.ascontiguousarray(np.conj(a.to_complex_adjoint().T)).view(np.float64)
-        rhs = a.H.to_complex_adjoint().view(np.float64)
-        differ = lhs.view(np.uint64) != rhs.view(np.uint64)
-        assert np.all(lhs[differ] == 0.0) and np.all(rhs[differ] == 0.0)
-        if np.all(a.a != 0.0):
-            assert not differ.any()
+        # bit for bit, signed zeros too: as_pair keeps the -0.0 that qconj
+        # makes of a zero component (on the diagonal of a self- or
+        # anti-self-adjoint input), as x* does
+        lhs = np.ascontiguousarray(np.conj(a.to_complex_adjoint().T)).view(np.uint64)
+        rhs = a.H.to_complex_adjoint().view(np.uint64)
+        assert np.array_equal(lhs, rhs)
 
     @star_route_inputs
     def test_star_residual_matches_the_full_transform_of_the_adjoint(self, a):
@@ -259,6 +258,29 @@ class TestCommutingJ:
             s = commuting_J_unbounded(a, frame)
             defect = ((s.J @ a) - (a @ s.J)).frobenius()
             assert defect <= 1e-9 * max(a.frobenius(), 1.0)
+
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_bound_is_scale_free(self, monkeypatch, kind):
+        # tol = 1e-9 ||A||_F with no floor at scale 1: scaling by 2^k is
+        # exact, so it scales tol exactly, and at 1e-12 tol is not 1e-9
+        built = []
+
+        def recording(name, residual, tol):
+            built.append(check_from(name, residual, tol))
+            return built[-1]
+
+        monkeypatch.setattr(transform, "check_from", recording)
+        rng = np.random.default_rng([3, gen.MATRIX_CLASSES.index(kind)])
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, kind)
+        tols = {}
+        for c in (2.0**-40, 2.0**-20, 1.0, 2.0**20, 2.0**40, 1e-12):
+            built.clear()
+            commuting_J_unbounded(QMatrix(a.a * c))
+            tols[c] = built[-1].tol
+            assert built[-1].name == "transform.J_commutes" and built[-1].passed
+        for k in (-40, -20, 20, 40):
+            assert tols[2.0**k] == np.ldexp(tols[1.0], k)
+        assert tols[1e-12] == pytest.approx(1e-12 * tols[1.0], rel=1e-12)
 
 
 class TestZExtension:
