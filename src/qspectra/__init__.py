@@ -22,7 +22,7 @@ from .quaternion import (
 from .operators import QMatrix, delta
 from .vectors import expand, gram_schmidt, inner, norm, reconstruct, scale_right
 from .bridge import CMatrix, SpectralDecomposition, chi, spectral_decompose
-from .slices import SliceStructure, build_J, extend, quaternionify, restrict_plus
+from .slices import SliceStructure, build_J, extend, quaternionify
 from .measure import AtomicMeasureSpace, L2Element, Symbol, ess_ran, ess_sup, m_phi
 from .spectral import (
     MultiplicationForm,
@@ -77,7 +77,6 @@ __all__ = [
     "orbit_of",
     "quaternionify",
     "reconstruct",
-    "restrict_plus",
     "scale_right",
     "slice_join",
     "slice_split",

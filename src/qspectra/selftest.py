@@ -29,7 +29,7 @@ from .measure import (
 from .operators import QMatrix, delta
 from .quaternion import Quaternion, SliceFrame, orbit_of, slice_join, slice_split
 from .report import Check, VerificationReport, check_from, flag_check
-from .slices import build_J, extend, project_minus, project_plus, quaternionify, restrict_plus
+from .slices import build_J, extend, project_minus, project_plus, quaternionify, restrict_pair
 from .spectral import (
     _multiset_deviation,
     classify,
@@ -187,8 +187,8 @@ def _group_extension(rng, n, corpus) -> list[Check]:
             xp = project_plus(gen.random_qvector(rng, n), s)
             xm = project_minus(gen.random_qvector(rng, n), s)
             worst_orth = max(worst_orth, abs(vec.inner(xp, xm) + vec.inner(xm, xp)))
-        tp = restrict_plus(a, s)
-        tq = restrict_plus(a @ a, s)
+        tp = restrict_pair(a, s)[0]
+        tq = restrict_pair(a @ a, s)[0]
         ext, tpq = extend(tp, s), QMatrix(tp.data)
         worst_norm = max(worst_norm, abs(ext.op_norm() - tpq.op_norm()))
         worst_star = max(worst_star, (extend(CMatrix(tpq.H.a, f), s) - ext.H).frobenius())
@@ -324,7 +324,7 @@ def _group_transform(rng, n, corpus) -> list[Check]:
 def _group_unbounded(rng, n, corpus) -> list[Check]:
     kind, f, d, a, form = corpus[0]
     s = build_J(form.decomposition)
-    worst_zext = z_extension_check(restrict_plus(a, s), s)
+    worst_zext = z_extension_check(restrict_pair(a, s)[0], s)
     worst_trunc = 0.0
     for n_atoms in (8, 64, 512):
         grid = np.linspace(0.0, 8.0, n_atoms)

@@ -55,17 +55,28 @@ class SliceStructure:
 
 
 def build_J(dec: SpectralDecomposition) -> SliceStructure:
-    """J = V (columns right-multiplied by m) V*.
+    """J = V (columns right-multiplied by m) V*, as cj = W D W* with
+    W = chi(V) and D = diag(iI, -iI).
 
     J is anti-self-adjoint and unitary because m is; it commutes with
-    V diag(d) V* because every d_k lies in the slice of m. All three are
-    checked on chi(J), against the decomposition's own chi(V D V*).
+    V diag(d) V* because every d_k lies in the slice of m. On chi images,
+    with E = W*W - I, u = ||E||_F / sqrt 2 <= 1e-10 max(1, sqrt n) (the
+    decomposition's decompose.unitary), delta = ||E||_2, and each product
+    rounded within gamma_N |X||Y| (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3):
+    - cj* + cj is not checked: multiplying by +-i is exact, so it is the
+      rounding of one product, about gamma_2n ||W||_F^2, far below 1e-10 n.
+    - J^2 + I = W D E D W* - (W W* - I), at most (2 + delta) u, which
+      exceeds 1e-10 n for n <= 3: slices.J_unitary.
+    - [cj, rec] = W (D E Lambda - Lambda E D) W* against the decomposition's
+      own rec = chi(V diag(d) V*): an E that couples a dominant eigenvalue's
+      plus column to a minus column reads about 0.2 sqrt(n) of
+      1e-9 ||rec||_F, and so fails from n = 26: slices.J_commutes.
     """
     w = dec.w
     n = w.shape[1] // 2
     cj = (w * np.repeat([1j, -1j], n)) @ np.conj(w.T)
-    anti, square = qa.chi_fro(np.conj(cj.T) + cj), qa.chi_fro(cj @ cj + np.eye(2 * n))
-    require(check_from("slices.J_anti_self_adjoint", anti, 1e-10 * n), SliceCommutationError)
+    square = qa.chi_fro(cj @ cj + np.eye(2 * n))
     require(check_from("slices.J_unitary", square, 1e-10 * n), SliceCommutationError)
     defect = qa.chi_fro(cj @ dec.rec - dec.rec @ cj)
     bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), qa.TINY)
@@ -92,6 +103,10 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     the slice. Each matrix takes its own product with chi(A), so that T- is
     the conjugate of T+ stays a check. A non-finite entry of A is named first,
     then a size that does not fit the structure (ShapeError).
+
+    With s = build_J(spectral_decompose(A)), this checks the commuting J of
+    an unbounded-scale normal A, read off A's own decomposition: Z_A has A's
+    eigenvectors but squeezes its large gaps (Davis & Kahan 1970).
     """
     a.check_finite()
     if a.n != s.n:
@@ -103,11 +118,6 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))
     plus, minus = (np.conj(b[:, :n].T) @ z @ b for b in bases)
     return CMatrix.from_chi_row(plus, s.frame, bound), CMatrix.from_chi_row(minus, s.frame, bound)
-
-
-def restrict_plus(a: QMatrix, s: SliceStructure) -> CMatrix:
-    """The plus matrix of restrict_pair."""
-    return restrict_pair(a, s)[0]
 
 
 def _lift(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Bounded transform Z = T (I + T*T)^(-1/2), its inverse, the commuting-J
-construction read off T's own decomposition, and the unbounded
+"""Bounded transform Z = T (I + T*T)^(-1/2), its inverse, and the unbounded
 multiplication form emulated on truncated atomic spaces.
 
 Both maps and the square root (I + A*A)^(1/2) are functions of the singular
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray as qa
-from .bridge import CMatrix, spectral_decompose
+from .bridge import CMatrix
 from .errors import (
     DuplicateSymbolError,
     PreconditionError,
@@ -41,9 +40,9 @@ from .errors import (
 )
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen
 from .operators import QMatrix
-from .quaternion import STANDARD_FRAME, Quaternion, SliceFrame
+from .quaternion import Quaternion, SliceFrame
 from .report import Check, check_from, require
-from .slices import SliceStructure, build_J, extend
+from .slices import SliceStructure, extend
 
 INVERSE_GUARD = 1e-8
 # times max(1, ||A||_F): ||Z|| <= 1, but the SVD gives Z to within about
@@ -62,7 +61,7 @@ _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 class BoundedTransform:
     """Z = A (I + A*A)^(-1/2), the check ||Z|| <= CONTRACTION_BOUND it passed
     (transform.contraction), the check ||Z (I + A*A)^(1/2) - A||_F <=
-    1e-9 max(||A||_F, 1) it reports but does not enforce
+    1e-9 max(||A||_F, TINY) it reports but does not enforce
     (transform.defining_residual), Z's complex adjoint as the SVD of A's
     gave it, ||A|| = s[0] of that SVD, and the SVD (u, s, vh) of Z's adjoint."""
 
@@ -108,20 +107,20 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
     With A = u diag(s) vh, Z = u diag(s / sqrt(1 + s^2)) vh and
     (I + A*A)^(1/2) = vh* diag(sqrt(1 + s^2)) vh.
     """
-    return _bounded(a, _adjoint(a))
+    return _bounded(_adjoint(a))
 
 
-def _bounded(a: QMatrix, x: np.ndarray) -> BoundedTransform:
-    """bounded_transform(a), given a's complex adjoint x."""
+def _bounded(x: np.ndarray) -> BoundedTransform:
+    """bounded_transform of the A whose complex adjoint is x; the residual's
+    bound reads ||A||_F off x, floored only at TINY, so it scales with A."""
     z, s, vh = _contract(x)
     half = (np.conj(vh.T) * np.hypot(1.0, s)) @ vh
 
     svd = np.linalg.svd(z)
     contraction = check_from("transform.contraction", svd[1][0], CONTRACTION_BOUND)
     require(contraction, TransformDomainError)
-    residual = check_from(
-        "transform.defining_residual", qa.chi_fro(z @ half - x), 1e-9 * max(a.frobenius(), 1.0)
-    )
+    defect, bound = qa.chi_fro(z @ half - x), 1e-9 * max(qa.chi_fro(x), qa.TINY)
+    residual = check_from("transform.defining_residual", defect, bound)
     return BoundedTransform(contraction, residual, z, float(s[0]), svd)
 
 
@@ -155,7 +154,7 @@ def transform_checks(a: QMatrix) -> list[Check]:
     ungated: s / hypot(1, s) <= 1 and u, vh are unitary to O(N eps), so
     ||Z_{A*}|| <= 1 + O(N eps) < CONTRACTION_BOUND for N = 2n <= 256."""
     x = _adjoint(a)
-    bt = _bounded(a, x)
+    bt = _bounded(x)
     z, z_norm = bt.adjoint, bt.contraction.residual
     err = Z_ERROR_TOL * max(1.0, a.frobenius())
     star = qa.chi_fro(_contract(np.conj(x.T))[0] - np.conj(z.T))
@@ -183,20 +182,6 @@ def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
     z_t, s_t, _ = _contract(QMatrix.from_complex_adjoint(_inverse(u, s, vh)).to_complex_adjoint())
     tol = ROUND_TRIP_TOL * (1.0 + s_t[0] ** 2)
     return [check_from("transform.inverse_round_trip", qa.chi_fro(z_t - x), tol)], float(s[0])
-
-
-def commuting_J_unbounded(a: QMatrix, frame: SliceFrame = STANDARD_FRAME) -> SliceStructure:
-    """Slice structure commuting with a normal T, read off T's own
-    decomposition: Z_T = f(T) has T's eigenvectors, but f squeezes the gaps
-    between large eigenvalues, so factoring Z loses the accuracy that T's
-    gaps carry (Davis & Kahan 1970). Checked: ||JT - TJ||_F <= 1e-9 ||T||_F."""
-    dec = spectral_decompose(a, frame)
-    structure = build_J(dec)
-    z, cj = dec.z, structure.cj
-    defect = qa.chi_fro(cj @ z - z @ cj)
-    bound = 1e-9 * max(qa.chi_fro(z), qa.TINY)
-    require(check_from("transform.J_commutes", defect, bound), TransformDomainError)
-    return structure
 
 
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:

@@ -25,7 +25,7 @@ from qspectra.slices import (
     project_minus,
     project_plus,
     quaternionify,
-    restrict_plus,
+    restrict_pair,
 )
 from qspectra.spectral import (
     PROBES_PER_ORBIT,
@@ -41,7 +41,6 @@ from qspectra.spectral import (
 )
 from qspectra.transform import (
     bounded_transform,
-    commuting_J_unbounded,
     inverse_transform,
     z_extension_check,
 )
@@ -311,7 +310,9 @@ def test_criterion_6_bounded_transform():
             worst_round,
             (inverse_transform(bt.Z) - a).frobenius() / (1.0 + a.op_norm() ** 2),
         )
-        structure = commuting_J_unbounded(a, frame)
+        # J read off A's own decomposition, checked to commute with A
+        structure = build_J(spectral_decompose(a, frame))
+        restrict_pair(a, structure)
         worst_commute = max(
             worst_commute,
             ((structure.J @ a) - (a @ structure.J)).frobenius() / max(a.frobenius(), 1e-300),

@@ -29,7 +29,6 @@ from qspectra.slices import (
     extend,
     extend_between,
     restrict_pair,
-    restrict_plus,
 )
 from qspectra.spectral import (
     FORM_RESIDUAL_TOL,
@@ -41,7 +40,6 @@ from qspectra.spectral import (
 from qspectra.transform import (
     INVERSE_GUARD,
     bounded_transform,
-    commuting_J_unbounded,
     z_extension_check,
 )
 
@@ -94,7 +92,6 @@ def _old_decompose(a, dec, form, s):
         "cli_unitary": ((form.U.H @ form.U) - ident).frobenius(),
         "reconstruction": (a - form.reconstruct()).frobenius(),
         "J": j,
-        "j_anti": (j.H + j).frobenius(),
         "j_square": ((j @ j) + ident).frobenius(),
         "j_commute": ((j @ rec) - (rec @ j)).frobenius(),
         "rec_fro": rec.frobenius(),
@@ -127,7 +124,7 @@ def _old_transform_checks(a):
     fro = a.frobenius()
     checks = [
         ("transform.contraction", None, None),
-        ("transform.defining_residual", residual, 1e-9 * max(fro, 1.0)),
+        ("transform.defining_residual", residual, 1e-9 * max(fro, 1e-300)),
         ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10 * max(1.0, fro)),
     ]
     if z_norm < 1.0 - INVERSE_GUARD:
@@ -177,7 +174,7 @@ def _check_decompose(a, frame):
     # each raise-or-pass verdict of the old formulas; all pass on this corpus
     assert old["residual"] <= DECOMP_RESIDUAL_TOL * fro and old["unitarity"] <= 1e-10 * max(1, np.sqrt(n))
     assert old["reconstruction"] <= FORM_RESIDUAL_TOL * fro
-    assert max(old["j_anti"], old["j_square"]) <= 1e-10 * n
+    assert old["j_square"] <= 1e-10 * n
     assert old["j_commute"] <= COMMUTE_TOL * max(old["rec_fro"], 1.0)
     assert max(old["a_commute"], old["off"]) <= COMMUTE_TOL * max(fro, 1.0)
 
@@ -270,17 +267,14 @@ def _old_classify(form, tol):
 
 
 def _old_conjugate(form):
-    """W = U* M_rho U and the residuals of its two checks, or the error."""
+    """W = U* M_rho U and the residual of its check, or the error."""
     moduli = form.phi.moduli()
     if np.any(form.space.positive() & (moduli <= 1e-12 * (1.0 + np.max(moduli)))):
         return SymbolZeroError, None
     rho = [(form.phi.value(i) / moduli[i]) * form.frame.n for i in range(len(moduli))]
     w = form.U.H @ QMatrix.diag(rho) @ form.U
     rec = form.U.H @ QMatrix.diag(form.phi.values) @ form.U
-    return w, {
-        "spectral.conjugate_unitary": ((w.H @ w) - QMatrix.identity(w.n)).frobenius(),
-        "spectral.conjugate_residual": (rec - (w.H @ rec.H @ w)).frobenius(),
-    }
+    return w, (rec - (w.H @ rec.H @ w)).frobenius()
 
 
 def _old_extend_between(u, v1, j1, v2, j2):
@@ -318,11 +312,17 @@ def _check_lifts(a, frame, previous, rng, built):
         assert w is old_w
     else:
         _assert_close((old_w - w).frobenius(), 0.0, n, 1.0, "conjugate W")
-        for name, scale in (("spectral.conjugate_unitary", 1.0), ("spectral.conjugate_residual", fro)):
-            _assert_close(old_res[name], built[name].residual, n, scale, name)
-            assert built[name].passed == (old_res[name] <= built[name].tol)
+        check = built["spectral.conjugate_residual"]
+        _assert_close(old_res, check.residual, n, fro, check.name)
+        assert check.passed == (old_res <= check.tol)
 
-    t = restrict_plus(a, s)
+    built.clear()
+    t = restrict_pair(a, s)[0]
+    # J is read off A's own decomposition: every normal input passes
+    check = built["slices.restrict_commutes"]
+    old_defect = ((s.J @ a) - (a @ s.J)).frobenius()
+    _assert_close(old_defect, check.residual, n, fro, check.name)
+    assert check.passed and old_defect <= check.tol
     _assert_close((v @ QMatrix(t.data) @ v.H - extend(t, s)).frobenius(), 0.0, n, fro, "extend")
     _assert_close(_old_z_extension(t, v), z_extension_check(t, s), n, 1.0, "z extension")
 
@@ -337,14 +337,6 @@ def _check_lifts(a, frame, previous, rng, built):
     for name in old_res:
         _assert_close(old_res[name], built[name].residual, n, scale, name)
         assert built[name].passed == (old_res[name] <= built[name].tol)
-
-    # J is read off A's own decomposition: every normal input passes
-    built.clear()
-    commuting_J_unbounded(a, frame)
-    old_defect = ((s.J @ a) - (a @ s.J)).frobenius()
-    check = built["transform.J_commutes"]
-    _assert_close(old_defect, check.residual, n, fro, "transform.J_commutes")
-    assert check.passed and old_defect <= check.tol
     return s, v
 
 
@@ -374,7 +366,7 @@ def test_lifts_make_no_quaternion_product(monkeypatch):
         a = gen.random_normal(rng, n, STANDARD_FRAME)
         form = multiplication_form(a, STANDARD_FRAME)
         s = build_J(form.decomposition)
-        t = restrict_plus(a, s)
+        t = restrict_pair(a, s)[0]
         calls = [0, 0]
         qmatmul, init = qa.qmatmul, Quaternion.__init__
 
@@ -395,7 +387,7 @@ def test_lifts_make_no_quaternion_product(monkeypatch):
             extend(t, s)
             extend_between(t, s, s)
             z_extension_check(t, s)
-            commuting_J_unbounded(a, STANDARD_FRAME)
+            restrict_pair(a, build_J(spectral_decompose(a, STANDARD_FRAME)))
         assert calls[0] == 0
         counts.append(calls[1])
     assert counts[0] == counts[1]

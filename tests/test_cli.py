@@ -192,7 +192,7 @@ class TestTransform:
         checks = report["checks"]
         assert checks == [c.to_dict() for c in transform_checks(a)]
         assert checks[:2] == [bt.contraction.to_dict(), bt.residual.to_dict()]
-        assert checks[1]["tol"] == 1e-9 * max(a.frobenius(), 1.0)
+        assert checks[1]["tol"] == 1e-9 * max(qarray.chi_fro(a.to_complex_adjoint()), qarray.TINY)
         assert report["zNorm"] == bt.contraction.residual
 
         save_json(matrix_to_json(bt.Z), normal_matrix_file)
@@ -499,15 +499,15 @@ def _scaled_normal_file(tmp_path, scale):
 
 class TestOverflow:
     def test_transform_with_overflowed_bound_fails(self, tmp_path, capsys, recwarn):
-        # ||A||_F overflows, so the defining residual's bound is inf; the
-        # overflow is read off the value, with no numpy warning
+        # ||A||_F overflows in QMatrix.frobenius, so star_compatible's bound
+        # is inf; the overflow is read off the value, with no numpy warning
         out = tmp_path / "rep.json"
         assert main(["transform", str(_scaled_normal_file(tmp_path, 1e160)), "--out", str(out)]) == 1
         assert capsys.readouterr().err == ""
         assert not recwarn.list
         rep = read_report(out)
         assert rep["status"] == "fail"
-        check = next(c for c in rep["checks"] if c["name"] == "transform.defining_residual")
+        check = next(c for c in rep["checks"] if c["name"] == "transform.star_compatible")
         assert check["tol"] == float("inf") and not check["pass"]
 
     @pytest.mark.parametrize("scale", [1e150, 1e300])

@@ -14,9 +14,10 @@ import pytest
 
 from qspectra import I, QMatrix, Quaternion, STANDARD_FRAME
 from qspectra import generate as gen
+from qspectra.bridge import spectral_decompose
 from qspectra.measure import ess_sup
+from qspectra.slices import build_J, restrict_pair
 from qspectra.spectral import multiplication_form, sphere_spectrum
-from qspectra.transform import commuting_J_unbounded
 
 
 def fourier_differentiation(size: int) -> np.ndarray:
@@ -26,6 +27,11 @@ def fourier_differentiation(size: int) -> np.ndarray:
     d = np.zeros((size, size))
     d[off] = 0.5 * (-1.0) ** k[off] / np.tan(k[off] * np.pi / size)
     return d
+
+
+def commuting_J(a: QMatrix) -> None:
+    """J read off A's own decomposition, checked to commute with A."""
+    restrict_pair(a, build_J(spectral_decompose(a, STANDARD_FRAME)))
 
 
 def orbit_count(a: QMatrix) -> int:
@@ -52,7 +58,7 @@ def test_fourier_differentiation_powers(size, p):
 def test_commuting_J_on_fourier_powers(size, p):
     # the eigenvalues -k^2 .. -k^6 keep their gaps in A, not in Z = f(A):
     # J read off Z's eigenvectors failed J_commutes or Z's normality here
-    commuting_J_unbounded(fourier_power(size, p))
+    commuting_J(fourier_power(size, p))
 
 
 @pytest.mark.parametrize("s", [1e2, 1e8, 1e10, 1e12])
@@ -64,7 +70,7 @@ def test_commuting_J_on_wide_moduli(s):
         r = np.exp(rng.uniform(0.0, np.log(s), 16))
         lam = r * np.exp(1j * rng.choice([0.3, 1.1, 2.0], 16))
         v = gen.random_unitary(rng, 16)
-        commuting_J_unbounded(v @ QMatrix.diag([Quaternion(z.real) + I * z.imag for z in lam]) @ v.H)
+        commuting_J(v @ QMatrix.diag([Quaternion(z.real) + I * z.imag for z in lam]) @ v.H)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12])

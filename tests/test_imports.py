@@ -15,7 +15,6 @@ PACKAGE = ROOT / "src" / "qspectra"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Read by the tests alone, each kept for a claim its docstring names.
 KEEP_UNREAD = {
-    "commuting_J_unbounded",
     "embed",
     "entry",
     "extend_between",

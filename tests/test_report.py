@@ -1,14 +1,17 @@
+import ast
 import decimal
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qspectra import STANDARD_FRAME, bridge, slices, spectral, transform, vectors
+from qspectra import STANDARD_FRAME, QMatrix, Quaternion, bridge, slices, spectral, transform, vectors
 from qspectra import generate as gen
 from qspectra import qarray as qa
+from qspectra.bridge import CMatrix
 from qspectra.errors import (
     CrossCheckError,
     EigenResidualError,
@@ -77,7 +80,7 @@ def _restrict(a):
 
 def _extend_between(a):
     s = _build_J(a)
-    return slices.extend_between(slices.restrict_plus(a, s), s, s)
+    return slices.extend_between(slices.restrict_pair(a, s)[0], s, s)
 
 
 def _conjugate(a):
@@ -102,15 +105,12 @@ CONTRACTS = [
     (spectral, "decompose.norm_identity", CrossCheckError, _form),
     (transform, "transform.contraction", TransformDomainError, transform.bounded_transform),
     (bridge, "slices.off_slice", SliceMembershipError, _restrict),
-    (slices, "slices.J_anti_self_adjoint", SliceCommutationError, _build_J),
     (slices, "slices.J_unitary", SliceCommutationError, _build_J),
     (slices, "slices.J_commutes", SliceCommutationError, _build_J),
     (slices, "slices.restrict_commutes", SliceCommutationError, _restrict),
     (slices, "slices.extend_commutes", SliceCommutationError, _extend_between),
     (slices, "slices.extend_norm", SliceCommutationError, _extend_between),
-    (spectral, "spectral.conjugate_unitary", CrossCheckError, _conjugate),
     (spectral, "spectral.conjugate_residual", CrossCheckError, _conjugate),
-    (transform, "transform.J_commutes", TransformDomainError, transform.commuting_J_unbounded),
     (transform, "transform.xi_round_trip", TransformDomainError, _unbounded),
     (vectors, "vectors.expand_reconstruction", IncompleteBasisError, _expand),
 ]
@@ -136,6 +136,254 @@ def test_forced_contract_failure_names_its_check(monkeypatch, module, name, erro
     check = next(c for c in built if c.name == name)
     assert not check.passed
     assert str(err.value) == f"{name}: residual {check.residual!r} not within {check.tol!r}"
+
+
+# Witnesses: for each check in CONTRACTS, an input, or an intermediate
+# patched where it is made, that fails the check while every check built
+# before it on its route passes. A check no input can fail on its own, while
+# the checks before it pass, is implied by them and is no evidence.
+
+
+def _normal(seed, n=4):
+    return gen.random_normal(np.random.default_rng(seed), n, STANDARD_FRAME)
+
+
+def _jordan(n, eps):
+    """n copies of the eigenvalue 1 and eps at (0, 1): [A, A*] is eps^2,
+    while the eigenvectors miss A by eps and ||A|| = 1 + eps / 2."""
+    a = np.zeros((n, n, 4))
+    a[np.arange(n), np.arange(n), 0] = 1.0
+    a[0, 1, 0] = eps
+    return QMatrix(a)
+
+
+def _first_one(n, kind, scale=1.0):
+    """The eigenvalue 1 and n - 1 seeded values of the class, all with real
+    part below 1, so 1 comes first in the decomposition's order."""
+    rng = np.random.default_rng(n)
+    d = [Quaternion(1.0), *gen.random_standard_values(rng, n - 1, STANDARD_FRAME, kind, scale)]
+    v = gen.random_unitary(rng, n)
+    return v @ QMatrix.diag(d) @ v.H
+
+
+def _dominant(n):
+    """The eigenvalue 1 and n - 1 of modulus below 1.5e-3: ||A||_F is about 1."""
+    return _first_one(n, "normal", 1e-3)
+
+
+def _edit_partners(monkeypatch, edit):
+    """Apply edit(cols, partners) to partners = J cols, the half of
+    W = chi(V) = [cols, J cols] that spectral_decompose forms last, so that
+    every decompose check measures the edited W. bridge._j also pairs the
+    lines that the QR then orthonormalizes, which undoes the edit there."""
+    pair = bridge._j
+
+    def edited(x):
+        out = pair(x)
+        if out.ndim == 2 and 2 * out.shape[1] == out.shape[0]:
+            edit(x, out)
+        return out
+
+    monkeypatch.setattr(bridge, "_j", edited)
+
+
+def _scale_partner(monkeypatch, n, delta=None):
+    """The first column's partner times 1 + delta: E = W*W - I is 2 delta at
+    (n, n), and decompose.unitary reads sqrt(2) delta, by default 0.99 of its
+    bound. The partner stays an eigenvector, so the residual stays at rounding."""
+    if delta is None:
+        delta = 0.99e-10 * max(1.0, math.sqrt(n)) / math.sqrt(2.0)
+
+    def edit(cols, out):
+        out[:, 0] *= 1.0 + delta
+
+    _edit_partners(monkeypatch, edit)
+
+
+def _couple_partner(monkeypatch, n):
+    """g times the first column added to its partner: E is g at (0, n) and
+    (n, 0), and decompose.unitary reads g, 0.99 of its bound. For a real first
+    eigenvalue the partner stays an eigenvector."""
+    g = 0.99e-10 * math.sqrt(n)
+
+    def edit(cols, out):
+        out[:, 0] += g * cols[:, 0]
+
+    _edit_partners(monkeypatch, edit)
+
+
+def _unit_at_first(n):
+    """The slice operator with 1 at (0, 0) and 0 elsewhere."""
+    u = np.zeros((n, n), dtype=complex)
+    u[0, 0] = 1.0
+    return CMatrix.from_complex(u, STANDARD_FRAME)
+
+
+def _witness_commutator(monkeypatch):
+    _decompose(_jordan(2, 1e-3))
+
+
+def _witness_eigen_residual(monkeypatch):
+    _decompose(_jordan(2, 1e-6))
+
+
+def _witness_unitary(monkeypatch):
+    _scale_partner(monkeypatch, 4, delta=1e-8)
+    _decompose(_normal(4))
+
+
+def _witness_reconstruction(monkeypatch):
+    # Z - V D V* gains 2 delta lambda_1 at the dominant partner: 0.099 sqrt(n)
+    # of 1e-9 ||A||_F, so 1.12 at n = 128
+    _scale_partner(monkeypatch, 128)
+    _form(_dominant(128))
+
+
+def _witness_norm_identity(monkeypatch):
+    # the residual reads eps of 1e-9 ||A||_F = 4e-9, ||A|| - max |phi| eps / 2
+    _form(_jordan(16, 3e-9))
+
+
+def _witness_contraction(monkeypatch):
+    contract = transform._contract
+
+    def doubled(x):
+        z, s, vh = contract(x)
+        return 2.0 * z, s, vh
+
+    monkeypatch.setattr(transform, "_contract", doubled)
+    transform.bounded_transform(_normal(4))
+
+
+def _witness_off_slice(monkeypatch):
+    # V (1 + n) / sqrt 2 is orthonormal but leaves J's plus subspace;
+    # restrict_commutes reads J alone, off_slice reads the basis
+    a = _normal(4)
+    s = _build_J(a)
+    w1, w2 = np.split(s.w, 2, axis=1)
+    turned = np.concatenate([w1 + w2, w2 - w1], axis=1) / math.sqrt(2.0)
+    slices.restrict_pair(a, slices.SliceStructure(s.cj, s.frame, turned))
+
+
+def _witness_J_unitary(monkeypatch):
+    # J^2 + I reads 2 of decompose.unitary's residual: 1.98 of 1e-10 n at n = 1
+    _scale_partner(monkeypatch, 1)
+    _build_J(_normal(4, 1))
+
+
+def _witness_J_commutes(monkeypatch):
+    # [J, V D V*] reads 2 g lambda_1 at two entries: 0.198 sqrt(n) of its bound
+    _couple_partner(monkeypatch, 64)
+    _build_J(_dominant(64))
+
+
+def _witness_restrict_commutes(monkeypatch):
+    slices.restrict_pair(_normal(4), _build_J(_normal(5)))
+
+
+def _witness_extend_commutes(monkeypatch):
+    # unit moduli keep J_commutes at 0.198 sqrt(n) / ||A||_F; lifting the
+    # coupled column reads 0.198 sqrt(n) of the bound at scale 1
+    _couple_partner(monkeypatch, 64)
+    s = _build_J(_first_one(64, "unitary"))
+    slices.extend_between(_unit_at_first(64), s, s)
+
+
+def _witness_extend_norm(monkeypatch):
+    # the lifted operator's norm is (1 + delta)^2: 0.14 sqrt(n) of the bound
+    _scale_partner(monkeypatch, 64)
+    s = _build_J(_first_one(64, "unitary"))
+    slices.extend_between(_unit_at_first(64), s, s)
+
+
+def _witness_conjugate_residual(monkeypatch):
+    # reads 4 delta lambda_1 at one entry: 0.198 sqrt(n) of 1e-9 ||A||_F
+    _scale_partner(monkeypatch, 64)
+    _conjugate(_dominant(64))
+
+
+def _witness_xi_round_trip(monkeypatch):
+    # 1 - |xi_inv(p)|^2 = 1e-10 at |p| = 1e5 keeps 6 digits in a double
+    rng = np.random.default_rng(5)
+    d = [Quaternion(1e5), *gen.random_standard_values(rng, 3, STANDARD_FRAME)]
+    v = gen.random_unitary(rng, 4)
+    _unbounded(v @ QMatrix.diag(d) @ v.H)
+
+
+def _witness_expand_reconstruction(monkeypatch):
+    a = _normal(4)
+    basis = vectors.gram_schmidt(list(a.a.transpose(1, 0, 2)))
+    vectors.expand(a.a[:, 0], basis[1:])
+
+
+WITNESSES = {
+    "normal.commutator": _witness_commutator,
+    "decompose.eigen_residual": _witness_eigen_residual,
+    "decompose.unitary": _witness_unitary,
+    "decompose.reconstruction": _witness_reconstruction,
+    "decompose.norm_identity": _witness_norm_identity,
+    "transform.contraction": _witness_contraction,
+    "slices.off_slice": _witness_off_slice,
+    "slices.J_unitary": _witness_J_unitary,
+    "slices.J_commutes": _witness_J_commutes,
+    "slices.restrict_commutes": _witness_restrict_commutes,
+    "slices.extend_commutes": _witness_extend_commutes,
+    "slices.extend_norm": _witness_extend_norm,
+    "spectral.conjugate_residual": _witness_conjugate_residual,
+    "transform.xi_round_trip": _witness_xi_round_trip,
+    "vectors.expand_reconstruction": _witness_expand_reconstruction,
+}
+
+
+def test_witness_table_names_every_contract():
+    assert sorted(WITNESSES) == sorted(c[1] for c in CONTRACTS)
+
+
+def _required_names(source: str) -> set[str]:
+    """Names of the checks passed to require: check_from("name", ...) given
+    directly or bound to a variable in the same function, and qa.normality."""
+    names = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {
+            node.targets[0].id: node.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require":
+                check = node.args[0]
+                check = bound.get(getattr(check, "id", None), check)
+                if getattr(check.func, "attr", None) == "normality":
+                    names.add("normal.commutator")
+                else:
+                    names.add(check.args[0].value)
+    return names
+
+
+def test_contracts_name_every_required_check():
+    package = Path(__file__).resolve().parent.parent / "src" / "qspectra"
+    required = set().union(*(_required_names(p.read_text()) for p in package.glob("*.py")))
+    assert required == {c[1] for c in CONTRACTS}
+
+
+@pytest.mark.parametrize("module, name, error, routine", CONTRACTS, ids=[c[1] for c in CONTRACTS])
+def test_witness_fails_the_check_alone(monkeypatch, module, name, error, routine):
+    built = []
+
+    def recording(check_name, residual, tol):
+        built.append(check_from(check_name, residual, tol))
+        return built[-1]
+
+    for source in (qa, bridge, slices, spectral, transform, vectors):
+        monkeypatch.setattr(source, "check_from", recording)
+    with pytest.raises(error, match=f"^{re.escape(name)}: residual "):
+        WITNESSES[name](monkeypatch)
+    # spectral_decompose builds both of its checks before it requires either
+    first = [c.name for c in built].index(name)
+    assert not built[first].passed
+    assert all(c.passed for c in built[:first]), built[:first]
 
 
 class TestReport:

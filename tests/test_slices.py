@@ -15,7 +15,6 @@ from qspectra.slices import (
     project_plus,
     quaternionify,
     restrict_pair,
-    restrict_plus,
 )
 from qspectra.spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
 from qspectra.vectors import scale_right
@@ -104,20 +103,20 @@ class TestRestrict:
         a = QMatrix.from_rows([[J]])
         s = structure_for(a, STANDARD_FRAME)
         np.testing.assert_allclose(
-            restrict_plus(a, s).z, np.array([[1j]]), atol=1e-13
+            restrict_pair(a, s)[0].z, np.array([[1j]]), atol=1e-13
         )
 
     def test_identity_restricts_to_identity(self, frame, rng):
         a = gen.random_normal(rng, 4, frame)
         s = structure_for(a, frame)
         np.testing.assert_allclose(
-            restrict_plus(QMatrix.identity(4), s).z, np.eye(4), atol=1e-13
+            restrict_pair(QMatrix.identity(4), s)[0].z, np.eye(4), atol=1e-13
         )
 
     def test_non_commuting_rejected(self):
         s = SliceStructure(np.diag([1j, -1j]), STANDARD_FRAME, np.eye(2))
         with pytest.raises(SliceCommutationError):
-            restrict_plus(QMatrix.from_rows([[K]]), s)
+            restrict_pair(QMatrix.from_rows([[K]]), s)
 
     def test_minus_restriction_is_conjugate(self, frame, rng):
         a = gen.random_normal(rng, 5, frame)
@@ -174,7 +173,7 @@ class TestExtend:
         a = gen.random_normal(rng, 5, frame)
         s = structure_for(a, frame)
         t_plus = random_slice_matrix(rng, 5, frame)
-        back = restrict_plus(extend(t_plus, s), s)
+        back = restrict_pair(extend(t_plus, s), s)[0]
         np.testing.assert_allclose(back.z, t_plus.z, atol=1e-12)
 
     def test_defining_formula_pointwise(self, frame, rng):
@@ -304,19 +303,18 @@ class TestExtendBetween:
     "routine",
     [
         lambda a, t, s: restrict_pair(a, s),
-        lambda a, t, s: restrict_plus(a, s),
         lambda a, t, s: slice_spectrum_check(a, s),
         lambda a, t, s: extend(t, s),
         lambda a, t, s: extend_between(t, s, s),
     ],
-    ids=["restrict_pair", "restrict_plus", "slice_spectrum_check", "extend", "extend_between"],
+    ids=["restrict_pair", "slice_spectrum_check", "extend", "extend_between"],
 )
 def test_non_finite_entry_is_named(routine, value):
     # the matrix (for the restrictions) or the slice operator (for the
     # extensions) has one bad entry; it is named before any product
     a = gen.random_normal(np.random.default_rng(3), 4, STANDARD_FRAME)
     s = structure_for(a, STANDARD_FRAME)
-    t = restrict_plus(a, s)
+    t = restrict_pair(a, s)[0]
     a.a[1, 2, 3] = t.z[1, 2] = value
     with pytest.raises(PreconditionError, match=r"^matrix entry \(1, 2\) is not finite$") as err:
         routine(a, t, s)
@@ -325,8 +323,8 @@ def test_non_finite_entry_is_named(routine, value):
 
 @pytest.mark.parametrize(
     "routine",
-    [restrict_pair, restrict_plus, slice_spectrum_check],
-    ids=["restrict_pair", "restrict_plus", "slice_spectrum_check"],
+    [restrict_pair, slice_spectrum_check],
+    ids=["restrict_pair", "slice_spectrum_check"],
 )
 def test_size_mismatch_is_named(routine):
     # a 4x4 matrix against the structure of a 3x3 one is named, with both

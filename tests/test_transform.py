@@ -7,7 +7,7 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra import qarray as qa
-from qspectra import transform
+from qspectra import slices
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import (
@@ -28,7 +28,7 @@ from qspectra.measure import (
 )
 from qspectra.report import check_from, require
 from qspectra.serialize import matrix_to_json, save_json
-from qspectra.slices import build_J, extend
+from qspectra.slices import build_J, extend, restrict_pair
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
     INVERSE_GUARD,
@@ -36,7 +36,6 @@ from qspectra.transform import (
     UnboundedSim,
     _radial_factor,
     bounded_transform,
-    commuting_J_unbounded,
     inverse_checks,
     inverse_transform,
     transform_checks,
@@ -109,6 +108,19 @@ class TestBoundedTransform:
         a = gen.random_normal(rng, 5, frame, scale=2.0)
         bt = bounded_transform(a)
         assert bt.residual.residual <= 1e-10 * max(1.0, a.frobenius())
+
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_defining_residual_bound_is_scale_free(self, kind):
+        # tol = 1e-9 ||A||_F with no floor at scale 1: scaling by 2^k is
+        # exact, so it scales tol exactly, and at 1e-12 tol is not 1e-9
+        rng = np.random.default_rng([4, gen.MATRIX_CLASSES.index(kind)])
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, kind)
+        scales = (2.0**-40, 2.0**-20, 1.0, 2.0**20, 2.0**40, 1e-12)
+        checks = {c: bounded_transform(QMatrix(a.a * c)).residual for c in scales}
+        assert all(check.passed for check in checks.values())
+        for k in (-40, -20, 20, 40):
+            assert checks[2.0**k].tol == np.ldexp(checks[1.0].tol, k)
+        assert checks[1e-12].tol == pytest.approx(1e-12 * checks[1.0].tol, rel=1e-12)
 
 
 def _graded(n: int, top: float) -> QMatrix:
@@ -240,14 +252,21 @@ class TestGuardBand:
         assert main(["transform", str(path), "--out", str(tmp_path / "rep.json")]) == 0
 
 
+def _commuting_J(a: QMatrix, frame: SliceFrame = STANDARD_FRAME):
+    """J read off A's own decomposition, checked to commute with A."""
+    s = build_J(spectral_decompose(a, frame))
+    restrict_pair(a, s)
+    return s
+
+
 class TestCommutingJ:
     def test_left_j_structure(self):
-        s = commuting_J_unbounded(QMatrix.from_rows([[J]]))
+        s = _commuting_J(QMatrix.from_rows([[J]]))
         assert_qclose(s.J.entry(0, 0), J, 1e-12)
 
     def test_real_diagonal_gives_slice_axis(self):
         a = QMatrix.diag([Quaternion(2), Quaternion(3)])
-        s = commuting_J_unbounded(a, STANDARD_FRAME)
+        s = _commuting_J(a)
         assert_qclose(s.J.entry(0, 0), I, 1e-12)
         assert_qclose(s.J.entry(1, 1), I, 1e-12)
         assert abs(s.J.entry(0, 1)) <= 1e-12
@@ -255,7 +274,7 @@ class TestCommutingJ:
     def test_commutator_bound(self, frame, rng):
         for n in (3, 6):
             a = gen.random_normal(rng, n, frame, scale=4.0)
-            s = commuting_J_unbounded(a, frame)
+            s = _commuting_J(a, frame)
             defect = ((s.J @ a) - (a @ s.J)).frobenius()
             assert defect <= 1e-9 * max(a.frobenius(), 1.0)
 
@@ -269,15 +288,15 @@ class TestCommutingJ:
             built.append(check_from(name, residual, tol))
             return built[-1]
 
-        monkeypatch.setattr(transform, "check_from", recording)
+        monkeypatch.setattr(slices, "check_from", recording)
         rng = np.random.default_rng([3, gen.MATRIX_CLASSES.index(kind)])
         a = gen.random_normal(rng, 8, STANDARD_FRAME, kind)
         tols = {}
         for c in (2.0**-40, 2.0**-20, 1.0, 2.0**20, 2.0**40, 1e-12):
             built.clear()
-            commuting_J_unbounded(QMatrix(a.a * c))
+            _commuting_J(QMatrix(a.a * c))
             tols[c] = built[-1].tol
-            assert built[-1].name == "transform.J_commutes" and built[-1].passed
+            assert built[-1].name == "slices.restrict_commutes" and built[-1].passed
         for k in (-40, -20, 20, 40):
             assert tols[2.0**k] == np.ldexp(tols[1.0], k)
         assert tols[1e-12] == pytest.approx(1e-12 * tols[1.0], rel=1e-12)
