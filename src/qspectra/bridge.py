@@ -58,9 +58,8 @@ from .errors import (
 )
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame
-from .report import Check, check_from, require
+from .report import Check, check_from, require, scaled_check
 
-DECOMP_RESIDUAL_TOL = 1e-9
 # C = H + _BETA K, with H = (Z + Z*)/2 and K = (Z - Z*)/(2i), takes each
 # eigenvalue lambda of a normal Z to re lambda + _BETA im lambda; an
 # irrational weight keeps the distinct ones apart but for measure-zero inputs.
@@ -295,9 +294,9 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     parts a cluster of pairs whose imaginary parts straddle the band; the
     split is m, m and 2n - 2m however near the band values lie. A pair put
     on the axis costs the residual its imaginary part, at most (k + 2)
-    bands after k such moves, far below DECOMP_RESIDUAL_TOL. Normality, the
-    residual and the unitarity of V are checked on Z and W = chi(V) (module
-    docstring).
+    bands after k such moves, far below decompose.eigen_residual's bound.
+    Normality, the residual and the unitarity of V are checked on Z and
+    W = chi(V) (module docstring).
     """
     a.check_finite()
     n = a.n
@@ -328,16 +327,9 @@ def spectral_decompose(a: QMatrix, frame: SliceFrame) -> SpectralDecomposition:
     order = np.lexsort((-lam.imag, -lam.real))
     cols, lam = cols[:, order], lam[order]
     w, diag = np.concatenate([cols, _j(cols)], axis=1), np.concatenate([lam, np.conj(lam)])
-    residual = check_from(
-        "decompose.eigen_residual",
-        qa.chi_fro(z @ w - w * diag),
-        DECOMP_RESIDUAL_TOL * max(fro / np.sqrt(2.0), qa.TINY),  # ||A||_F
-    )
-    unitary = check_from(
-        "decompose.unitary",
-        qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n)),
-        1e-10 * max(1.0, np.sqrt(n)),
-    )
+    eigen, unit = qa.chi_fro(z @ w - w * diag), qa.chi_fro(np.conj(w.T) @ w - np.eye(2 * n))
+    residual = scaled_check("decompose.eigen_residual", eigen, fro / np.sqrt(2.0))  # ||A||_F
+    unitary = scaled_check("decompose.unitary", unit, np.sqrt(n))
     checks = [require(residual, EigenResidualError), require(unitary, EigenResidualError)]
     rec = (w * diag) @ np.conj(w.T)
     return SpectralDecomposition(qa.cm_values(lam, frame), frame, checks, z, w, rec)

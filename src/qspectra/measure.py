@@ -223,7 +223,7 @@ def _first_seen(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """First-seen merge of the rows of an (N, k) array.
 
     Walking the rows in order, a row merges into the first row kept before
-    it with np.linalg.norm(row - kept) <= tol, and is kept otherwise.
+    it with qarray.fro(row - kept) <= tol, and is kept otherwise.
     Returns the ascending indices of the kept rows and, for every row, the
     position in them of the row it merged into (its own when kept).
 
@@ -256,10 +256,9 @@ def _first_seen(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     distinct = rows[heads]
     into = list(range(len(heads)))  # the distinct row each one merges into
-    for a, b in _near_pairs(distinct, 2.0 * tol + 1e-160):
-        if into[b] == b and into[a] == a:
-            if np.linalg.norm(distinct[b] - distinct[a]) <= tol:
-                into[b] = a
+    for a, b in _near_pairs(distinct, 2.0 * tol):
+        if into[b] == b and into[a] == a and qa.fro(distinct[b] - distinct[a]) <= tol:
+            into[b] = a
 
     target = np.arange(n)
     target[finite] = heads[np.asarray(into, dtype=np.intp)[group]]
@@ -271,8 +270,8 @@ def _near_pairs(x: np.ndarray, reach: float) -> list[tuple[int, int]]:
     """Pairs (a, b), a < b, of finite rows within reach in every coordinate,
     sorted by b and then a.
 
-    A norm <= tol bounds every coordinate of the difference by reach =
-    2 tol (plus 1e-160 for squares that underflow). The rows are sorted
+    A norm <= tol bounds every coordinate of the difference by tol, and
+    reach = 2 tol leaves room for the norm's rounding. The rows are sorted
     along their widest coordinate, and rows d apart in that order are
     compared for d = 1, 2, ... until no two of them are within reach along
     it; rows further apart in the order are no closer along it.

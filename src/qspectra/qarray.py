@@ -11,11 +11,7 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeError, SliceMembershipError
 from .quaternion import CM_MEMBERSHIP_TOL, Quaternion
-from .report import Check, check_from
-
-# Floor of a scale that may be 0, so that a bound relative to it stays positive.
-TINY = 1e-300
-NORMAL_TOL = 1e-10
+from .report import BOUNDS, Check, check_from
 
 
 def qarr(a) -> np.ndarray:
@@ -45,7 +41,7 @@ def qnorm_sq(a) -> np.ndarray:
 
 
 def qabs(a) -> np.ndarray:
-    return np.sqrt(qnorm_sq(a))
+    return row_norms(qarr(a), lambda r: np.sqrt(np.einsum("...c,...c->...", r, r)))
 
 
 def qmul(a, b) -> np.ndarray:
@@ -94,19 +90,31 @@ def qscale_right(x, q: Quaternion) -> np.ndarray:
     return qmul(x, q.to_array())
 
 
+def row_norms(x: np.ndarray, norm) -> np.ndarray:
+    """norm(x), the norms of the rows along x's last axis, for a norm that sums
+    unscaled squares (called under np.errstate if it warns on overflow): one
+    outside [1e-140, 1e140], where squares underflow or overflow, is read again,
+    exactly, on its row scaled by a power of two near the row's largest entry."""
+    out = norm(x)
+    if 1e-140 <= out.min(initial=1.0) and out.max(initial=1.0) <= 1e140:
+        return out
+    odd = np.flatnonzero((out < 1e-140) | (out > 1e140))
+    rows = np.reshape(x, (np.size(out), -1)).take(odd, axis=0)
+    if rows.any():  # rows of zeros are exact, and cheap to pass over
+        e = np.clip(np.frexp(np.max(np.abs(rows), axis=-1))[1], -1000, 1000)
+        out = np.array(out)
+        with np.errstate(over="ignore"):
+            out.flat[odd] = np.ldexp(norm(np.ldexp(rows, -e[:, None])), e)
+    return out
+
+
 def fro(x: np.ndarray) -> float:
-    """||x||_F. np.linalg.norm sums unscaled squares, which underflow below
-    about 1e-154 and overflow above about 1e154, so outside [1e-140, 1e140]
-    x is first scaled by a power of two near its largest entry."""
+    """||x||_F: np.linalg.norm's, or outside [1e-140, 1e140] x read as one real row by row_norms."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
-    if 1e-140 < norm < 1e140:
-        return norm
-    peak = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < peak < np.inf:
-        return norm
-    s = 2.0 ** -min(max(np.frexp(peak)[1], -1000), 1000)
-    return float(np.linalg.norm(x * s)) / s
+        if 1e-140 < norm < 1e140:
+            return norm
+        return float(row_norms(np.ravel(x, order="K").view(np.float64)[None], np.linalg.norm))
 
 
 def chi_fro(x: np.ndarray) -> float:
@@ -117,9 +125,9 @@ def chi_fro(x: np.ndarray) -> float:
 
 def normality(z: np.ndarray, k: float = 1.0) -> Check:
     """The check normal.commutator, ||z z* - z* z||_F / k against
-    NORMAL_TOL (||z||_F / k)^2: k = 1 for a plain complex matrix
-    such as T+, and k = sqrt 2 for chi(A) or A's complex adjoint, where it
-    reads ||AA* - A*A||_F <= NORMAL_TOL ||A||_F^2. PreconditionError, named,
+    c (||z||_F / k)^2, c its coefficient in report.BOUNDS: k = 1 for a plain
+    complex matrix such as T+, and k = sqrt 2 for chi(A) or A's complex
+    adjoint, where it reads ||AA* - A*A||_F <= c ||A||_F^2. PreconditionError, named,
     if the defect or the bound overflows; that is no defect of the input.
     Below ||z||_F = 2^-200, where products may underflow, it is decided on z
     scaled up by a power of two, exactly; above, underflow stays far below tol."""
@@ -134,7 +142,7 @@ def normality(z: np.ndarray, k: float = 1.0) -> Check:
     zh = np.conj(z.T)
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.linalg.norm(z @ zh - zh @ z)) / k
-        bound = NORMAL_TOL * ((scale / k) * (scale / k))
+        bound = BOUNDS["normal.commutator"] * ((scale / k) * (scale / k))
     if not (np.isfinite(bound) and np.isfinite(defect)):
         raise PreconditionError(
             f"normality check overflows: ||z||_F {scale:.3e}, commutator defect {defect:.3e}"

@@ -14,6 +14,32 @@ from dataclasses import dataclass, field
 from .errors import ReportSchemaError
 
 SCHEMA = "qspectra-report-v1"
+TINY = 1e-300  # floor of a scale that may be 0, so that a bound on it stays positive
+# Coefficient c of each named check's bound c * max(scale, TINY), for the scale
+# its routine passes (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 2-3); qarray.normality reads its c alone, as it rescales.
+BOUNDS = {
+    "normal.commutator": 1e-10,  # ||A||_F^2
+    "decompose.eigen_residual": 1e-9,  # ||A||_F
+    "decompose.unitary": 1e-10,  # sqrt n
+    "decompose.reconstruction": 1e-9,  # ||A||_F
+    "decompose.norm_identity": 1e-9,  # ||A||
+    "decompose.slice_spectrum_plus": 1e-8,  # ||A||
+    "decompose.slice_spectrum_conjugate": 1e-8,  # ||A||
+    "slices.J_unitary": 1e-10,  # n
+    "slices.J_commutes": 1e-9,  # ||V D V*||_F
+    "slices.restrict_commutes": 1e-9,  # ||A||_F
+    "slices.extend_commutes": 1e-9,  # ||V2 U V1*||_F
+    "slices.extend_norm": 1e-9,  # ||V2 U V1*||
+    "spectral.conjugate_residual": 1e-9,  # ||V D V*||_F
+    "transform.contraction": 1.0 + 1e-12,  # 1; rounding hides ||Z|| < 1 from ||A|| ~ 1e8 on
+    "transform.defining_residual": 1e-9,  # ||A||_F
+    "transform.star_compatible": 1e-10,  # ||A||_F: Z carries the SVD's error, ~eps ||A||
+    "transform.round_trip": 1e-8,  # 1 + ||A||^2, the reconstruction's conditioning
+    "transform.inverse_round_trip": 1e-8,  # 1 + ||T||^2
+    "transform.xi_round_trip": 1e-10,  # 1 + max |psi|
+    "vectors.expand_reconstruction": 1e-10,  # 1 + ||x||
+}
 
 
 def _number(x) -> bool:
@@ -81,6 +107,11 @@ class Check:
 def check_from(name: str, residual: float, tol: float) -> Check:
     """residual <= tol; a bound that overflowed to inf or NaN bounds nothing."""
     return Check(name, float(residual), float(tol), bool(residual <= tol < math.inf))
+
+
+def scaled_check(name: str, residual: float, scale: float) -> Check:
+    """The named check against its bound BOUNDS[name] * max(scale, TINY)."""
+    return check_from(name, residual, BOUNDS[name] * max(scale, TINY))
 
 
 def require(check: Check, error: type[Exception]) -> Check:

@@ -27,9 +27,7 @@ from .bridge import CMatrix, SpectralDecomposition, chi, iota_inv
 from .errors import ShapeError, SliceCommutationError
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame, cm_to_complex, complex_to_cm, slice_split
-from .report import check_from, require
-
-COMMUTE_TOL = 1e-9
+from .report import require, scaled_check
 
 
 @dataclass
@@ -60,7 +58,7 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
 
     J is anti-self-adjoint and unitary because m is; it commutes with
     V diag(d) V* because every d_k lies in the slice of m. On chi images,
-    with E = W*W - I, u = ||E||_F / sqrt 2 <= 1e-10 max(1, sqrt n) (the
+    with E = W*W - I, u = ||E||_F / sqrt 2 <= 1e-10 sqrt n (the
     decomposition's decompose.unitary), delta = ||E||_2, and each product
     rounded within gamma_N |X||Y| (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 3):
@@ -77,10 +75,9 @@ def build_J(dec: SpectralDecomposition) -> SliceStructure:
     n = w.shape[1] // 2
     cj = (w * np.repeat([1j, -1j], n)) @ np.conj(w.T)
     square = qa.chi_fro(cj @ cj + np.eye(2 * n))
-    require(check_from("slices.J_unitary", square, 1e-10 * n), SliceCommutationError)
+    require(scaled_check("slices.J_unitary", square, n), SliceCommutationError)
     defect = qa.chi_fro(cj @ dec.rec - dec.rec @ cj)
-    bound = COMMUTE_TOL * max(qa.chi_fro(dec.rec), qa.TINY)
-    require(check_from("slices.J_commutes", defect, bound), SliceCommutationError)
+    require(scaled_check("slices.J_commutes", defect, qa.chi_fro(dec.rec)), SliceCommutationError)
     return SliceStructure(cj, dec.frame, w)
 
 
@@ -96,7 +93,7 @@ def project_minus(x: np.ndarray, s: SliceStructure) -> np.ndarray:
 def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     """Matrices of A on the plus basis, (T+)_kl = <z_k | A z_l>, and on the
     minus basis {z_k * n}, entries in C_m, after one check that
-    ||AJ - JA||_F <= COMMUTE_TOL * max(||A||_F, TINY) (slices.restrict_commutes).
+    ||AJ - JA||_F <= c ||A||_F (slices.restrict_commutes, c in report.BOUNDS).
 
     Components off the slice up to the same bound are eigenvector rounding
     and are projected away; anything larger means A does not truly preserve
@@ -112,8 +109,8 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     if a.n != s.n:
         raise ShapeError(f"matrix of dim {a.n} does not fit space of dim {s.n}")
     z, cj, w = chi(a, s.frame), s.cj, s.w
-    defect, bound = qa.chi_fro(z @ cj - cj @ z), COMMUTE_TOL * max(qa.chi_fro(z), qa.TINY)
-    require(check_from("slices.restrict_commutes", defect, bound), SliceCommutationError)
+    commutes = scaled_check("slices.restrict_commutes", qa.chi_fro(z @ cj - cj @ z), qa.chi_fro(z))
+    bound = require(commutes, SliceCommutationError).tol
     n = s.n
     bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))
     plus, minus = (np.conj(b[:, :n].T) @ z @ b for b in bases)
@@ -153,12 +150,11 @@ def extend_between(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> QMatri
             f"operator shape {u.shape} does not map dim {s1.n} into dim {s2.n}"
         )
     lifted = _lift(u, s1, s2)
-    defect = qa.chi_fro(s2.cj @ lifted - lifted @ s1.cj)
-    bound = COMMUTE_TOL * max(qa.chi_fro(lifted), 1.0)
-    require(check_from("slices.extend_commutes", defect, bound), SliceCommutationError)
+    defect, scale = qa.chi_fro(s2.cj @ lifted - lifted @ s1.cj), qa.chi_fro(lifted)
+    require(scaled_check("slices.extend_commutes", defect, scale), SliceCommutationError)
     norm = np.linalg.norm(lifted, 2)
-    gap, bound = abs(norm - np.linalg.norm(u.z, 2)), COMMUTE_TOL * max(norm, 1.0)
-    require(check_from("slices.extend_norm", gap, bound), SliceCommutationError)
+    gap = abs(norm - np.linalg.norm(u.z, 2))
+    require(scaled_check("slices.extend_norm", gap, norm), SliceCommutationError)
     return QMatrix(iota_inv(lifted[:, :cols], s1.frame))
 
 

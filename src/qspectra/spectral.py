@@ -28,15 +28,11 @@ from .errors import CrossCheckError, NotNormalError, PreconditionError, ShapeErr
 from .measure import AtomicMeasureSpace, Symbol, _first_seen, ess_sup
 from .operators import QMatrix
 from .quaternion import SliceFrame
-from .report import Check, check_from, require
+from .report import TINY, Check, require, scaled_check
 from .slices import SliceStructure, restrict_pair
 
-FORM_RESIDUAL_TOL = 1e-9
 # on- and off-sphere probes per orbit for the Delta-kernel oracle
 PROBES_PER_ORBIT = 16
-# Share of ||A|| by which a restriction's eigenvalues may miss the orbits
-# (plus) or the conjugates of the plus eigenvalues (minus).
-SLICE_SPECTRUM_TOL = 1e-8
 
 
 @dataclass
@@ -99,10 +95,10 @@ def _probe_rows(probes: np.ndarray | list) -> np.ndarray:
     return probes
 
 
+@np.errstate(over="ignore")
 def _re_im_norm(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """re q and |im q| of each row, bit-equal to Quaternion.re and im_norm."""
-    x, y, z = probes[:, 1], probes[:, 2], probes[:, 3]
-    return probes[:, 0], np.sqrt(x * x + y * y + z * z)
+    """re q and |im q| of each row, bit-equal to Quaternion's unless scaled (qa.row_norms)."""
+    return probes[:, 0], qa.row_norms(probes[:, 1:], lambda v: np.sqrt(np.sum(v * v, axis=-1)))
 
 
 def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
@@ -110,9 +106,9 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
     The emitted measure space is counting measure on eigenvalue indices so
     that U stays square; the symbol repeats a value per multiplicity. Both
-    invariants are required and kept on the form as checks: reconstruction
-    to FORM_RESIDUAL_TOL * ||A||_F and | ||A|| - ess sup |phi| | to
-    FORM_RESIDUAL_TOL * max(||A||, 1); CrossCheckError names a failed one.
+    invariants are required and kept on the form as checks, reconstruction
+    relative to ||A||_F and | ||A|| - ess sup |phi| | to ||A||;
+    CrossCheckError names a failed one.
     """
     dec = spectral_decompose(a, frame)
     space = AtomicMeasureSpace.counting(a.n)
@@ -120,19 +116,11 @@ def multiplication_form(a: QMatrix, frame: SliceFrame) -> MultiplicationForm:
 
     # on chi(A), as in spectral_decompose: U* M_phi U = V D V*
     z = dec.z
-    reconstruction = check_from(
-        "decompose.reconstruction",
-        qa.chi_fro(z - dec.rec),
-        FORM_RESIDUAL_TOL * max(qa.chi_fro(z), qa.TINY),
-    )
-    require(reconstruction, CrossCheckError)
+    recon = scaled_check("decompose.reconstruction", qa.chi_fro(z - dec.rec), qa.chi_fro(z))
+    require(recon, CrossCheckError)
     op_norm = float(np.linalg.svd(z, compute_uv=False)[0])
-    norm_identity = check_from(
-        "decompose.norm_identity",
-        abs(op_norm - ess_sup(phi)),
-        FORM_RESIDUAL_TOL * max(op_norm, 1.0),
-    )
-    checks = [reconstruction, require(norm_identity, CrossCheckError), dec.checks[1]]
+    norm_identity = scaled_check("decompose.norm_identity", abs(op_norm - ess_sup(phi)), op_norm)
+    checks = [recon, require(norm_identity, CrossCheckError), dec.checks[1]]
     return MultiplicationForm(space, phi, frame, dec, op_norm, checks)
 
 
@@ -512,12 +500,12 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
     chi(rho) = M = [[0, -C], [conj C, 0]], so chi(W) = W2 conj(C) W1* - W1 C W2*.
     M is unitary (|c_k| = 1 to rounding), so with E = chi(V)* chi(V) - I,
     chi(W)* chi(W) - I = (chi(V) chi(V)* - I) + chi(V) M* E M chi(V)* reads
-    at most (2 + ||E||_2) u, u = ||E||_F / sqrt 2 <= 1e-10 max(1, sqrt n)
+    at most (2 + ||E||_2) u, u = ||E||_F / sqrt 2 <= 1e-10 sqrt n
     (decompose.unitary): at most 0.2 of 1e-9 n, so W's unitarity is not
     checked; spectral.conjugate_residual is.
     """
     moduli = form.phi.moduli()
-    floor = 1e-12 * (1.0 + float(np.max(moduli)))
+    floor = 1e-12 * max(float(np.max(moduli)), TINY)
     low = np.flatnonzero(form.space.positive() & (moduli <= floor))
     if len(low):
         raise SymbolZeroError(f"symbol vanishes on positive-weight atom {low[0]}")
@@ -527,8 +515,7 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
     w1, w2 = np.split(form.decomposition.w, 2, axis=1)
     cw = (w2 * np.conj(c)) @ np.conj(w1.T) - (w1 * c) @ np.conj(w2.T)
     conj_err = qa.chi_fro(rec - np.conj(cw.T) @ np.conj(rec.T) @ cw)
-    bound = FORM_RESIDUAL_TOL * max(qa.chi_fro(rec), 1.0)
-    require(check_from("spectral.conjugate_residual", conj_err, bound), CrossCheckError)
+    require(scaled_check("spectral.conjugate_residual", conj_err, qa.chi_fro(rec)), CrossCheckError)
     return QMatrix(iota_inv(cw[:, :n], form.frame))
 
 
@@ -566,9 +553,8 @@ def slice_spectrum_check(
     a: QMatrix, s: SliceStructure, spectrum: SphereSpectrum | None = None
 ) -> SliceSpectrumReport:
     """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
-    minus restriction's eigenvalues are their conjugates, both within
-    SLICE_SPECTRUM_TOL * ||A|| (floored at qarray.TINY, for A = 0). The
-    orbits and ||A|| are those of multiplication_form(a) unless given.
+    minus restriction's eigenvalues are their conjugates, both relative to
+    ||A||. The orbits and ||A|| are those of multiplication_form(a) unless given.
 
     Each restriction must be normal (normal.commutator, NotNormalError):
     for J = build_J of A's own decomposition it is, but a caller may pass
@@ -587,9 +573,8 @@ def slice_spectrum_check(
     dist = np.abs(plus_c[:, None] - reps_c[None, :])
     plus_dev = max(float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
     conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
-    bound = SLICE_SPECTRUM_TOL * max(spectrum.op_norm, qa.TINY)
     checks = [
-        check_from("decompose.slice_spectrum_plus", plus_dev, bound),
-        check_from("decompose.slice_spectrum_conjugate", conj_dev, bound),
+        scaled_check("decompose.slice_spectrum_plus", plus_dev, spectrum.op_norm),
+        scaled_check("decompose.slice_spectrum_conjugate", conj_dev, spectrum.op_norm),
     ]
     return SliceSpectrumReport(plus_c, minus_c, checks)

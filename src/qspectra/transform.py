@@ -8,9 +8,9 @@ holds up to rounding at any scale. ||Z|| is read once, off the SVD of Z's
 adjoint that bounded_transform keeps and the inverse maps, so no Z is
 factored twice. A check that reads only a Z (Z_{A*}, Z_T, z_extension_check)
 takes it off one SVD, ungated: hypot(1, s) >= s, so s / hypot(1, s) <= 1, and
-u, vh are unitary to O(N eps), so ||Z|| <= 1 + O(N eps) < CONTRACTION_BOUND
-for N <= 256. Results are assembled as complex adjoint matrices and read
-back as quaternion matrices from their top block row.
+u, vh are unitary to O(N eps), so ||Z|| <= 1 + O(N eps) < 1 + 1e-12, the
+transform.contraction bound, for N <= 256. Results are assembled as complex
+adjoint matrices and read back as quaternion matrices from their top block row.
 
 The scalar radial maps
 
@@ -41,29 +41,21 @@ from .errors import (
 from .measure import MERGE_TOL, AtomicMeasureSpace, Symbol, _first_seen
 from .operators import QMatrix
 from .quaternion import Quaternion, SliceFrame
-from .report import Check, check_from, require
+from .report import Check, check_from, require, scaled_check
 from .slices import SliceStructure, extend
 
 INVERSE_GUARD = 1e-8
-# times max(1, ||A||_F): ||Z|| <= 1, but the SVD gives Z to within about
-# eps ||A||, the SVD's backward error, which the map passes on with gain <= 1
-Z_ERROR_TOL = 1e-10
-ROUND_TRIP_TOL = 1e-8  # times 1 + ||A||^2, the reconstruction's conditioning
-# ||Z|| of a computed transform: 1 plus the rounding of the spectral norm,
-# which cannot resolve the true margin 1 - ||Z|| ~ 1 / (2 ||A||^2) once
-# ||A|| passes about 1e8.
-CONTRACTION_BOUND = 1.0 + 1e-12
 
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitting constant for doubles
 
 
 @dataclass
 class BoundedTransform:
-    """Z = A (I + A*A)^(-1/2), the check ||Z|| <= CONTRACTION_BOUND it passed
-    (transform.contraction), the check ||Z (I + A*A)^(1/2) - A||_F <=
-    1e-9 max(||A||_F, TINY) it reports but does not enforce
-    (transform.defining_residual), Z's complex adjoint as the SVD of A's
-    gave it, ||A|| = s[0] of that SVD, and the SVD (u, s, vh) of Z's adjoint."""
+    """Z = A (I + A*A)^(-1/2), the check ||Z|| <= 1 + 1e-12 it passed
+    (transform.contraction), the check ||Z (I + A*A)^(1/2) - A||_F <= c ||A||_F
+    it reports but does not enforce (transform.defining_residual), Z's complex
+    adjoint as the SVD of A's gave it, ||A|| = s[0] of that SVD, and the SVD
+    (u, s, vh) of Z's adjoint."""
 
     contraction: Check
     residual: Check
@@ -80,12 +72,11 @@ class BoundedTransform:
 class UnboundedSim:
     """Multiplication operator with unbounded-scale symbol on a truncation."""
 
-    space: AtomicMeasureSpace
     psi: Symbol
 
     @classmethod
     def from_symbol(cls, psi: Symbol) -> "UnboundedSim":
-        return cls(psi.space, psi)
+        return cls(psi)
 
 
 def _adjoint(a: QMatrix) -> np.ndarray:
@@ -111,16 +102,14 @@ def bounded_transform(a: QMatrix) -> BoundedTransform:
 
 
 def _bounded(x: np.ndarray) -> BoundedTransform:
-    """bounded_transform of the A whose complex adjoint is x; the residual's
-    bound reads ||A||_F off x, floored only at TINY, so it scales with A."""
+    """bounded_transform of the A whose complex adjoint is x."""
     z, s, vh = _contract(x)
     half = (np.conj(vh.T) * np.hypot(1.0, s)) @ vh
 
     svd = np.linalg.svd(z)
-    contraction = check_from("transform.contraction", svd[1][0], CONTRACTION_BOUND)
+    contraction = scaled_check("transform.contraction", svd[1][0], 1.0)
     require(contraction, TransformDomainError)
-    defect, bound = qa.chi_fro(z @ half - x), 1e-9 * max(qa.chi_fro(x), qa.TINY)
-    residual = check_from("transform.defining_residual", defect, bound)
+    residual = scaled_check("transform.defining_residual", qa.chi_fro(z @ half - x), qa.chi_fro(x))
     return BoundedTransform(contraction, residual, z, float(s[0]), svd)
 
 
@@ -142,46 +131,45 @@ def inverse_transform(z: QMatrix) -> QMatrix:
 
 def transform_checks(a: QMatrix) -> list[Check]:
     """The checks of `qspectra transform`, on the complex adjoints the SVDs
-    give: bounded_transform's contraction (first; its residual is ||Z||) and
-    defining_residual; star_compatible, ||Z_{A*} - Z*||_F <= err =
-    Z_ERROR_TOL max(1, ||A||_F); round_trip, ||inverse(Z) - A||_F <=
-    ROUND_TRIP_TOL (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD, off the SVD
-    that ||Z|| came from; and, if A is normal, normal_preserved,
+    give, each c its coefficient in report.BOUNDS: bounded_transform's
+    contraction (first; its residual is ||Z||) and defining_residual;
+    star_compatible, ||Z_{A*} - Z*||_F <= err = c ||A||_F; round_trip,
+    ||inverse(Z) - A||_F <= c (1 + ||A||^2), if ||Z|| < 1 - INVERSE_GUARD, off
+    the SVD that ||Z|| came from; and, if A is normal, normal_preserved,
     ||ZZ* - Z*Z||_F within qa.normality's bound plus 2 (1 + ||Z||) err:
     Z = Z0 + E with Z0 the exact, normal transform, ||Z0|| <= 1 and
     ||E||_F <= err, and ZZ* - Z*Z = ZE* + EZ0* - Z*E - E*Z0. All read A's
     complex adjoint x, built once. Z_{A*}, off one SVD u diag(s) vh of x*, is
     ungated: s / hypot(1, s) <= 1 and u, vh are unitary to O(N eps), so
-    ||Z_{A*}|| <= 1 + O(N eps) < CONTRACTION_BOUND for N = 2n <= 256."""
+    ||Z_{A*}|| <= 1 + O(N eps) < 1 + 1e-12 for N = 2n <= 256."""
     x = _adjoint(a)
     bt = _bounded(x)
     z, z_norm = bt.adjoint, bt.contraction.residual
-    err = Z_ERROR_TOL * max(1.0, a.frobenius())
-    star = qa.chi_fro(_contract(np.conj(x.T))[0] - np.conj(z.T))
-    checks = [bt.contraction, bt.residual, check_from("transform.star_compatible", star, err)]
+    star_err = qa.chi_fro(_contract(np.conj(x.T))[0] - np.conj(z.T))
+    star = scaled_check("transform.star_compatible", star_err, qa.chi_fro(x))
+    checks = [bt.contraction, bt.residual, star]
     if z_norm < 1.0 - INVERSE_GUARD:
         back = qa.chi_fro(_inverse(*bt.svd) - x)
-        tol = ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
-        checks.append(check_from("transform.round_trip", back, tol))
+        checks.append(scaled_check("transform.round_trip", back, 1.0 + bt.a_norm**2))
     if qa.is_normal(x, np.sqrt(2.0)):
         normal = qa.normality(z, np.sqrt(2.0))
-        tol = normal.tol + 2.0 * (1.0 + z_norm) * err
+        tol = normal.tol + 2.0 * (1.0 + z_norm) * star.tol
         checks.append(check_from("transform.normal_preserved", normal.residual, tol))
     return checks
 
 
 def inverse_checks(z: QMatrix) -> tuple[list[Check], float]:
     """The check of `qspectra transform --inverse`, ||Z_T - Z||_F <=
-    ROUND_TRIP_TOL (1 + ||T||^2) for T = inverse_transform(Z), and ||Z||,
+    c (1 + ||T||^2) for T = inverse_transform(Z), c in report.BOUNDS, and ||Z||,
     both off one SVD of Z. Z_T and ||T||, off one SVD of T, are ungated as
-    Z_{A*} is in transform_checks: ||Z_T|| <= 1 + O(N eps) < CONTRACTION_BOUND.
+    Z_{A*} is in transform_checks: ||Z_T|| <= 1 + O(N eps) < 1 + 1e-12.
     T is read back through QMatrix, as inverse_transform returns it: the raw
     inverse's lower block is conj of its upper only to rounding."""
     x = _adjoint(z)
     u, s, vh = np.linalg.svd(x)
     z_t, s_t, _ = _contract(QMatrix.from_complex_adjoint(_inverse(u, s, vh)).to_complex_adjoint())
-    tol = ROUND_TRIP_TOL * (1.0 + s_t[0] ** 2)
-    return [check_from("transform.inverse_round_trip", qa.chi_fro(z_t - x), tol)], float(s[0])
+    back = scaled_check("transform.inverse_round_trip", qa.chi_fro(z_t - x), 1.0 + s_t[0] ** 2)
+    return [back], float(s[0])
 
 
 def z_extension_check(t_plus: CMatrix, s: SliceStructure) -> float:
@@ -270,7 +258,7 @@ def unbounded_multiplication_form(
     """
     if sim.psi.frame != frame:
         raise ShapeError("symbol frame does not match the requested frame")
-    space = sim.space
+    space = sim.psi.space
     if np.any(space.weights <= 0.0):
         raise DuplicateSymbolError(
             "unbounded form needs strictly positive weights (zero-weight atoms "
@@ -302,6 +290,6 @@ def unbounded_multiplication_form(
     v = QMatrix.identity(space.n_atoms)
 
     resid = float(np.max(qa.qabs(eta_points - sim.psi.values)))
-    bound = 1e-10 * (1.0 + float(np.max(qa.qabs(sim.psi.values))))
-    require(check_from("transform.xi_round_trip", resid, bound), TransformDomainError)
+    scale = 1.0 + float(np.max(qa.qabs(sim.psi.values)))
+    require(scaled_check("transform.xi_round_trip", resid, scale), TransformDomainError)
     return v, new_space, eta

@@ -15,10 +15,9 @@ import numpy as np
 from . import qarray as qa
 from .errors import IncompleteBasisError, PreconditionError, RankDeficiencyError, ShapeError
 from .quaternion import Quaternion
-from .report import check_from, require
+from .report import require, scaled_check
 
 RANK_TOL = 1e-12
-EXPAND_TOL = 1e-10  # share of 1 + ||x|| by which an expansion may miss x
 
 
 def _columns(vectors, n: int = 0) -> np.ndarray:
@@ -79,15 +78,15 @@ def expand(x, basis) -> list[Quaternion]:
 
     Raises PreconditionError when x or a basis vector has a non-finite entry,
     and IncompleteBasisError when the reconstruction misses x by more than
-    EXPAND_TOL * (1 + ||x||).
+    c (1 + ||x||), c its coefficient in report.BOUNDS.
     """
     both = _columns([*basis, x])
     z, x = both[:, :-1], both[:, -1]
     if not np.all(np.isfinite(both)):
         raise PreconditionError("vector to expand or its basis has a non-finite entry")
     coeffs = qa.qmatmul(qa.qconj(z.transpose(1, 0, 2)), x[:, None])
-    miss, bound = norm(x - qa.qmatmul(z, coeffs)[:, 0]), EXPAND_TOL * (1.0 + norm(x))
-    require(check_from("vectors.expand_reconstruction", miss, bound), IncompleteBasisError)
+    miss, scale = norm(x - qa.qmatmul(z, coeffs)[:, 0]), 1.0 + norm(x)
+    require(scaled_check("vectors.expand_reconstruction", miss, scale), IncompleteBasisError)
     return [Quaternion.from_array(c) for c in coeffs[:, 0]]
 
 

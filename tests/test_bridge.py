@@ -6,7 +6,6 @@ from qspectra import generate as gen
 from qspectra import qarray as qa
 from qspectra.bridge import (
     _BETA,
-    DECOMP_RESIDUAL_TOL,
     CMatrix,
     _j_clusters,
     chi,
@@ -23,11 +22,14 @@ from qspectra.errors import (
     SliceMembershipError,
 )
 from qspectra.quaternion import cm_to_complex
+from qspectra.report import BOUNDS
 from qspectra.slices import build_J, extend
 from qspectra.spectral import _multiset_deviation, slice_spectrum_check
 from qspectra.vectors import scale_right
 
 from conftest import assert_qclose, count_calls
+
+EIGEN_RESIDUAL = BOUNDS["decompose.eigen_residual"]
 
 
 def rand_matrix(rng, n):
@@ -289,7 +291,7 @@ class TestSpectralDecompose:
         for kind in gen.MATRIX_CLASSES:
             a = scale * gen.random_normal(rng, 6, STANDARD_FRAME, kind=kind)
             dec = spectral_decompose(a, STANDARD_FRAME)
-            assert dec.checks[0].residual <= DECOMP_RESIDUAL_TOL * qa.chi_fro(dec.z)
+            assert dec.checks[0].residual <= EIGEN_RESIDUAL * qa.chi_fro(dec.z)
         base = QMatrix(np.random.default_rng(7).standard_normal((4, 4, 4)))
         assert not base.is_normal()
         with pytest.raises(NotNormalError, match="normal.commutator"):
@@ -318,7 +320,7 @@ class TestSpectralDecompose:
         a = v @ QMatrix.diag(d) @ v.H
         dec = spectral_decompose(a, f)
         residual = ((a @ dec.V) - (dec.V @ QMatrix.diag(dec.d))).frobenius()
-        assert residual <= DECOMP_RESIDUAL_TOL * a.frobenius()
+        assert residual <= EIGEN_RESIDUAL * a.frobenius()
         assert ((dec.V.H @ dec.V) - QMatrix.identity(64)).frobenius() <= 1e-10 * np.sqrt(64)
         got = np.sort_complex(np.array([complex(q.re, q.im_norm()) for q in dec.d]))
         want = np.sort_complex(np.repeat(np.array(values, dtype=complex), 32))
@@ -381,7 +383,7 @@ class TestOnePass:
                 lifted[0] += 1j * band * (1.0 + 3e-3 * k)
                 a = v @ QMatrix.diag([Quaternion(z.real) + f.m * z.imag for z in lifted]) @ v.H
                 dec = spectral_decompose(a, f)
-                assert dec.checks[0].residual <= DECOMP_RESIDUAL_TOL * a.frobenius()
+                assert dec.checks[0].residual <= EIGEN_RESIDUAL * a.frobenius()
 
     @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
     def test_one_eigh_and_one_qr(self, kind, rng, monkeypatch):

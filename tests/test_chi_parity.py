@@ -9,11 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from qspectra import STANDARD_FRAME, Quaternion, QMatrix, slices, spectral, transform
+from qspectra import STANDARD_FRAME, Quaternion, QMatrix, report, slices, spectral, transform
 from qspectra import generate as gen
 from qspectra import qarray as qa
-from qspectra.qarray import NORMAL_TOL
-from qspectra.bridge import DECOMP_RESIDUAL_TOL, CMatrix, spectral_decompose
+from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import (
     CrossCheckError,
@@ -21,17 +20,15 @@ from qspectra.errors import (
     QSpectraError,
     SymbolZeroError,
 )
-from qspectra.report import check_from
+from qspectra.report import BOUNDS, check_from
 from qspectra.serialize import matrix_to_json, save_json
 from qspectra.slices import (
-    COMMUTE_TOL,
     build_J,
     extend,
     extend_between,
     restrict_pair,
 )
 from qspectra.spectral import (
-    FORM_RESIDUAL_TOL,
     classify,
     conjugate_equivalence,
     multiplication_form,
@@ -125,14 +122,14 @@ def _old_transform_checks(a):
     checks = [
         ("transform.contraction", None, None),
         ("transform.defining_residual", residual, 1e-9 * max(fro, 1e-300)),
-        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10 * max(1.0, fro)),
+        ("transform.star_compatible", (_old_bounded(a.H)[0] - z.H).frobenius(), 1e-10 * max(fro, 1e-300)),
     ]
     if z_norm < 1.0 - INVERSE_GUARD:
         back = _old_inverse(z)
         checks.append(("transform.round_trip", (back - a).frobenius(), 1e-8 * (1.0 + a.op_norm() ** 2)))
     if _commutator(a) <= 1e-10 * max(fro**2, 1e-300):
         # the commutator's rounding plus 2 (1 + ||Z||) times Z's own error
-        tol = NORMAL_TOL * max(z.frobenius() ** 2, 1e-300) + 2 * (1 + z_norm) * 1e-10 * max(1.0, fro)
+        tol = 1e-10 * max(z.frobenius() ** 2, 1e-300) + 2 * (1 + z_norm) * 1e-10 * max(fro, 1e-300)
         checks.append(("transform.normal_preserved", _commutator(z), tol))
     return z, checks
 
@@ -161,7 +158,7 @@ def _run(argv, tmp_path):
 
 def _check_decompose(a, frame):
     n, fro = a.n, a.frobenius()
-    normal = _commutator(a) <= NORMAL_TOL * max(fro**2, 1e-300)
+    normal = _commutator(a) <= BOUNDS["normal.commutator"] * max(fro**2, 1e-300)
     assert a.is_normal() == normal
     if not normal:
         with pytest.raises(NotNormalError):
@@ -172,11 +169,12 @@ def _check_decompose(a, frame):
     s = build_J(dec)
     old = _old_decompose(a, dec, form, s)
     # each raise-or-pass verdict of the old formulas; all pass on this corpus
-    assert old["residual"] <= DECOMP_RESIDUAL_TOL * fro and old["unitarity"] <= 1e-10 * max(1, np.sqrt(n))
-    assert old["reconstruction"] <= FORM_RESIDUAL_TOL * fro
-    assert old["j_square"] <= 1e-10 * n
-    assert old["j_commute"] <= COMMUTE_TOL * max(old["rec_fro"], 1.0)
-    assert max(old["a_commute"], old["off"]) <= COMMUTE_TOL * max(fro, 1.0)
+    assert old["residual"] <= BOUNDS["decompose.eigen_residual"] * fro
+    assert old["unitarity"] <= BOUNDS["decompose.unitary"] * np.sqrt(n)
+    assert old["reconstruction"] <= BOUNDS["decompose.reconstruction"] * fro
+    assert old["j_square"] <= BOUNDS["slices.J_unitary"] * n
+    assert old["j_commute"] <= BOUNDS["slices.J_commutes"] * max(old["rec_fro"], 1e-300)
+    assert max(old["a_commute"], old["off"]) <= BOUNDS["slices.restrict_commutes"] * max(fro, 1e-300)
 
     eigen, unitary = dec.checks
     _assert_close(old["residual"], eigen.residual, n, fro, "residual")
@@ -233,15 +231,14 @@ def test_parity_with_quaternion_products(frame, tmp_path):
 
 
 def _recording(monkeypatch):
-    """The checks slices, spectral and transform build from now on, by name."""
+    """The checks built through report.check_from from now on, by name."""
     built = {}
 
     def recorded(name, residual, tol):
         built[name] = check_from(name, residual, tol)
         return built[name]
 
-    for module in (slices, spectral, transform):
-        monkeypatch.setattr(module, "check_from", recorded)
+    monkeypatch.setattr(report, "check_from", recorded)
     return built
 
 
@@ -269,7 +266,7 @@ def _old_classify(form, tol):
 def _old_conjugate(form):
     """W = U* M_rho U and the residual of its check, or the error."""
     moduli = form.phi.moduli()
-    if np.any(form.space.positive() & (moduli <= 1e-12 * (1.0 + np.max(moduli)))):
+    if np.any(form.space.positive() & (moduli <= 1e-12 * max(np.max(moduli), 1e-300))):
         return SymbolZeroError, None
     rho = [(form.phi.value(i) / moduli[i]) * form.frame.n for i in range(len(moduli))]
     w = form.U.H @ QMatrix.diag(rho) @ form.U

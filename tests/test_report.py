@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qspectra import STANDARD_FRAME, QMatrix, Quaternion, bridge, slices, spectral, transform, vectors
+from qspectra import STANDARD_FRAME, QMatrix, Quaternion, bridge, report, slices, spectral, transform, vectors
 from qspectra import generate as gen
 from qspectra import qarray as qa
 from qspectra.bridge import CMatrix
@@ -23,6 +23,7 @@ from qspectra.errors import (
     TransformDomainError,
 )
 from qspectra.report import (
+    BOUNDS,
     SCHEMA,
     Check,
     VerificationReport,
@@ -96,23 +97,24 @@ def _expand(a):
     return vectors.expand(a.a[:, 0], vectors.gram_schmidt(list(a.a.transpose(1, 0, 2))))
 
 
-# module that builds the check, its name, the error raised from it, the routine
+# module whose check_from builds the check (report's, through scaled_check,
+# for a check with a bound in BOUNDS), its name, the error raised from it, the routine
 CONTRACTS = [
     (qa, "normal.commutator", NotNormalError, _decompose),
-    (bridge, "decompose.eigen_residual", EigenResidualError, _decompose),
-    (bridge, "decompose.unitary", EigenResidualError, _decompose),
-    (spectral, "decompose.reconstruction", CrossCheckError, _form),
-    (spectral, "decompose.norm_identity", CrossCheckError, _form),
-    (transform, "transform.contraction", TransformDomainError, transform.bounded_transform),
+    (report, "decompose.eigen_residual", EigenResidualError, _decompose),
+    (report, "decompose.unitary", EigenResidualError, _decompose),
+    (report, "decompose.reconstruction", CrossCheckError, _form),
+    (report, "decompose.norm_identity", CrossCheckError, _form),
+    (report, "transform.contraction", TransformDomainError, transform.bounded_transform),
     (bridge, "slices.off_slice", SliceMembershipError, _restrict),
-    (slices, "slices.J_unitary", SliceCommutationError, _build_J),
-    (slices, "slices.J_commutes", SliceCommutationError, _build_J),
-    (slices, "slices.restrict_commutes", SliceCommutationError, _restrict),
-    (slices, "slices.extend_commutes", SliceCommutationError, _extend_between),
-    (slices, "slices.extend_norm", SliceCommutationError, _extend_between),
-    (spectral, "spectral.conjugate_residual", CrossCheckError, _conjugate),
-    (transform, "transform.xi_round_trip", TransformDomainError, _unbounded),
-    (vectors, "vectors.expand_reconstruction", IncompleteBasisError, _expand),
+    (report, "slices.J_unitary", SliceCommutationError, _build_J),
+    (report, "slices.J_commutes", SliceCommutationError, _build_J),
+    (report, "slices.restrict_commutes", SliceCommutationError, _restrict),
+    (report, "slices.extend_commutes", SliceCommutationError, _extend_between),
+    (report, "slices.extend_norm", SliceCommutationError, _extend_between),
+    (report, "spectral.conjugate_residual", CrossCheckError, _conjugate),
+    (report, "transform.xi_round_trip", TransformDomainError, _unbounded),
+    (report, "vectors.expand_reconstruction", IncompleteBasisError, _expand),
 ]
 
 
@@ -340,8 +342,9 @@ def test_witness_table_names_every_contract():
 
 
 def _required_names(source: str) -> set[str]:
-    """Names of the checks passed to require: check_from("name", ...) given
-    directly or bound to a variable in the same function, and qa.normality."""
+    """Names of the checks passed to require: check_from("name", ...) or
+    scaled_check("name", ...) given directly or bound to a variable in the
+    same function, and qa.normality."""
     names = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef):
@@ -362,10 +365,27 @@ def _required_names(source: str) -> set[str]:
     return names
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qspectra"
+
+
 def test_contracts_name_every_required_check():
-    package = Path(__file__).resolve().parent.parent / "src" / "qspectra"
-    required = set().union(*(_required_names(p.read_text()) for p in package.glob("*.py")))
+    required = set().union(*(_required_names(p.read_text()) for p in PACKAGE.glob("*.py")))
     assert required == {c[1] for c in CONTRACTS}
+
+
+def test_bounds_name_exactly_the_scaled_checks():
+    # every check built through scaled_check has its coefficient in the
+    # table, and the table holds no other name but normality's coefficient
+    scaled, read = [], set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "scaled_check":
+                scaled.append(node.args[0].value)
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "BOUNDS":
+                read.add(getattr(node.slice, "value", None))  # None: scaled_check's own
+    assert len(scaled) == len(set(scaled))
+    assert read == {"normal.commutator", None}
+    assert sorted(BOUNDS) == sorted([*scaled, "normal.commutator"])
 
 
 @pytest.mark.parametrize("module, name, error, routine", CONTRACTS, ids=[c[1] for c in CONTRACTS])
@@ -376,7 +396,7 @@ def test_witness_fails_the_check_alone(monkeypatch, module, name, error, routine
         built.append(check_from(check_name, residual, tol))
         return built[-1]
 
-    for source in (qa, bridge, slices, spectral, transform, vectors):
+    for source in (qa, bridge, report, transform):
         monkeypatch.setattr(source, "check_from", recording)
     with pytest.raises(error, match=f"^{re.escape(name)}: residual "):
         WITNESSES[name](monkeypatch)

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspectra import I, J, K, QMatrix, Quaternion, STANDARD_FRAME
-from qspectra import generate as gen, spectral
+from qspectra import generate as gen, qarray, report, serialize, spectral
 from qspectra.bridge import _BETA, spectral_decompose
+from qspectra.cli import main
 from qspectra.errors import NotNormalError, PreconditionError, ShapeError, SymbolZeroError
 from qspectra.measure import AtomicMeasureSpace, Symbol, ess_sup
 from qspectra.operators import delta
 from qspectra.quaternion import orbit_of
-from qspectra.slices import build_J
+from qspectra.report import BOUNDS, check_from
+from qspectra.slices import build_J, extend_between, restrict_pair
 from qspectra.spectral import (
     SphereSpectrum,
     classify,
@@ -908,3 +910,56 @@ class TestSliceSpectrumIdentity:
         altered = conj_minus.copy()
         altered[3] += 1e-3
         assert _multiset_deviation(plus, altered) > tol
+
+
+# p with tol(2^k A) = 2^(p k) tol(A) for each bound in report.BOUNDS these
+# routines build; every other one reads ||A|| or ||A||_F
+_SCALE_POWER = {"normal.commutator": 2, "decompose.unitary": 0, "slices.J_unitary": 0}
+
+
+class TestScaleFreeBounds:
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_same_verdicts_on_2k_a(self, monkeypatch, kind):
+        # each bound is c max(scale, TINY), and scaling by 2^k is exact, so
+        # every tol scales exactly and every verdict stays
+        built = []
+
+        def recording(name, residual, tol):
+            built.append(check_from(name, residual, tol))
+            return built[-1]
+
+        for module in (report, qarray):
+            monkeypatch.setattr(module, "check_from", recording)
+        rng = np.random.default_rng([3, gen.MATRIX_CLASSES.index(kind)])
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, kind, min_modulus=0.05)
+        runs = {}
+        for k in (-40, -20, 0, 20, 40):
+            built.clear()
+            b = QMatrix(np.ldexp(a.a, k))
+            form = multiplication_form(b, STANDARD_FRAME)
+            s = build_J(form.decomposition)
+            t_plus = restrict_pair(b, s)[0]
+            slice_spectrum_check(b, s, sphere_spectrum(form))
+            conjugate_equivalence(form)
+            extend_between(t_plus, s, s)
+            runs[k] = built[:]
+        paths = ("normal", "decompose", "slices", "spectral")
+        assert {c.name for c in runs[0]} == {n for n in BOUNDS if n.split(".")[0] in paths}
+        for k, run in runs.items():
+            assert [(c.name, c.passed) for c in run] == [(c.name, c.passed) for c in runs[0]]
+            for check, base in zip(run, runs[0]):
+                power = _SCALE_POWER.get(check.name, 1)
+                assert check.tol == np.ldexp(base.tol, power * k), (k, check.name)
+
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    def test_decompose_keeps_the_orbits_at_tiny_scale(self, kind, tmp_path):
+        # moduli, orbit points and their merge are read on scaled rows
+        rng = np.random.default_rng([4, gen.MATRIX_CLASSES.index(kind)])
+        a = gen.random_normal(rng, 8, STANDARD_FRAME, kind)
+        orbits = {}
+        for c in (1.0, 1e-170, 1e-200, 1e-300):
+            path, out = tmp_path / "a.json", tmp_path / "rep.json"
+            serialize.save_json(serialize.matrix_to_json(QMatrix(a.a * c)), path)
+            assert main(["decompose", str(path), "--out", str(out)]) == 0
+            orbits[c] = len(serialize.load_json(out)["orbits"])
+        assert len(set(orbits.values())) == 1, orbits

@@ -7,7 +7,7 @@ import pytest
 from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra import qarray as qa
-from qspectra import slices
+from qspectra import report, slices
 from qspectra.bridge import CMatrix, spectral_decompose
 from qspectra.cli import main
 from qspectra.errors import (
@@ -26,13 +26,12 @@ from qspectra.measure import (
     m_phi,
     pushforward,
 )
-from qspectra.report import check_from, require
+from qspectra.report import BOUNDS, check_from, require
 from qspectra.serialize import matrix_to_json, save_json
 from qspectra.slices import build_J, extend, restrict_pair
 from qspectra.spectral import multiplication_form
 from qspectra.transform import (
     INVERSE_GUARD,
-    ROUND_TRIP_TOL,
     UnboundedSim,
     _radial_factor,
     bounded_transform,
@@ -185,7 +184,7 @@ class TestAdjointTransformRoute:
         bt = bounded_transform(inverse_transform(z))
         (check,), _ = inverse_checks(z)
         assert check.residual == qa.chi_fro(bt.adjoint - z.to_complex_adjoint())
-        assert check.tol == ROUND_TRIP_TOL * (1.0 + bt.a_norm**2)
+        assert check.tol == BOUNDS["transform.round_trip"] * (1.0 + bt.a_norm**2)
 
     @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
     def test_adjoint_contraction_passes_wherever_checks_return(self, kind):
@@ -288,7 +287,7 @@ class TestCommutingJ:
             built.append(check_from(name, residual, tol))
             return built[-1]
 
-        monkeypatch.setattr(slices, "check_from", recording)
+        monkeypatch.setattr(report, "check_from", recording)
         rng = np.random.default_rng([3, gen.MATRIX_CLASSES.index(kind)])
         a = gen.random_normal(rng, 8, STANDARD_FRAME, kind)
         tols = {}
