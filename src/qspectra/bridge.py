@@ -17,7 +17,7 @@ lifted vector must have slice parts x1 = u and x2 = conj(v), and then
 iota(A x) = chi(A) (u; v) = (u; v) * lambda = iota(x * lambda).
 
 Every spectrum comes from one solver, eig_normal: of chi(A) for
-spectral_decompose and selftest, and of the plus and minus restrictions for
+spectral_decompose and selftest, and of the plus restriction for
 spectral.slice_spectrum_check. It is one Hermitian eigensolve: eigh of
 C = H + _BETA K, H = (Z + Z*)/2 and K = (Z - Z*)/(2i), for a normal Z
 (Goldstine & Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann,

@@ -124,7 +124,7 @@ def _cmd_decompose(args) -> int:
     a = matrix_from_json(load_json(args.matrix))
     start = time.perf_counter()
     # multiplication_form checks normality first, then requires the checks
-    # it returns; the slice spectrum checks are reported pass or fail
+    # it returns; the slice spectrum check is reported pass or fail
     form = multiplication_form(a, frame)
     spectrum = sphere_spectrum(form)
     slice_report = slice_spectrum_check(a, build_J(form.decomposition), spectrum=spectrum)

@@ -97,7 +97,8 @@ class L2Element:
             )
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.space.weights * qa.qnorm_sq(self.values))))
+        """sqrt(sum w_i |f_i|^2), read as the 2-norm of sqrt(w_i) |f_i| (qa.fro)."""
+        return qa.fro(np.sqrt(self.space.weights) * qa.qabs(self.values))
 
     def __add__(self, other: "L2Element") -> "L2Element":
         _check_space(self.space, other.space)
@@ -173,16 +174,18 @@ def m_phi_norm(phi: Symbol) -> float:
     """Operator norm of M_phi on the weighted space.
 
     The largest ratio ||M_phi e_i|| / ||e_i|| over the indicators e_i of the
-    positive-weight atoms, all taken with one qmul: the Rayleigh quotient of
-    e_i is exactly |phi_i|, so this agrees with ess_sup(phi) to rounding
-    while staying a route of its own.
+    positive-weight atoms, all taken with one qmul and read as L2Element.norm
+    reads them: ||M_phi e_i|| = sqrt(w_i) |phi_i 1|, with the modulus scaled
+    (qa.qabs), and ||e_i|| = sqrt(w_i) exactly. The Rayleigh quotient of e_i
+    is exactly |phi_i|, so this agrees with ess_sup(phi) to rounding while
+    staying a route of its own.
     """
     pos = phi.space.positive()
     values, w = phi.values[pos], phi.space.weights[pos]
     unit = np.zeros_like(values)
     unit[:, 0] = 1.0  # e_i evaluated at its own atom
-    ratio = np.sqrt(w * qa.qnorm_sq(qa.qmul(values, unit))) / np.sqrt(w * qa.qnorm_sq(unit))
-    return float(np.max(ratio))
+    root = np.sqrt(w)
+    return float(np.max(root * qa.qabs(qa.qmul(values, unit)) / root))
 
 
 def l2_slice_split(f: L2Element, frame: SliceFrame) -> tuple[L2Element, L2Element]:

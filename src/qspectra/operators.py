@@ -120,9 +120,7 @@ class QMatrix:
     __rmul__ = __mul__
 
     def frobenius(self) -> float:
-        """inf, without a warning, once the sum of squares overflows."""
-        with np.errstate(over="ignore"):
-            return float(np.sqrt(np.sum(self.a * self.a)))
+        return qa.fro(self.a)
 
     def to_complex_adjoint(self) -> np.ndarray:
         return qa.to_complex_adjoint(self.a)

@@ -35,11 +35,6 @@ def qconj(a) -> np.ndarray:
     return out
 
 
-def qnorm_sq(a) -> np.ndarray:
-    a = qarr(a)
-    return np.einsum("...c,...c->...", a, a)
-
-
 def qabs(a) -> np.ndarray:
     return row_norms(qarr(a), lambda r: np.sqrt(np.einsum("...c,...c->...", r, r)))
 

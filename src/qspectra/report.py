@@ -25,7 +25,6 @@ BOUNDS = {
     "decompose.reconstruction": 1e-9,  # ||A||_F
     "decompose.norm_identity": 1e-9,  # ||A||
     "decompose.slice_spectrum_plus": 1e-8,  # ||A||
-    "decompose.slice_spectrum_conjugate": 1e-8,  # ||A||
     "slices.J_unitary": 1e-10,  # n
     "slices.J_commutes": 1e-9,  # ||V D V*||_F
     "slices.restrict_commutes": 1e-9,  # ||A||_F

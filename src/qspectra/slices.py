@@ -11,8 +11,8 @@ A structure holds only chi images (bridge), cj = chi(J) = W diag(iI, -iI) W*
 and w = W = chi(V) = [W1, W2], and every product below is taken on them, with
 ||X||_F = ||chi(X)||_F / sqrt 2: the matrix B* A B of A on a basis B is the
 top-left block of chi(B)* chi(A) chi(B), whose top-right block is minus its
-off-slice part; the minus basis V n has chi(V n) = [W2, -W1]; and a slice
-matrix U has chi(U) = diag(U, conj U), so chi(V2 U V1*) = W2 chi(U) W1*.
+off-slice part; and a slice matrix U has chi(U) = diag(U, conj U), so
+chi(V2 U V1*) = W2 chi(U) W1*.
 """
 
 from __future__ import annotations
@@ -97,9 +97,16 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
 
     Components off the slice up to the same bound are eigenvector rounding
     and are projected away; anything larger means A does not truly preserve
-    the slice. Each matrix takes its own product with chi(A), so that T- is
-    the conjugate of T+ stays a check. A non-finite entry of A is named first,
-    then a size that does not fit the structure (ShapeError).
+    the slice. A non-finite entry of A is named first, then a size that does
+    not fit the structure (ShapeError).
+
+    T- = conj(T+) by construction, for any A and V, and is returned as such.
+    Write B = V*AV = B1 + B2 n with slice-valued B1, B2; on the minus basis
+    V n, (Vn)* A (Vn) = conj(n) B n = conj(B1) + conj(B2) n. On chi images,
+    W2 = Jc conj(W1) (bridge._j) with Jc = [[0, -I], [I, 0]], and
+    Jc^-1 chi(A) Jc = conj chi(A), so W2* chi(A) W2 = conj(W1* chi(A) W1) and
+    the off-slice block of T- is the conjugate of T+'s: a second product
+    would measure only its own rounding, and T- is normal iff T+ is.
 
     With s = build_J(spectral_decompose(A)), this checks the commuting J of
     an unbounded-scale normal A, read off A's own decomposition: Z_A has A's
@@ -111,10 +118,8 @@ def restrict_pair(a: QMatrix, s: SliceStructure) -> tuple[CMatrix, CMatrix]:
     z, cj, w = chi(a, s.frame), s.cj, s.w
     commutes = scaled_check("slices.restrict_commutes", qa.chi_fro(z @ cj - cj @ z), qa.chi_fro(z))
     bound = require(commutes, SliceCommutationError).tol
-    n = s.n
-    bases = (w, np.concatenate([w[:, n:], -w[:, :n]], axis=1))
-    plus, minus = (np.conj(b[:, :n].T) @ z @ b for b in bases)
-    return CMatrix.from_chi_row(plus, s.frame, bound), CMatrix.from_chi_row(minus, s.frame, bound)
+    plus = CMatrix.from_chi_row(np.conj(w[:, : s.n].T) @ z @ w, s.frame, bound)
+    return plus, CMatrix.from_complex(np.conj(plus.z), s.frame)
 
 
 def _lift(u: CMatrix, s1: SliceStructure, s2: SliceStructure) -> np.ndarray:
@@ -209,7 +214,7 @@ class QuaternionifiedSpace:
         return complex_to_cm(slice_part, f) + complex_to_cm(n_part, f) * f.n
 
     def norm(self, u) -> float:
-        return float(np.sqrt(np.linalg.norm(u[0]) ** 2 + np.linalg.norm(u[1]) ** 2))
+        return qa.fro(np.concatenate(u).view(np.float64))
 
     def j_map(self, u):
         """J(x + y n) = (x - y n) m, i.e. (x m, y m) in pair coordinates."""

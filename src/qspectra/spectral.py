@@ -521,13 +521,12 @@ def conjugate_equivalence(form: MultiplicationForm) -> QMatrix:
 
 @dataclass
 class SliceSpectrumReport:
-    """Eigenvalues of the plus/minus restrictions, as complex coordinates
-    against {1, m}, and the checks of how far they are from the orbit set
-    (decompose.slice_spectrum_plus) and from each other's conjugates
-    (decompose.slice_spectrum_conjugate)."""
+    """Eigenvalues of the plus restriction, as complex coordinates against
+    {1, m}, and the check of how far they are from the orbit set
+    (decompose.slice_spectrum_plus); the minus restriction's are their
+    conjugates (slices.restrict_pair)."""
 
     plus: np.ndarray
-    minus: np.ndarray
     checks: list[Check]
 
     @property
@@ -552,18 +551,18 @@ def _multiset_deviation(x: np.ndarray, y: np.ndarray) -> float:
 def slice_spectrum_check(
     a: QMatrix, s: SliceStructure, spectrum: SphereSpectrum | None = None
 ) -> SliceSpectrumReport:
-    """Check sigma(plus restriction) = spectrum orbits in C_m+, and that the
-    minus restriction's eigenvalues are their conjugates, both relative to
-    ||A||. The orbits and ||A|| are those of multiplication_form(a) unless given.
+    """Check sigma(plus restriction) = spectrum orbits in C_m+, relative to
+    ||A||. The orbits and ||A|| are those of multiplication_form(a) unless
+    given. The minus restriction is conj(T+) (slices.restrict_pair), so its
+    spectrum is the conjugate set, and is not checked again.
 
-    Each restriction must be normal (normal.commutator, NotNormalError):
-    for J = build_J of A's own decomposition it is, but a caller may pass
-    the J of another matrix. Its eigenvalues come from the decomposition's
-    solver (bridge.eig_normal), unsorted."""
-    t_plus, t_minus = restrict_pair(a, s)
-    for t in (t_plus, t_minus):
-        require(qa.normality(t.z), NotNormalError)
-    plus_c, minus_c = eig_normal(t_plus.z)[1], eig_normal(t_minus.z)[1]
+    T+ must be normal (normal.commutator, NotNormalError): for J = build_J
+    of A's own decomposition it is, but a caller may pass the J of another
+    matrix. Its eigenvalues come from the decomposition's solver
+    (bridge.eig_normal), unsorted."""
+    t_plus = restrict_pair(a, s)[0]
+    require(qa.normality(t_plus.z), NotNormalError)
+    plus_c = eig_normal(t_plus.z)[1]
 
     if spectrum is None:
         spectrum = sphere_spectrum(multiplication_form(a, s.frame))
@@ -572,9 +571,5 @@ def slice_spectrum_check(
     # Hausdorff distance between the eigenvalue set and the orbit reps.
     dist = np.abs(plus_c[:, None] - reps_c[None, :])
     plus_dev = max(float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
-    conj_dev = _multiset_deviation(plus_c, np.conj(minus_c))
-    checks = [
-        scaled_check("decompose.slice_spectrum_plus", plus_dev, spectrum.op_norm),
-        scaled_check("decompose.slice_spectrum_conjugate", conj_dev, spectrum.op_norm),
-    ]
-    return SliceSpectrumReport(plus_c, minus_c, checks)
+    check = scaled_check("decompose.slice_spectrum_plus", plus_dev, spectrum.op_norm)
+    return SliceSpectrumReport(plus_c, [check])

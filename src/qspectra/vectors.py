@@ -39,7 +39,7 @@ def inner(x, y) -> Quaternion:
 
 
 def norm(x) -> float:
-    return float(np.sqrt(np.sum(qa.qarr(x) ** 2)))
+    return qa.fro(qa.qarr(x))
 
 
 def scale_right(x, q: Quaternion) -> np.ndarray:

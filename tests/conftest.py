@@ -3,6 +3,7 @@ import pytest
 
 from qspectra import I, J, K, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
+from qspectra.bridge import chi, eig_normal
 
 
 def assert_qclose(a: Quaternion, b: Quaternion, tol: float = 1e-12):
@@ -15,6 +16,18 @@ def random_complex_normal(rng: np.random.Generator, n: int, scale: float = 1.0) 
     w, _ = np.linalg.qr(g)
     vals = rng.uniform(-scale, scale, size=n) + 1j * rng.uniform(-scale, scale, size=n)
     return (w * vals) @ np.conj(w.T)
+
+
+def minus_product(a, s) -> np.ndarray:
+    """W2* chi(A) W2, A's matrix on the minus basis V n of structure s, from
+    its own product with chi(A) rather than as restrict_pair's conj(T+)."""
+    w2 = s.w[:, s.n :]
+    return np.conj(w2.T) @ chi(a, s.frame) @ w2
+
+
+def minus_spectrum(a, s) -> np.ndarray:
+    """Eigenvalues of minus_product(a, s), from the decomposition's solver."""
+    return eig_normal(minus_product(a, s))[1]
 
 
 def count_calls(monkeypatch, name):

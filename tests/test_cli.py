@@ -314,7 +314,6 @@ DECOMPOSE_CHECKS = [
     "decompose.norm_identity",
     "decompose.unitary",
     "decompose.slice_spectrum_plus",
-    "decompose.slice_spectrum_conjugate",
 ]
 TRANSFORM_CHECKS = [
     "transform.contraction",
@@ -375,9 +374,9 @@ class TestLapackCalls:
     def test_decompose(self, monkeypatch, normal_matrix_file, tmp_path):
         eigh = count_calls(monkeypatch, "eigh")
         calls = self.count(monkeypatch, ["decompose", str(normal_matrix_file)], tmp_path)
-        # one eigh each for chi(A), T+ and T-, and no block couples in any
+        # one eigh each for chi(A) and T+ (T- is conj(T+)), and no block couples in either
         assert calls == {"svd": 1, "eig": 0, "qr": 1, "eigvals": 0, "qmatmul": 0}
-        assert eigh == [3]
+        assert eigh == [2]
 
     def test_forward_transform(self, monkeypatch, normal_matrix_file, tmp_path):
         calls = self.count(monkeypatch, ["transform", str(normal_matrix_file)], tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspectra import I, J, K, ONE, Quaternion, SliceFrame, STANDARD_FRAME
+from qspectra import I, J, K, ONE, QMatrix, Quaternion, SliceFrame, STANDARD_FRAME
 from qspectra import generate as gen
 from qspectra.errors import PreconditionError, ShapeError, SliceMembershipError
 from qspectra.measure import (
@@ -21,7 +21,10 @@ from qspectra.measure import (
     m_phi_norm,
     pushforward,
 )
+from qspectra.slices import quaternionify
+from qspectra.spectral import multiplication_form
 from qspectra.transform import xi
+from qspectra.vectors import norm
 
 from conftest import assert_qclose
 
@@ -321,6 +324,44 @@ class TestOperatorNormIdentity:
         lhs = m_phi(phistar, m_phi(phi, g))
         rhs = m_phi(phi, m_phi(phistar, g))
         assert (lhs - rhs).norm() <= 1e-13
+
+
+class TestNormsReadScaled:
+    """Every norm reads its squares on values scaled by a power of two, so
+    it neither underflows nor overflows where the norm itself does not."""
+
+    @staticmethod
+    def norms(c):
+        """Each norm of seeded inputs scaled by c: of a vector, the matrix
+        holding it, an L2 element, a symbol (as an operator and by ess sup)
+        and a complex pair."""
+        rng = np.random.default_rng(5)
+        phi = multiplication_form(gen.random_normal(rng, 6, STANDARD_FRAME), STANDARD_FRAME).phi
+        space = AtomicMeasureSpace(phi.space.atoms, rng.uniform(0.5, 2.0, 6))
+        x = c * gen.random_qvector(rng, 6)
+        pair = tuple(c * (rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(2))
+        phi = Symbol(space, c * phi.values, phi.frame)
+        return [
+            norm(x),
+            QMatrix(x[:, None]).frobenius(),
+            L2Element(space, x).norm(),
+            m_phi_norm(phi),
+            ess_sup(phi),
+            quaternionify(6, STANDARD_FRAME).norm(pair),
+        ]
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_exact_on_2k_x(self, k):
+        assert self.norms(2.0**k) == [math.ldexp(b, k) for b in self.norms(1.0)]
+
+    def test_m_phi_norm_at_tiny_scale(self):
+        # the form's symbol at 1e-170, where each |phi_i|^2 underflows to 0
+        phi = multiplication_form(
+            gen.random_normal(np.random.default_rng(5), 6, STANDARD_FRAME), STANDARD_FRAME
+        ).phi
+        tiny = Symbol(phi.space, phi.values * 1e-170, phi.frame)
+        assert m_phi_norm(tiny) == ess_sup(tiny) > 0.0
+        assert L2Element(tiny.space, tiny.values).norm() > 0.0
 
 
 class TestSliceSplit:

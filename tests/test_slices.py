@@ -3,7 +3,8 @@ import pytest
 
 from qspectra import I, J, K, ONE, QMatrix, STANDARD_FRAME, SliceFrame, inner
 from qspectra import generate as gen
-from qspectra.bridge import CMatrix, iota_inv, spectral_decompose
+from qspectra import qarray as qa
+from qspectra.bridge import CMatrix, chi, iota_inv, spectral_decompose
 from qspectra.errors import PreconditionError, ShapeError, SliceCommutationError
 from qspectra.operators import delta
 from qspectra.slices import (
@@ -19,7 +20,7 @@ from qspectra.slices import (
 from qspectra.spectral import multiplication_form, slice_spectrum_check, sphere_spectrum
 from qspectra.vectors import scale_right
 
-from conftest import assert_qclose
+from conftest import assert_qclose, minus_product
 
 
 def structure_for(a: QMatrix, frame) -> SliceStructure:
@@ -123,6 +124,25 @@ class TestRestrict:
         s = structure_for(a, frame)
         plus, minus = (t.z for t in restrict_pair(a, s))
         np.testing.assert_allclose(minus, np.conj(plus), atol=1e-12)
+
+    def test_minus_restriction_is_conj_plus_bit_for_bit(self, frame, rng):
+        a = gen.random_normal(rng, 5, frame)
+        plus, minus = restrict_pair(a, structure_for(a, frame))
+        assert minus.frame == frame
+        assert minus.z.tobytes() == np.conj(plus.z).tobytes()
+
+    @pytest.mark.parametrize("kind", gen.MATRIX_CLASSES)
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 128])
+    def test_minus_product_is_conj_plus_to_rounding(self, n, kind):
+        # chi(V) = [W1, W2] with W2 = Jc conj(W1), Jc = [[0, -I], [I, 0]], and
+        # Jc^-1 chi(A) Jc = conj chi(A): the product on the minus basis is
+        # conj(T+) in exact arithmetic, so the two differ by rounding alone
+        eps = np.finfo(float).eps
+        for seed in range(3):
+            a = gen.random_normal(np.random.default_rng([n, seed]), n, STANDARD_FRAME, kind)
+            s = structure_for(a, STANDARD_FRAME)
+            gap = qa.fro(minus_product(a, s) - np.conj(restrict_pair(a, s)[0].z))
+            assert gap <= 64 * (2 * n) * eps * qa.fro(chi(a, STANDARD_FRAME)), (seed, gap)
 
 
 class TestSliceChecksAtScale:

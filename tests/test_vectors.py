@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,17 @@ class TestExpand:
         basis[1][0, 0] = bad
         with pytest.raises(PreconditionError, match="non-finite"):
             expand(gen.random_qvector(rng, 3), basis)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_vector(self, rng, scale):
+        # the miss and ||x|| are read scaled: no overflow warning, a finite bound
+        basis = gram_schmidt([gen.random_qvector(rng, 4) for _ in range(4)])
+        x = gen.random_qvector(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = expand(x * scale, basis)
+        back = reconstruct(basis, coeffs)
+        assert norm(back - x * scale) <= 1e-10 * norm(x * scale)
 
     def test_length_mismatch(self, rng):
         basis = gram_schmidt([gen.random_qvector(rng, 3) for _ in range(3)])
